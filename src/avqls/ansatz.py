@@ -3,12 +3,13 @@
 Every gate used here (Ry rotations and CNOTs) has real matrix elements, so
 states are plain float64 vectors of length 2**n. Qubit 0 is the most
 significant bit of the basis index, matching the Kronecker-product
-convention used for the problem matrices.
+convention used for the problem matrices. A batch of parameter vectors is
+simulated in one pass: each gate updates every state of the batch at once.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +55,39 @@ class AnsatzConfig:
         return tuple((i, (i + 1) % self.n) for i in range(self.n))
 
 
-def _apply_ry(psi: np.ndarray, qubit: int, angle: float, n: int) -> None:
-    """Rotate `qubit` by Ry(angle) in place using a strided pair update."""
-    half = 0.5 * angle
-    c = math.cos(half)
-    s = math.sin(half)
-    view = psi.reshape(2 ** qubit, 2, -1)
-    top = view[:, 0, :].copy()
-    bot = view[:, 1, :]
-    view[:, 0, :] = c * top - s * bot
-    view[:, 1, :] = s * top + c * bot
+@functools.lru_cache(maxsize=None)
+def _ring_permutation(config: AnsatzConfig) -> np.ndarray:
+    """Basis-index gather that applies the whole CNOT ring: psi[perm].
+
+    A CNOT maps basis index i to i with the target bit flipped when the
+    control bit is set, and is its own inverse. Gathering through the ring
+    c_1 ... c_k therefore reads old[c_1(c_2(...c_k(i)))], so the index map
+    is composed from the last CNOT to the first.
+    """
+    n = config.n
+    perm = np.arange(config.dim)
+    for control, target in reversed(config.ring):
+        control_bit = (perm >> (n - 1 - control)) & 1
+        perm = perm ^ (control_bit << (n - 1 - target))
+    perm.flags.writeable = False
+    return perm
 
 
-def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> None:
-    """Swap the target-bit amplitudes on the control=1 half, in place."""
-    view = psi.reshape([2] * n)
-    i10 = [slice(None)] * n
-    i11 = [slice(None)] * n
-    i10[control], i10[target] = 1, 0
-    i11[control], i11[target] = 1, 1
-    tmp = view[tuple(i10)].copy()
-    view[tuple(i10)] = view[tuple(i11)]
-    view[tuple(i11)] = tmp
+def _apply_ry_column(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Rotate qubit q of state column b by Ry with (cos, sin)[q, b], in place.
+
+    psi holds one state per column, shape (2**n, B), so each rotation is one
+    strided pair update of the whole batch with the batch axis innermost.
+    """
+    n, batch = cos.shape
+    for q in range(n):
+        view = psi.reshape(2 ** q, 2, -1, batch)
+        c = cos[q]
+        s = sin[q]
+        top = view[:, 0].copy()
+        bot = view[:, 1]
+        view[:, 0] = c * top - s * bot
+        view[:, 1] = s * top + c * bot
 
 
 def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
@@ -83,25 +95,32 @@ def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 
     theta is consumed in column order: entries [0, n) feed the initial Ry
     column, entries [k*n, (k+1)*n) feed the Ry column of layer k, and within
-    a layer the CNOT ring acts before the rotations.
+    a layer the CNOT ring acts before the rotations. A (B, n_params) batch
+    of parameter vectors gives the (B, 2**n) batch of states, row by row.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (config.n_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1:] != (config.n_params,):
         raise ValueError(
             f"expected {config.n_params} parameters, got shape {theta.shape}"
         )
     n = config.n
-    psi = np.zeros(config.dim)
-    psi[0] = 1.0
+    half = np.ascontiguousarray(0.5 * theta.reshape(-1, config.n_params).T)
+    batch = half.shape[1]
+    cos = np.cos(half)
+    sin = np.sin(half)
+    # The initial column acts on |0...0>, so it prepares the product state
+    # of (cos, sin) pairs, qubit 0 as the most significant bit.
+    psi = np.ones((1, batch))
     for q in range(n):
-        _apply_ry(psi, q, theta[q], n)
+        pairs = np.empty((len(psi), 2, batch))
+        np.multiply(psi, cos[q], out=pairs[:, 0])
+        np.multiply(psi, sin[q], out=pairs[:, 1])
+        psi = pairs.reshape(-1, batch)
     for layer in range(1, config.d + 1):
-        for control, target in config.ring:
-            _apply_cnot(psi, control, target, n)
-        block = theta[layer * n:(layer + 1) * n]
-        for q in range(n):
-            _apply_ry(psi, q, block[q], n)
-    return psi
+        psi = psi[_ring_permutation(config)]
+        block = slice(layer * n, (layer + 1) * n)
+        _apply_ry_column(psi, cos[block], sin[block])
+    return psi.T if theta.ndim == 2 else psi[:, 0]
 
 
 def expectation(state: np.ndarray, op: np.ndarray) -> float:

@@ -14,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.sparse
 
 from .config import load_config
 from .errors import ConfigError
 from .runner import (
-    _cell_config,
     aggregate_rows,
     build_system,
+    cell_config,
     emit_schedule,
     run_single,
     run_sweep,
@@ -116,7 +117,7 @@ def _cmd_sweep(args) -> int:
     for cell in sweep.cells:
         result = sweep.results.get(cell)
         error = sweep.errors.get(cell, "")
-        cell_cfg = _cell_config(config, cell)
+        cell_cfg = cell_config(config, cell)
         rows.append(summary_row(cell_cfg, result, cell.seed, error=error))
         if result is not None and "json" in config.output.formats:
             payload = trace_payload(cell_cfg, result, seed=config.seed + cell.seed)

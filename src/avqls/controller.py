@@ -25,7 +25,8 @@ from .cost import (
     CostModel,
     HessianBundle,
     build_cost_model,
-    cost,
+    cost,  # noqa: F401  (kept importable: perfbench wraps avqls.controller.cost)
+    cost_and_gradient,
     cost_gradient,
     hessian_bundle,
     hessian_extrapolate,
@@ -179,12 +180,14 @@ class MinimizeResult:
 
 
 def minimize_cost(
-    cost_fn,
-    grad_fn,
+    fun,
     theta0: np.ndarray,
     opts: OptimizerOptions | None = None,
 ) -> MinimizeResult:
     """Quasi-Newton line-search minimization with an analytic gradient.
+
+    fun(theta) returns (cost, gradient) together, so one batch of circuits
+    serves both.
 
     Terminates when the projected-gradient infinity norm drops below gtol
     or after max_iter iterations. On a line-search failure the best point
@@ -194,9 +197,9 @@ def minimize_cost(
     theta0 = np.asarray(theta0, dtype=float)
     bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * theta0.size if opts.bounded else None
     res = scipy.optimize.minimize(
-        cost_fn,
+        fun,
         theta0,
-        jac=grad_fn,
+        jac=True,
         method="L-BFGS-B",
         bounds=bounds,
         options={
@@ -300,8 +303,7 @@ def solve_adiabatic(
         if s_next > 1.0 - 1e-12:
             s_next = 1.0
         res = minimize_cost(
-            lambda th: cost(model, config, th, s_next),
-            lambda th: cost_gradient(model, config, th, s_next),
+            lambda th: cost_and_gradient(model, config, th, s_next),
             theta,
             opts,
         )

@@ -35,6 +35,7 @@ __all__ = [
     "cost_terms",
     "cost_extrapolate",
     "cost_gradient",
+    "cost_and_gradient",
     "cost_hessian",
     "component_hessians",
     "hessian_bundle",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_SHIFT = math.pi / 2
+
+# Largest state batch simulated at once, in amplitudes (8 MiB of float64).
+_MAX_BATCH_AMPLITUDES = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +92,54 @@ def _check_s(s: float) -> None:
         raise ValueError(f"adiabatic parameter must lie in [0, 1], got {s}")
 
 
-def _terms_of_state(model: CostModel, x: np.ndarray) -> np.ndarray:
-    # One matvec with D yields all three expectations:
+def _terms_of_states(model: CostModel, states: np.ndarray) -> np.ndarray:
+    # One product with D yields all three expectations of each row x:
     #   <a> = |Dx|^2 - (Dx)_1^2, <b> = 2 (x.Dx - x_1 (Dx)_1), <c> = |x|^2 - x_1^2
-    y = model.d_op @ x
-    x0 = x[0]
-    y0 = y[0]
-    ea = float(y @ y - y0 * y0)
-    eb = 2.0 * float(x @ y - x0 * y0)
-    ec = float(x @ x - x0 * x0)
-    return np.array([ea, eb, ec])
+    y = states @ model.d_op.T
+    x0 = states[:, 0]
+    y0 = y[:, 0]
+    ea = np.einsum("ij,ij->i", y, y) - y0 * y0
+    eb = 2.0 * (np.einsum("ij,ij->i", states, y) - x0 * y0)
+    ec = np.einsum("ij,ij->i", states, states) - x0 * x0
+    return np.stack([ea, eb, ec], axis=1)
+
+
+def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.ndarray:
+    """(B, 3) expectations (<a_op>, <b_op>, <c_op>) at a (B, n_p) batch of points.
+
+    States are simulated in chunks of at most _MAX_BATCH_AMPLITUDES amplitudes.
+    """
+    _check_dims(model, config)
+    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
+    return np.concatenate([
+        _terms_of_states(model, apply_ansatz(config, points[k:k + chunk]))
+        for k in range(0, len(points), chunk)
+    ])
+
+
+def _in_s(terms: np.ndarray, s: float) -> np.ndarray:
+    """Combine expansion terms (last axis a, b, c) into C_s = s^2 a + s b + c."""
+    return s * s * terms[..., 0] + s * terms[..., 1] + terms[..., 2]
+
+
+def _gradient_points(theta: np.ndarray, beta: float) -> np.ndarray:
+    """The 2 n_p shift-rule points: theta + beta e_i, then theta - beta e_i."""
+    shifts = beta * np.eye(theta.size)
+    return np.concatenate([theta + shifts, theta - shifts])
+
+
+def _shift_rule(terms: np.ndarray, beta: float) -> np.ndarray:
+    """Per-parameter derivatives from the terms at _gradient_points."""
+    n_p = len(terms) // 2
+    return (terms[:n_p] - terms[n_p:]) / (2.0 * math.sin(beta))
 
 
 def cost_terms(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray
 ) -> tuple[float, float, float]:
     """Expectations (<a_op>, <b_op>, <c_op>) in the state U(theta)|0>."""
-    _check_dims(model, config)
-    ea, eb, ec = _terms_of_state(model, apply_ansatz(config, theta))
+    theta = _check_theta(config, theta)
+    ea, eb, ec = _terms_at(model, config, theta[None])[0]
     return float(ea), float(eb), float(ec)
 
 
@@ -141,20 +175,31 @@ def cost_gradient(
     s: float,
     beta: float = DEFAULT_SHIFT,
 ) -> np.ndarray:
-    """Exact gradient of C_s via the two-point shift rule."""
+    """Exact gradient of C_s via the two-point shift rule.
+
+    All 2 n_p shifted circuits are simulated as one batch.
+    """
     _check_s(s)
     _check_beta(beta)
     theta = _check_theta(config, theta)
-    n_p = config.n_params
-    denom = 2.0 * math.sin(beta)
-    grad3 = np.empty((n_p, 3))
-    for i in range(n_p):
-        shift = np.zeros(n_p)
-        shift[i] = beta
-        plus = _terms_of_state(model, apply_ansatz(config, theta + shift))
-        minus = _terms_of_state(model, apply_ansatz(config, theta - shift))
-        grad3[i] = (plus - minus) / denom
-    return s * s * grad3[:, 0] + s * grad3[:, 1] + grad3[:, 2]
+    terms = _terms_at(model, config, _gradient_points(theta, beta))
+    return _in_s(_shift_rule(terms, beta), s)
+
+
+def cost_and_gradient(
+    model: CostModel,
+    config: AnsatzConfig,
+    theta: np.ndarray,
+    s: float,
+    beta: float = DEFAULT_SHIFT,
+) -> tuple[float, np.ndarray]:
+    """(C_s(theta), its shift-rule gradient) from one batch of 2 n_p + 1 circuits."""
+    _check_s(s)
+    _check_beta(beta)
+    theta = _check_theta(config, theta)
+    points = np.concatenate([theta[None], _gradient_points(theta, beta)])
+    terms = _terms_at(model, config, points)
+    return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:], beta), s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +232,10 @@ def hessian_bundle(
     """Measure H_s, the component Hessians and the gradient in one pass.
 
     Shifted circuit evaluations are shared across the three operators, so
-    the full bundle costs 2 n_p^2 + 2 n_p + 1 state preparations. Diagonal
-    Hessian entries use theta +- 2 beta e_i together with the unshifted
-    point; off-diagonal entries use the four double-shifted points and are
-    filled symmetrically.
+    the full bundle costs 2 n_p^2 + 2 n_p + 1 state preparations, simulated
+    as one batch. Diagonal Hessian entries use theta +- 2 beta e_i together
+    with the unshifted point; off-diagonal entries use the four
+    double-shifted points and are filled symmetrically.
     """
     _check_s(s)
     _check_beta(beta)
@@ -198,34 +243,28 @@ def hessian_bundle(
     n_p = config.n_params
     denom = 2.0 * math.sin(beta)
     denom2 = denom * denom
-
-    def terms_at(offset: np.ndarray) -> np.ndarray:
-        return _terms_of_state(model, apply_ansatz(config, theta + offset))
-
-    center = terms_at(np.zeros(n_p))
-    grad3 = np.empty((n_p, 3))
+    eye = np.eye(n_p)
+    iu, ju = np.triu_indices(n_p, k=1)
+    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    # After the gradient points: the centre, theta +- 2 beta e_i, and the
+    # four double shifts of each pair i < j.
+    offsets = beta * np.concatenate(
+        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
+    )
+    points = np.concatenate([_gradient_points(theta, beta), theta + offsets])
+    terms = _terms_at(model, config, points)
+    grad3 = _shift_rule(terms[:2 * n_p], beta)
+    sizes = [2 * n_p, 1, n_p, n_p] + [len(iu)] * 3
+    center, plus2, minus2, pp, pm, mp, mm = np.split(terms, np.cumsum(sizes))[1:]
     hess3 = np.empty((3, n_p, n_p))
-    for i in range(n_p):
-        e_i = np.zeros(n_p)
-        e_i[i] = 1.0
-        grad3[i] = (terms_at(beta * e_i) - terms_at(-beta * e_i)) / denom
-        plus2 = terms_at(2.0 * beta * e_i)
-        minus2 = terms_at(-2.0 * beta * e_i)
-        hess3[:, i, i] = (plus2 - 2.0 * center + minus2) / denom2
-        for j in range(i + 1, n_p):
-            e_j = np.zeros(n_p)
-            e_j[j] = 1.0
-            pp = terms_at(beta * (e_i + e_j))
-            pm = terms_at(beta * (e_i - e_j))
-            mp = terms_at(beta * (e_j - e_i))
-            mm = terms_at(-beta * (e_i + e_j))
-            val = (pp - pm - mp + mm) / denom2
-            hess3[:, i, j] = val
-            hess3[:, j, i] = val
-    k_a, k_b, h_c = hess3[0], hess3[1], hess3[2]
+    diag = np.arange(n_p)
+    hess3[:, diag, diag] = ((plus2 - 2.0 * center + minus2) / denom2).T
+    val = ((pp - pm - mp + mm) / denom2).T
+    hess3[:, iu, ju] = val
+    hess3[:, ju, iu] = val
+    k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
-    grad = s * s * grad3[:, 0] + s * grad3[:, 1] + grad3[:, 2]
-    return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, grad=grad, s=s)
+    return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, grad=_in_s(grad3, s), s=s)
 
 
 def cost_hessian(

@@ -44,6 +44,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "build_system",
+    "cell_config",
     "evaluate_run",
     "run_single",
     "run_sweep",
@@ -291,7 +292,8 @@ def _sweep_cells(config: RunConfig) -> list[SweepCell]:
     ]
 
 
-def _cell_config(config: RunConfig, cell: SweepCell) -> RunConfig:
+def cell_config(config: RunConfig, cell: SweepCell) -> RunConfig:
+    """The run configuration of one sweep cell."""
     from dataclasses import replace
 
     return replace(
@@ -303,12 +305,12 @@ def _cell_config(config: RunConfig, cell: SweepCell) -> RunConfig:
 
 def _run_cell(args: tuple) -> tuple:
     config, cell = args
-    cell_config = _cell_config(config, cell)
+    cfg = cell_config(config, cell)
     # Per-cell RNG: the master seed offsets the sweep's seed entries, so a
     # different master reshuffles every cell while reruns stay identical.
     effective_seed = config.seed + cell.seed
     try:
-        result = run_single(cell_config, seed=effective_seed)
+        result = run_single(cfg, seed=effective_seed)
         return cell, result, None
     except Exception as exc:  # recorded, the sweep keeps going
         return cell, None, f"{type(exc).__name__}: {exc}"

@@ -3,10 +3,14 @@
 The dense helpers here rebuild circuit states and derivatives from first
 principles (explicit gate matrices, central finite differences) so the
 fast strided kernels and shift-rule formulas in the package are checked
-against independent constructions.
+against independent constructions. The per-gate loop engine and the
+per-point shift-rule loops are the reference for the package's batched
+statevector engine.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,6 +53,84 @@ def dense_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
             state = cnot_matrix(control, tgt, n) @ state
         state = ry_column_matrix(theta[layer * n:(layer + 1) * n]) @ state
     return state
+
+
+def _loop_ry(psi: np.ndarray, qubit: int, angle: float) -> None:
+    """Rotate `qubit` by Ry(angle) in place using a strided pair update."""
+    half = 0.5 * angle
+    c = math.cos(half)
+    s = math.sin(half)
+    view = psi.reshape(2 ** qubit, 2, -1)
+    top = view[:, 0, :].copy()
+    bot = view[:, 1, :]
+    view[:, 0, :] = c * top - s * bot
+    view[:, 1, :] = s * top + c * bot
+
+
+def _loop_cnot(psi: np.ndarray, control: int, target: int, n: int) -> None:
+    """Swap the target-bit amplitudes on the control=1 half, in place."""
+    view = psi.reshape([2] * n)
+    i10 = [slice(None)] * n
+    i11 = [slice(None)] * n
+    i10[control], i10[target] = 1, 0
+    i11[control], i11[target] = 1, 1
+    tmp = view[tuple(i10)].copy()
+    view[tuple(i10)] = view[tuple(i11)]
+    view[tuple(i11)] = tmp
+
+
+def loop_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """One circuit, one gate at a time: the reference for apply_ansatz."""
+    theta = np.asarray(theta, dtype=float)
+    n = config.n
+    psi = np.zeros(config.dim)
+    psi[0] = 1.0
+    for q in range(n):
+        _loop_ry(psi, q, theta[q])
+    for layer in range(1, config.d + 1):
+        for control, target in config.ring:
+            _loop_cnot(psi, control, target, n)
+        block = theta[layer * n:(layer + 1) * n]
+        for q in range(n):
+            _loop_ry(psi, q, block[q])
+    return psi
+
+
+def loop_terms(model, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """(<a_op>, <b_op>, <c_op>) at one point, from the dense operators."""
+    x = loop_ansatz_state(config, theta)
+    return np.array([x @ model.a_op @ x, x @ model.b_op @ x, x @ model.c_op @ x])
+
+
+def loop_shift_rule(model, config: AnsatzConfig, theta: np.ndarray, s: float, beta: float):
+    """(gradient, H_s, K_a, K_b) of C_s by the shift rule, one circuit per point."""
+    theta = np.asarray(theta, dtype=float)
+    n_p = config.n_params
+    denom = 2.0 * math.sin(beta)
+
+    def terms_at(offset: np.ndarray) -> np.ndarray:
+        return loop_terms(model, config, theta + offset)
+
+    eye = np.eye(n_p)
+    center = terms_at(np.zeros(n_p))
+    grad3 = np.empty((n_p, 3))
+    hess3 = np.empty((3, n_p, n_p))
+    for i in range(n_p):
+        grad3[i] = (terms_at(beta * eye[i]) - terms_at(-beta * eye[i])) / denom
+        for j in range(n_p):
+            if i == j:
+                val = terms_at(2 * beta * eye[i]) - 2.0 * center + terms_at(-2 * beta * eye[i])
+            else:
+                val = (
+                    terms_at(beta * (eye[i] + eye[j]))
+                    - terms_at(beta * (eye[i] - eye[j]))
+                    - terms_at(beta * (eye[j] - eye[i]))
+                    + terms_at(-beta * (eye[i] + eye[j]))
+                )
+            hess3[:, i, j] = val / (denom * denom)
+    grad = s * s * grad3[:, 0] + s * grad3[:, 1] + grad3[:, 2]
+    k_a, k_b, h_c = hess3
+    return grad, s * s * k_a + s * k_b + h_c, k_a, k_b
 
 
 def fd_gradient(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from avqls import AnsatzConfig, apply_ansatz, expectation
 
-from conftest import dense_ansatz_state
+from conftest import dense_ansatz_state, loop_ansatz_state
 
 
 def test_zero_angles_fix_first_basis_vector():
@@ -39,6 +39,20 @@ def test_matches_dense_oracle_small_circuits(n, d):
         assert np.allclose(fast, dense, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_batch_rows_equal_loop_engine(n):
+    # n=1 has no CNOT ring and n=2 a ring of one CNOT
+    config = AnsatzConfig(n=n, d=2)
+    rng = np.random.default_rng(100 + n)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (7, config.n_params))
+    batch = apply_ansatz(config, thetas)
+    assert batch.shape == (7, config.dim)
+    for theta, row in zip(thetas, batch):
+        reference = loop_ansatz_state(config, theta)
+        assert np.array_equal(row, reference)
+        assert np.array_equal(apply_ansatz(config, theta), reference)
+
+
 def test_norm_preserved():
     rng = np.random.default_rng(42)
     for n in (1, 2, 4, 6, 8):
@@ -70,6 +84,14 @@ def test_parameter_count_checked():
     config = AnsatzConfig(n=2, d=1)
     with pytest.raises(ValueError, match="parameters"):
         apply_ansatz(config, np.zeros(3))
+
+
+def test_batch_parameter_shape_checked():
+    config = AnsatzConfig(n=2, d=1)
+    with pytest.raises(ValueError, match="parameters"):
+        apply_ansatz(config, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="parameters"):
+        apply_ansatz(config, np.zeros((2, 2, 4)))
 
 
 def test_config_validation():

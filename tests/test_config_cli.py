@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -16,7 +18,7 @@ from avqls import (
     run_sweep,
 )
 from avqls.cli import main
-from avqls.runner import aggregate_rows, dump_trace, emit_schedule, trace_payload
+from avqls.runner import aggregate_rows, build_system, dump_trace, emit_schedule, trace_payload
 
 
 def test_defaults():
@@ -212,6 +214,18 @@ def test_cli_solve_dump_system(tmp_path):
     assert rhs[0] == 1.0
 
 
+def test_cli_dump_system_round_trips_the_system(tmp_path):
+    raw = small_heat_raw(n=3)
+    raw["problem"]["conductivity"] = "noisy_linear"
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg_path), "--out", str(out), "--dump-system"]) == 0
+    system = build_system(load_config(cfg_path))
+    mat = scipy.io.mmread(str(out / "matrix.mtx")).toarray()
+    assert np.array_equal(mat, system.a_matrix)
+    assert np.array_equal(np.loadtxt(out / "rhs.txt"), system.b_vector)
+
+
 def test_cli_seed_override(tmp_path):
     raw = small_heat_raw()
     raw["problem"]["conductivity"] = "noisy_constant"
@@ -284,6 +298,34 @@ def test_cli_sweep_happy_path(tmp_path, capsys):
     assert "2/2 cells ok" in capsys.readouterr().out
     traces = sorted(out.glob("trace_*.json"))
     assert len(traces) == 2
+
+
+def sweep_outputs(out) -> tuple[dict, list[dict]]:
+    """Trace bytes by file name, and sweep_details.csv rows without wall time."""
+    traces = {path.name: path.read_bytes() for path in sorted(out.glob("trace_*.json"))}
+    with open(out / "sweep_details.csv", newline="") as fh:
+        rows = [{k: v for k, v in row.items() if k != "wall_time_s"} for row in csv.DictReader(fh)]
+    return traces, rows
+
+
+def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
+    raw = {
+        "problem": {"conductivity": "noisy_constant"},
+        "solver": {"n": 3, "d": 1, "T": 4, "schedule": "hessian"},
+        "sweep": {"seeds": [0, 1]},
+    }
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs in ("1", "2"):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert "2/2 cells ok" in capsys.readouterr().out
+        outputs.append(sweep_outputs(out))
+    (traces_1, rows_1), (traces_2, rows_2) = outputs
+    assert len(traces_1) == 2 and len(rows_1) == 2
+    assert traces_2 == traces_1
+    assert rows_2 == rows_1
 
 
 def test_cli_schedule_subcommand(tmp_path, capsys):

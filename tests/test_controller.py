@@ -104,7 +104,7 @@ def test_minimize_cost_quadratic():
     def g(x):
         return 2.0 * (x - target)
 
-    res = minimize_cost(f, g, np.zeros(3))
+    res = minimize_cost(lambda x: (f(x), g(x)), np.zeros(3))
     assert res.converged
     assert np.allclose(res.theta, target, atol=1e-6)
     assert res.cost < 1e-12
@@ -113,8 +113,7 @@ def test_minimize_cost_quadratic():
 
 def test_minimize_cost_rosenbrock():
     res = minimize_cost(
-        scipy.optimize.rosen,
-        scipy.optimize.rosen_der,
+        lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
         OptimizerOptions(gtol=1e-10, max_iter=1000),
     )
@@ -129,14 +128,13 @@ def test_minimize_cost_respects_bounds():
     def g(x):
         return np.array([2.0 * (x[0] - 10.0)])
 
-    res = minimize_cost(f, g, np.zeros(1), OptimizerOptions(bounded=True))
+    res = minimize_cost(lambda x: (f(x), g(x)), np.zeros(1), OptimizerOptions(bounded=True))
     assert res.theta[0] == pytest.approx(2.0 * np.pi)
 
 
 def test_minimize_cost_iteration_cap():
     res = minimize_cost(
-        scipy.optimize.rosen,
-        scipy.optimize.rosen_der,
+        lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
         OptimizerOptions(max_iter=2),
     )

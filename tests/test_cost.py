@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from avqls.cost import (
     build_cost_model,
     component_hessians,
     cost,
+    cost_and_gradient,
     cost_extrapolate,
     cost_gradient,
     cost_hessian,
@@ -21,7 +24,11 @@ from avqls.cost import (
     hessian_extrapolate,
 )
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, loop_shift_rule, loop_terms
+
+# Batched results against the per-point loop reference; fixed in advance,
+# about 1e4 ulps of the O(1) costs of a spectrally normalized matrix.
+BATCH_TOL = 1e-12
 
 
 def quadratic_hamiltonian(matrix: np.ndarray, s: float) -> np.ndarray:
@@ -193,6 +200,40 @@ def test_bundle_consistency():
     assert np.allclose(bundle.grad, cost_gradient(model, config, theta, s), atol=1e-12)
     # shift-rule Hessians come out exactly symmetric by construction
     assert np.array_equal(bundle.h_s, bundle.h_s.T)
+
+
+def normalized_case(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(2 ** n, 2 ** n))
+    config = AnsatzConfig(n=n, d=2)
+    theta = rng.uniform(-np.pi, np.pi, config.n_params)
+    return build_cost_model(mat / np.linalg.norm(mat, 2)), config, theta
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_batched_derivatives_match_loop_reference(n):
+    model, config, theta = normalized_case(50 + n, n)
+    s, beta = 0.6, 0.7
+    grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, s, beta)
+    assert np.allclose(cost_gradient(model, config, theta, s, beta), grad, rtol=0, atol=BATCH_TOL)
+    value, fused_grad = cost_and_gradient(model, config, theta, s, beta)
+    ea, eb, ec = loop_terms(model, config, theta)
+    assert abs(value - (s * s * ea + s * eb + ec)) <= BATCH_TOL
+    assert np.allclose(fused_grad, grad, rtol=0, atol=BATCH_TOL)
+    bundle = hessian_bundle(model, config, theta, s, beta)
+    for got, want in ((bundle.grad, grad), (bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
+        assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
+
+
+def test_chunked_bundle_matches_loop_reference(monkeypatch):
+    # a cap of 16 states splits the 181-point bundle into 12 batches
+    model, config, theta = normalized_case(61, 3)
+    cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
+    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 16 * config.dim)
+    grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, DEFAULT_SHIFT)
+    bundle = hessian_bundle(model, config, theta, 0.3)
+    for got, want in ((bundle.grad, grad), (bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
+        assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
 def test_invalid_inputs_rejected():

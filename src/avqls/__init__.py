@@ -6,13 +6,12 @@ optimum, with step sizes chosen either from a condition-number schedule or
 from exact Hessian extrapolation of the cost.
 """
 
-from .ansatz import AnsatzConfig, apply_ansatz, expectation
+from .ansatz import AnsatzConfig, apply_ansatz
 from .config import RunConfig, config_from_dict, load_config
 from .controller import (
     MinimizeResult,
     OptimizerOptions,
     RunTrace,
-    StepDecision,
     StepKind,
     StepRecord,
     minimize_cost,
@@ -24,12 +23,10 @@ from .cost import (
     HessianBundle,
     assemble_hamiltonian,
     build_cost_model,
-    component_hessians,
     cost,
     cost_extrapolate,
     cost_gradient,
     cost_hessian,
-    cost_terms,
     hessian_bundle,
     hessian_extrapolate,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AnsatzConfig", "apply_ansatz", "expectation"]
+__all__ = ["AnsatzConfig", "apply_ansatz"]
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,3 @@ def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
         _apply_ry_column(psi, cos[block], sin[block])
     return psi.T if theta.ndim == 2 else psi[:, 0]
 
-
-def expectation(state: np.ndarray, op: np.ndarray) -> float:
-    """<state| op |state> for a real symmetric operator given densely."""
-    state = np.asarray(state, dtype=float)
-    op = np.asarray(op, dtype=float)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    if state.shape != (op.shape[0],):
-        raise ValueError(
-            f"state length {state.shape} does not match operator {op.shape}"
-        )
-    if np.abs(op - op.T).max() > 1e-10:
-        raise ValueError("operator is not symmetric within 1e-10")
-    return float(state @ (op @ state))

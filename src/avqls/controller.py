@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .ansatz import AnsatzConfig
@@ -50,10 +51,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EPS_PSD = 1e-8
 
-_BISECTION_WIDTH = 1e-6
-_SECANT_STEPS = 5
-_SCAN_POINTS = 32
-
 
 class StepKind(str, Enum):
     FALLBACK_SCHEDULE = "fallback_schedule"
@@ -66,62 +63,46 @@ class StepKind(str, Enum):
 class StepDecision:
     kind: StepKind
     delta_s: float
-    lambda_min_at_end: float
-    note: str = ""
+    lambda_min_start: float | None
+    lambda_min_at_end: float | None
 
 
 def _lambda_min(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
-def _first_crossing(
+def _first_psd_crossing(
     bundle: HessianBundle, remaining: float, eps_psd: float
-) -> tuple[float, bool]:
-    """Smallest step where the extrapolated Hessian loses definiteness.
+) -> float | None:
+    """First step in (0, remaining] where the extrapolated Hessian stops being PSD.
 
-    f(ds) = lambda_min(H extrapolated by ds) + eps_psd starts nonnegative
-    and is negative at ds = remaining. A coarse scan brackets the first
-    sign change, bisection narrows it and a few secant refinements polish
-    the root; the returned value is the safe (nonnegative) bracket end.
+    M(ds) = ds^2 K_a + ds K_1 + (H_s + eps_psd I), with K_1 = 2 s K_a + K_b,
+    is singular exactly at the eigenvalues of the companion pencil
+    [[0, I], [-M(0), -K_1]] z = ds [[I, 0], [0, K_a]] z. The caller has
+    checked that M(0) is PSD, so the first crossing is the smallest real
+    eigenvalue in (0, remaining]; None means there is none. LAPACK returns
+    each real eigenvalue as a 1x1 block with an imaginary part of exactly
+    zero, and a singular K_a only adds infinite ones, so no tolerance is
+    needed to filter them. A root that round-off put on the indefinite side
+    is backed off by 1, 2, 4, ... ulps until M is PSD there again, which at
+    worst ends at ds = 0.
     """
-
-    def f(ds: float) -> float:
-        return _lambda_min(hessian_extrapolate(bundle, ds)) + eps_psd
-
-    lo, f_lo = 0.0, _lambda_min(bundle.h_s) + eps_psd
-    hi = f_hi = None
-    for k in range(1, _SCAN_POINTS + 1):
-        ds = remaining * k / _SCAN_POINTS
-        val = f(ds)
-        if val < 0.0:
-            hi, f_hi = ds, val
-            break
-        lo, f_lo = ds, val
-    if hi is None:
-        return remaining, False
-    for _ in range(200):
-        if hi - lo <= _BISECTION_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if val < 0.0:
-            hi, f_hi = mid, val
-        else:
-            lo, f_lo = mid, val
-    else:
-        return lo, False
-    for _ in range(_SECANT_STEPS):
-        if hi - lo <= 1e-12 or f_hi == f_lo:
-            break
-        ds = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not lo < ds < hi:
-            break
-        val = f(ds)
-        if val < 0.0:
-            hi, f_hi = ds, val
-        else:
-            lo, f_lo = ds, val
-    return lo, True
+    n = bundle.n_params
+    eye, zero = np.eye(n), np.zeros((n, n))
+    k_1 = 2.0 * bundle.s * bundle.k_a + bundle.k_b
+    left = np.block([[zero, eye], [-(bundle.h_s + eps_psd * eye), -k_1]])
+    right = np.block([[eye, zero], [zero, bundle.k_a]])
+    ds = scipy.linalg.eigvals(left, right)
+    ds = ds.real[np.isfinite(ds) & (ds.imag == 0.0)]
+    roots = ds[(ds > 0.0) & (ds <= remaining)]
+    if roots.size == 0:
+        return None
+    root = step = float(roots.min())
+    back = float(np.spacing(root))
+    while _lambda_min(hessian_extrapolate(bundle, step)) + eps_psd < 0.0:
+        step = max(root - back, 0.0)
+        back *= 2.0
+    return step
 
 
 def propose_step(
@@ -134,9 +115,9 @@ def propose_step(
 
     Cases, in order: the current Hessian is itself indefinite (the point is
     not a trusted minimum), so fall back to the schedule increment; the
-    Hessian extrapolated all the way to s = 1 stays admissible, so jump
-    there; otherwise take the largest admissible step found by the root
-    search, floored at the schedule increment.
+    extrapolated Hessian stays PSD (within eps_psd) all the way to s = 1, so
+    jump there; otherwise step to its first PSD crossing, floored at the
+    schedule increment.
     """
     remaining = 1.0 - s
     if remaining <= 0.0:
@@ -147,17 +128,13 @@ def propose_step(
     lam_here = _lambda_min(bundle.h_s)
     lam_end = _lambda_min(hessian_extrapolate(bundle, remaining))
     if lam_here < -eps_psd:
-        return StepDecision(StepKind.FALLBACK_SCHEDULE, ds_min, lam_end)
-    if lam_end >= -eps_psd:
-        return StepDecision(StepKind.JUMP_TO_ONE, remaining, lam_end)
-    ds_star, converged = _first_crossing(bundle, remaining, eps_psd)
-    if not converged:
-        return StepDecision(
-            StepKind.FALLBACK_SCHEDULE, ds_min, lam_end, note="root search stalled"
-        )
+        return StepDecision(StepKind.FALLBACK_SCHEDULE, ds_min, lam_here, lam_end)
+    ds_star = _first_psd_crossing(bundle, remaining, eps_psd)
+    if ds_star is None:
+        return StepDecision(StepKind.JUMP_TO_ONE, remaining, lam_here, lam_end)
     if ds_star <= ds_min:
-        return StepDecision(StepKind.MINIMUM_STEP, ds_min, lam_end)
-    return StepDecision(StepKind.HESSIAN_STEP, ds_star, lam_end)
+        return StepDecision(StepKind.MINIMUM_STEP, ds_min, lam_here, lam_end)
+    return StepDecision(StepKind.HESSIAN_STEP, ds_star, lam_here, lam_end)
 
 
 @dataclass(frozen=True)
@@ -290,14 +267,12 @@ def solve_adiabatic(
     while s < 1.0 - 1e-12:
         if mode == "hessian":
             bundle = hessian_bundle(model, config, theta, s)
-            lam_start = _lambda_min(bundle.h_s)
             decision = propose_step(bundle, s, next_increment(sched, s), eps_psd)
             probe_evals = bundle_evals
         else:
             decision = StepDecision(
-                StepKind.FALLBACK_SCHEDULE, next_increment(sched, s), math.nan
+                StepKind.FALLBACK_SCHEDULE, next_increment(sched, s), None, None
             )
-            lam_start = None
             probe_evals = 0
         s_next = s + decision.delta_s
         if s_next > 1.0 - 1e-12:
@@ -310,9 +285,9 @@ def solve_adiabatic(
         grad_norm = float(
             np.abs(cost_gradient(model, config, res.theta, s_next)).max()
         )
-        note = decision.note
+        note = ""
         if res.cost < -1e-10:
-            note = (note + "; " if note else "") + f"negative cost {res.cost:.3e}"
+            note = f"negative cost {res.cost:.3e}"
         if not res.converged:
             note = (note + "; " if note else "") + res.message
         record = StepRecord(
@@ -321,11 +296,8 @@ def solve_adiabatic(
             s=s_next,
             kind=decision.kind,
             delta_s=s_next - s,
-            lambda_min_start=lam_start,
-            lambda_min_at_end=(
-                None if math.isnan(decision.lambda_min_at_end)
-                else decision.lambda_min_at_end
-            ),
+            lambda_min_start=decision.lambda_min_start,
+            lambda_min_at_end=decision.lambda_min_at_end,
             iterations=res.iterations,
             nfev=res.nfev,
             circuit_evals=probe_evals + res.nfev + (res.njev + 1) * 2 * n_p,

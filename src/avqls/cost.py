@@ -1,15 +1,16 @@
 """Cost operator family of the homotopy and its exact derivative machinery.
 
-The working Hamiltonian is H(s) = A(s)^T (I - P) A(s) with A(s) = I + s*D,
+The working Hamiltonian is H(s) = A(s)^T P A(s) with A(s) = I + s*D,
 D = M - I, and P the projector onto the first basis vector's complement,
 P = I - e1 e1^T. Expanding in powers of s gives three fixed operators
 
-    a_op = D^T (I - e1 e1^T) D
-    b_op = D^T (I - e1 e1^T) + (I - e1 e1^T) D
-    c_op = I - e1 e1^T
+    a_op = D^T P D
+    b_op = D^T P + P D
+    c_op = P
 
-so that H(s) = s^2 a_op + s b_op + c_op identically. Because the expansion
-is exact, expectation values of a_op and b_op measured at one value of s
+so that H(s) = s^2 a_op + s b_op + c_op identically. Their expectations are
+read off D x, so none of them is formed densely. Because the expansion is
+exact, expectation values of a_op and b_op measured at one value of s
 reconstruct the cost (and its parameter Hessian) at any other value of s
 without further circuit evaluations. Gradients and Hessians with respect to
 the circuit parameters use the two-point shift rule, which is exact for Ry
@@ -32,12 +33,10 @@ __all__ = [
     "build_cost_model",
     "assemble_hamiltonian",
     "cost",
-    "cost_terms",
     "cost_extrapolate",
     "cost_gradient",
     "cost_and_gradient",
     "cost_hessian",
-    "component_hessians",
     "hessian_bundle",
     "hessian_extrapolate",
 ]
@@ -50,18 +49,15 @@ _MAX_BATCH_AMPLITUDES = 2 ** 20
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
-    """Fixed operators of the s-expansion for one prepared matrix."""
+    """The prepared matrix M and D = M - I, which fixes the s-expansion."""
 
     matrix: np.ndarray
     d_op: np.ndarray
-    a_op: np.ndarray
-    b_op: np.ndarray
-    c_op: np.ndarray
     dim: int
 
 
 def build_cost_model(source) -> CostModel:
-    """Build the expansion operators for a prepared system or a raw matrix.
+    """Build the cost model of a prepared system or a raw matrix.
 
     `source` is either an object with a `.matrix` attribute (a prepared
     system, whose right-hand side is e1 by construction) or a square matrix
@@ -71,20 +67,16 @@ def build_cost_model(source) -> CostModel:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     dim = matrix.shape[0]
-    d_op = matrix - np.eye(dim)
-    proj = np.eye(dim)
-    proj[0, 0] = 0.0
-    a_op = d_op.T @ proj @ d_op
-    b_op = d_op.T @ proj + proj @ d_op
-    return CostModel(
-        matrix=matrix, d_op=d_op, a_op=a_op, b_op=b_op, c_op=proj, dim=dim
-    )
+    return CostModel(matrix=matrix, d_op=matrix - np.eye(dim), dim=dim)
 
 
 def assemble_hamiltonian(model: CostModel, s: float) -> np.ndarray:
-    """Dense H(s) = s^2 a_op + s b_op + c_op."""
+    """Dense H(s) = A(s)^T P A(s) with A(s) = I + s D."""
     _check_s(s)
-    return s * s * model.a_op + s * model.b_op + model.c_op
+    pencil = np.eye(model.dim) + s * model.d_op
+    projected = pencil.copy()
+    projected[0] = 0.0
+    return pencil.T @ projected
 
 
 def _check_s(s: float) -> None:
@@ -134,20 +126,11 @@ def _shift_rule(terms: np.ndarray, beta: float) -> np.ndarray:
     return (terms[:n_p] - terms[n_p:]) / (2.0 * math.sin(beta))
 
 
-def cost_terms(
-    model: CostModel, config: AnsatzConfig, theta: np.ndarray
-) -> tuple[float, float, float]:
-    """Expectations (<a_op>, <b_op>, <c_op>) in the state U(theta)|0>."""
-    theta = _check_theta(config, theta)
-    ea, eb, ec = _terms_at(model, config, theta[None])[0]
-    return float(ea), float(eb), float(ec)
-
-
 def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) -> float:
     """C_s(theta) = <theta| H(s) |theta>."""
     _check_s(s)
-    ea, eb, ec = cost_terms(model, config, theta)
-    return s * s * ea + s * eb + ec
+    terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
+    return float(_in_s(terms, s))
 
 
 def cost_extrapolate(
@@ -163,9 +146,10 @@ def cost_extrapolate(
     """
     _check_s(s)
     _check_s(s + delta_s)
-    ea, eb, ec = cost_terms(model, config, theta)
-    cost_here = s * s * ea + s * eb + ec
-    return delta_s * delta_s * ea + delta_s * (2.0 * s * ea + eb) + cost_here
+    terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
+    ea, eb, _ = terms
+    cost_here = _in_s(terms, s)
+    return float(delta_s * delta_s * ea + delta_s * (2.0 * s * ea + eb) + cost_here)
 
 
 def cost_gradient(
@@ -275,19 +259,7 @@ def cost_hessian(
     beta: float = DEFAULT_SHIFT,
 ) -> np.ndarray:
     """Exact parameter Hessian of C_s, symmetric by construction."""
-    h = hessian_bundle(model, config, theta, s, beta).h_s
-    return 0.5 * (h + h.T)
-
-
-def component_hessians(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    beta: float = DEFAULT_SHIFT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hessians (K_a, K_b) of <a_op> and <b_op>; both are s-independent."""
-    bundle = hessian_bundle(model, config, theta, 0.0, beta)
-    return bundle.k_a, bundle.k_b
+    return hessian_bundle(model, config, theta, s, beta).h_s
 
 
 def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:

@@ -97,9 +97,14 @@ def loop_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 
 
 def loop_terms(model, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """(<a_op>, <b_op>, <c_op>) at one point, from the dense operators."""
+    """(<a_op>, <b_op>, <c_op>) at one point, from dense operators built from D."""
+    d_op = model.d_op
+    proj = np.eye(model.dim)
+    proj[0, 0] = 0.0
+    a_op = d_op.T @ proj @ d_op
+    b_op = d_op.T @ proj + proj @ d_op
     x = loop_ansatz_state(config, theta)
-    return np.array([x @ model.a_op @ x, x @ model.b_op @ x, x @ model.c_op @ x])
+    return np.array([x @ a_op @ x, x @ b_op @ x, x @ proj @ x])
 
 
 def loop_shift_rule(model, config: AnsatzConfig, theta: np.ndarray, s: float, beta: float):

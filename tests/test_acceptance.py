@@ -18,22 +18,23 @@ from avqls import (
     condition_number,
     config_from_dict,
     cost,
-    cost_extrapolate,
     cost_gradient,
-    default_sequence,
     discretize_heat,
     heat_system,
     hessian_bundle,
-    hessian_extrapolate,
     householder,
     prepare,
     run_single,
     s_of_v,
-    solve_parametric,
-    v_bounds,
 )
 from avqls.cost import assemble_hamiltonian, build_cost_model
 from avqls.runner import dump_trace, trace_payload
+from avqls.verify import (
+    extrapolation_defect,
+    ground_state_defect,
+    householder_defect,
+    schedule_endpoint_defect,
+)
 
 from conftest import fd_gradient, fd_hessian, random_system_matrix
 
@@ -50,13 +51,7 @@ def constant_heat(n_qubits, source=None):
 
 
 def test_criterion_01_schedule_exactness():
-    worst = 0.0
-    for kappa in (1.0, 10.0, 100.0, 1000.0):
-        v_min, v_max = v_bounds(kappa)
-        worst = max(worst, abs(s_of_v(v_min, kappa) - 0.0))
-        worst = max(worst, abs(s_of_v(v_max, kappa) - 1.0))
-        grid = default_sequence(kappa, 50).s_grid
-        assert np.all(np.diff(grid) > 0.0)
+    worst = schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 50)
     assert worst < 1e-10
     mid = s_of_v(0.0, 1.0)
     assert abs(mid - 0.5) < 1e-12
@@ -129,7 +124,7 @@ def test_criterion_03_parameter_shift_correctness():
 
 def test_criterion_04_exact_extrapolation():
     rng = np.random.default_rng(23)
-    worst_c = worst_h = 0.0
+    cases = []
     for _ in range(20):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(0, 3))
@@ -139,42 +134,32 @@ def test_criterion_04_exact_extrapolation():
         theta = rng.uniform(-np.pi, np.pi, config.n_params)
         s = float(rng.uniform(0.0, 1.0))
         ds = float(rng.uniform(0.0, 1.0 - s))
-
-        pred_c = cost_extrapolate(model, config, theta, s, ds)
-        direct_c = cost(model, config, theta, s + ds)
-        worst_c = max(worst_c, abs(pred_c - direct_c))
-
-        bundle = hessian_bundle(model, config, theta, s)
-        pred_h = hessian_extrapolate(bundle, ds)
-        direct_h = hessian_bundle(model, config, theta, s + ds).h_s
-        worst_h = max(worst_h, float(np.linalg.norm(pred_h - direct_h)))
-    assert worst_c < 1e-9
-    assert worst_h < 1e-9
-    report(4, "exact extrapolation", f"cost_dev={worst_c:.2e} hess_frob={worst_h:.2e}")
+        cases.append((model, config, theta, s, ds))
+    # the cost and the Hessian (Frobenius norm) share the bound
+    worst = extrapolation_defect(cases)
+    assert worst < 1e-9
+    report(4, "exact extrapolation", f"cost_or_hess_frob_dev={worst:.2e}")
 
 
 def test_criterion_05_ground_state_identity():
     rng = np.random.default_rng(31)
     kinds = ("pd", "nd", "indef")
-    worst_res = 0.0
-    worst_gap = np.inf
+    s_values = (0.0, 0.25, 0.5, 0.75, 1.0)
+    systems = []
     for i in range(20):
         n_sites = int(2 ** rng.integers(1, 5))
         a = random_system_matrix(rng, n_sites, kinds[i % 3])
         b = rng.normal(size=n_sites)
-        system = prepare(a, b)
+        systems.append(prepare(a, b))
+    worst_res = ground_state_defect(systems, s_values)
+    assert worst_res < 1e-10
+    worst_gap = np.inf
+    for system in systems:
         model = build_cost_model(system)
-        e1 = np.zeros(system.dim)
-        e1[0] = 1.0
-        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-            x = solve_parametric(system.matrix, e1, s)
-            ham = assemble_hamiltonian(model, s)
-            residual = float(x @ ham @ x)
-            eigs = np.linalg.eigvalsh(ham)
+        for s in s_values:
+            eigs = np.linalg.eigvalsh(assemble_hamiltonian(model, s))
             scale = float(np.abs(eigs).max())
-            worst_res = max(worst_res, residual)
             worst_gap = min(worst_gap, eigs[1] / scale)
-            assert residual < 1e-10
             assert eigs[1] > 1e-8 * scale
     report(
         5,
@@ -185,22 +170,17 @@ def test_criterion_05_ground_state_identity():
 
 def test_criterion_06_householder_algebra():
     rng = np.random.default_rng(41)
-    worst_alg = worst_kappa = 0.0
+    vectors = []
+    worst_kappa = 0.0
     for n_dim in (2, 4, 8, 16, 32, 64):
         b = rng.normal(size=n_dim)
+        vectors.append(b)
         s_mat = householder(b)
-        eye = np.eye(n_dim)
-        worst_alg = max(
-            worst_alg,
-            float(np.abs(s_mat - s_mat.T).max()),
-            float(np.abs(s_mat @ s_mat - eye).max()),
-            float(np.abs(s_mat @ s_mat.T - eye).max()),
-            float(np.abs(s_mat @ (b / np.linalg.norm(b)) - eye[0]).max()),
-        )
         a = random_system_matrix(rng, n_dim, "pd")
         before = np.linalg.cond(a)
         after = np.linalg.cond(s_mat @ a @ s_mat.T)
         worst_kappa = max(worst_kappa, abs(after - before) / before)
+    worst_alg = householder_defect(vectors)
     assert worst_alg < 1e-12
     assert worst_kappa < 1e-10
     report(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avqls import AnsatzConfig, apply_ansatz, expectation
+from avqls import AnsatzConfig, apply_ansatz
 
 from conftest import dense_ansatz_state, loop_ansatz_state
 
@@ -100,20 +100,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnsatzConfig(n=2, d=-1)
 
-
-def test_expectation_examples():
-    e1 = np.array([1.0, 0.0])
-    assert expectation(e1, np.eye(2)) == 1.0
-    assert expectation(e1, np.outer(e1, e1)) == 1.0
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert abs(expectation(plus, np.diag([1.0, -1.0]))) < 1e-15
-
-
-def test_expectation_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        expectation(np.array([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_expectation_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        expectation(np.array([1.0, 0.0, 0.0]), np.eye(2))

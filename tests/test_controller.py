@@ -17,7 +17,7 @@ from avqls import (
     recover_solution,
     solve_adiabatic,
 )
-from avqls.cost import HessianBundle
+from avqls.cost import HessianBundle, hessian_extrapolate
 
 
 def make_bundle(h_s, k_a, k_b, s):
@@ -93,6 +93,58 @@ def test_propose_step_validation():
     bundle = make_bundle(np.eye(2), z, z, s=0.5)
     with pytest.raises(ValueError, match="positive"):
         propose_step(bundle, 0.5, 0.0)
+
+
+def test_propose_step_stops_before_interior_indefinite_region():
+    # lambda_min = (1 - 4 ds)(1 - 2 ds): indefinite on (0.25, 0.5) only,
+    # so the Hessian extrapolated to s = 1 alone would allow a jump
+    bundle = make_bundle(np.eye(2), np.diag([8.0, 0.0]), np.diag([-6.0, 0.0]), s=0.0)
+    decision = propose_step(bundle, 0.0, 0.01)
+    assert decision.kind is StepKind.HESSIAN_STEP
+    assert decision.delta_s == pytest.approx(0.25, abs=1e-6)
+
+
+def test_propose_step_finds_narrow_dip():
+    # lambda_min = (ds - c)^2 - w^2 is negative only on (c - w, c + w),
+    # well inside a 1/32 grid cell; the second axis crosses at ds = 2/3
+    c, w = 0.109375, 0.005
+    bundle = make_bundle(
+        np.diag([c * c - w * w, 1.0]), np.diag([1.0, 0.0]), np.diag([-2.0 * c, -1.5]), s=0.0
+    )
+    decision = propose_step(bundle, 0.0, 0.01)
+    assert decision.kind is StepKind.HESSIAN_STEP
+    assert decision.delta_s == pytest.approx(c - w, abs=1e-5)
+
+
+def random_symmetric(rng, n, rank):
+    basis = rng.normal(size=(n, rank))
+    return basis @ np.diag(rng.normal(size=rank)) @ basis.T
+
+
+def test_propose_step_is_psd_up_to_the_step():
+    rng = np.random.default_rng(7)
+    eps = 1e-8
+    kinds = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        rank = n - 1 if trial % 3 == 0 else n  # every third K_a is singular
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        h_s = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
+        s = float(rng.uniform(0.0, 0.9))
+        bundle = make_bundle(
+            h_s, random_symmetric(rng, n, rank), 2.0 * random_symmetric(rng, n, n), s
+        )
+        decision = propose_step(bundle, s, 1e-9, eps)
+        kinds.add(decision.kind)
+        assert decision.kind in (StepKind.HESSIAN_STEP, StepKind.JUMP_TO_ONE)
+        ds_star = decision.delta_s
+        grid = np.linspace(0.0, ds_star, 1001)[1:]
+        stack = np.array([hessian_extrapolate(bundle, ds) for ds in grid])
+        assert np.linalg.eigvalsh(stack)[:, 0].min() + eps >= 0.0
+        if decision.kind is StepKind.HESSIAN_STEP:
+            # a crossing: no PSD margin is left at the step
+            assert np.linalg.eigvalsh(hessian_extrapolate(bundle, ds_star))[0] + eps < 1e-10
+    assert kinds == {StepKind.HESSIAN_STEP, StepKind.JUMP_TO_ONE}
 
 
 def test_minimize_cost_quadratic():

@@ -6,6 +6,17 @@ optimum, with step sizes chosen either from a condition-number schedule or
 from exact Hessian extrapolation of the cost.
 """
 
+import os
+
+# One BLAS thread per process. Every matrix here is at most 256 wide, where
+# BLAS helper threads only spin, and they take CPUs from the other `sweep
+# --jobs` workers; at n=8 a threaded gemm also rounds differently, so a trace
+# would depend on the host's core count. BLAS reads these variables when it
+# loads, so this must run before numpy or scipy is first imported; a value
+# already exported wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .ansatz import AnsatzConfig, apply_ansatz
 from .config import RunConfig, config_from_dict, load_config
 from .controller import (

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -317,16 +317,23 @@ def _run_cell(args: tuple) -> tuple:
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
-    """Cartesian-product sweep; failures are recorded, not fatal."""
+    """Cartesian-product sweep; failures are recorded, not fatal.
+
+    A worker that dies breaks the pool: every cell not returned by then is
+    recorded as failed, and every cell that finished keeps its result.
+    """
     cells = _sweep_cells(config)
-    tasks = [(config, cell) for cell in cells]
-    outcomes = []
     if jobs <= 1:
-        for task in tasks:
-            outcomes.append(_run_cell(task))
+        outcomes = [_run_cell((config, cell)) for cell in cells]
     else:
+        outcomes = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+            futures = {pool.submit(_run_cell, (config, cell)): cell for cell in cells}
+            for future in as_completed(futures):
+                try:
+                    outcomes.append(future.result())
+                except Exception as exc:
+                    outcomes.append((futures[future], None, f"{type(exc).__name__}: {exc}"))
     results = {}
     errors = {}
     for cell, result, error in outcomes:

@@ -21,8 +21,10 @@ from .schedule import default_sequence, s_of_v, v_bounds
 __all__ = [
     "schedule_endpoint_defect",
     "householder_defect",
+    "norm_defect",
     "extrapolation_defect",
     "ground_state_defect",
+    "gradient_defect",
     "run_battery",
 ]
 
@@ -58,6 +60,14 @@ def householder_defect(vectors) -> float:
     return worst
 
 
+def norm_defect(cases) -> float:
+    """Worst |norm(psi) - 1| of the ansatz state over cases (config, theta)."""
+    worst = 0.0
+    for config, theta in cases:
+        worst = max(worst, abs(float(np.linalg.norm(apply_ansatz(config, theta))) - 1.0))
+    return worst
+
+
 def extrapolation_defect(cases) -> float:
     """Worst gap between extrapolated and directly measured cost and Hessian.
 
@@ -88,6 +98,27 @@ def ground_state_defect(systems, s_values) -> float:
     return worst
 
 
+def gradient_defect(cases, h: float = 1e-6, rtol: float = 0.0) -> float:
+    """Worst |g - fd| - rtol |fd| between shift-rule and finite-difference gradients.
+
+    Each case is (model, config, theta, s); fd is the central difference of
+    the cost with step h in each parameter. With rtol = 0 this is the worst
+    absolute gap; `gradient_defect(cases, h, rtol) <= atol` is the entrywise
+    test of `np.allclose(g, fd, rtol, atol)` on every case.
+    """
+    worst = -np.inf
+    for model, config, theta, s in cases:
+        grad = cost_gradient(model, config, theta, s)
+        for i in range(config.n_params):
+            step = np.zeros(config.n_params)
+            step[i] = h
+            up = cost(model, config, theta + step, s)
+            down = cost(model, config, theta - step, s)
+            fd = (up - down) / (2.0 * h)
+            worst = max(worst, abs(grad[i] - fd) - rtol * abs(fd))
+    return worst
+
+
 def _check_schedule_endpoints() -> tuple[bool, str]:
     worst = schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 25)
     return worst < 1e-10, f"max endpoint deviation {worst:.2e}"
@@ -101,12 +132,11 @@ def _check_householder() -> tuple[bool, str]:
 
 def _check_norm_preservation() -> tuple[bool, str]:
     rng = np.random.default_rng(12)
-    worst = 0.0
+    cases = []
     for n, d in ((1, 0), (3, 2), (5, 1)):
         config = AnsatzConfig(n=n, d=d)
-        theta = rng.uniform(-np.pi, np.pi, config.n_params)
-        state = apply_ansatz(config, theta)
-        worst = max(worst, abs(float(np.linalg.norm(state)) - 1.0))
+        cases.append((config, rng.uniform(-np.pi, np.pi, config.n_params)))
+    worst = norm_defect(cases)
     return worst < 1e-12, f"max norm drift {worst:.2e}"
 
 
@@ -133,17 +163,7 @@ def _check_gradient() -> tuple[bool, str]:
     config = AnsatzConfig(n=2, d=1)
     model = build_cost_model(np.diag([0.5, 0.7, 0.9, 1.0]))
     theta = rng.uniform(-np.pi, np.pi, config.n_params)
-    grad = cost_gradient(model, config, theta, 0.8)
-    h = 1e-6
-    worst = 0.0
-    for i in range(config.n_params):
-        step = np.zeros(config.n_params)
-        step[i] = h
-        fd = (
-            cost(model, config, theta + step, 0.8)
-            - cost(model, config, theta - step, 0.8)
-        ) / (2 * h)
-        worst = max(worst, abs(grad[i] - fd))
+    worst = gradient_defect([(model, config, theta, 0.8)])
     return worst < 1e-7, f"max gradient defect {worst:.2e}"
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
+from avqls import AnsatzConfig  # before numpy: one BLAS thread, as in the CLI
 import numpy as np
-
-from avqls import AnsatzConfig
 
 
 def ry_matrix(angle: float) -> np.ndarray:

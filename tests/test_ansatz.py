@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avqls import AnsatzConfig, apply_ansatz
+from avqls.verify import norm_defect
 
 from conftest import dense_ansatz_state, loop_ansatz_state
 
@@ -55,12 +56,12 @@ def test_batch_rows_equal_loop_engine(n):
 
 def test_norm_preserved():
     rng = np.random.default_rng(42)
+    cases = []
     for n in (1, 2, 4, 6, 8):
         config = AnsatzConfig(n=n, d=2)
         for _ in range(3):
-            theta = rng.uniform(-10, 10, config.n_params)
-            state = apply_ansatz(config, theta)
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+            cases.append((config, rng.uniform(-10, 10, config.n_params)))
+    assert norm_defect(cases) < 1e-12
 
 
 def test_four_pi_periodicity():

@@ -1,13 +1,18 @@
 import csv
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
+import avqls
 import avqls.runner as runner
 from avqls import (
     ConfigError,
@@ -326,6 +331,83 @@ def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
     assert len(traces_1) == 2 and len(rows_1) == 2
     assert traces_2 == traces_1
     assert rows_2 == rows_1
+
+
+def test_cli_sweep_keeps_finished_cells_when_a_worker_dies(tmp_path, monkeypatch, capsys):
+    raw = small_heat_raw()
+    raw["problem"]["conductivity"] = "noisy_constant"
+    raw["sweep"] = {"seeds": [0, 1]}
+    cfg_path = write_config(tmp_path, raw)
+    finished = tmp_path / "seed0.done"
+    real_run_single = runner.run_single
+
+    def dies_on_seed_one(config, seed=None):
+        # the pool forks its workers, so they run this patched function
+        if seed == 1:
+            deadline = time.monotonic() + 60.0
+            while not finished.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # lets the other worker's result reach the parent
+            os._exit(1)
+        result = real_run_single(config, seed=seed)
+        finished.touch()
+        return result
+
+    monkeypatch.setattr(runner, "run_single", dies_on_seed_one)
+    out = tmp_path / "out"
+    code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
+    assert code == 3
+    assert "1/2 cells ok" in capsys.readouterr().out
+    assert [p.name for p in out.glob("trace_*.json")] == ["trace_n2_d1_T10_l0_s0.json"]
+    with open(out / "sweep_details.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    assert rows[0]["error"] == "" and rows[0]["infidelity"] != ""
+    assert rows[1]["error"].startswith("BrokenProcessPool")
+
+
+def cli_env(**extra) -> dict:
+    """Environment for a subprocess CLI run without a BLAS thread setting."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(avqls.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def test_import_sets_one_blas_thread_unless_exported():
+    probe = "import os, avqls; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for extra, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=cli_env(**extra),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == expected
+
+
+def test_eight_qubit_trace_does_not_depend_on_blas_threads(tmp_path):
+    raw = {
+        "problem": {"conductivity": "noisy_constant", "source": "point"},
+        "solver": {"n": 8, "d": 1, "T": 2, "schedule": "dynamic"},
+        "seed": 3,
+    }
+    cfg_path = write_config(tmp_path, raw)
+    digests = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        run_dir = tmp_path / name  # --out is recorded in the trace, so keep it relative
+        run_dir.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "avqls.cli", "solve", str(cfg_path), "--out", "out"],
+            cwd=run_dir,
+            env=cli_env(**extra),
+            capture_output=True,
+            check=True,
+        )
+        digests.append(hashlib.sha256((run_dir / "out" / "trace.json").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_cli_schedule_subcommand(tmp_path, capsys):

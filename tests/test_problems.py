@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from avqls import (
+    AnsatzConfig,
     ConductivityProfile,
     SingularMatrixError,
     SourceSpec,
     build_source,
     discretize_heat,
+    evaluate_run,
     heat_system,
     householder,
     prepare,
     recover_solution,
     sample_conductivity,
+    solve_adiabatic,
 )
 from avqls.cost import assemble_hamiltonian, build_cost_model
+
+from conftest import random_system_matrix
 
 
 def stencil_oracle(lam: np.ndarray, dz: float) -> np.ndarray:
@@ -241,6 +246,25 @@ def test_recover_solution_embedded_round_trip():
     state = system.householder_emb @ np.kron(plus, s1 @ x_hat)
     recovered = recover_solution(system, state / np.linalg.norm(state))
     assert abs(abs(float(recovered @ x_hat)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indefinite_system_solves_end_to_end(seed):
+    # the ancilla embedding through the whole solver: prepare, the Hessian
+    # path and evaluation in the original basis
+    rng = np.random.default_rng(seed)
+    a = random_system_matrix(rng, 4, "indef")
+    b = rng.normal(size=4)
+    system = prepare(a, b)
+    assert system.embedded is True
+    assert system.n_qubits == 3
+    ansatz = AnsatzConfig(n=system.n_qubits, d=2)
+    theta, trace = solve_adiabatic(system, ansatz, T=20, mode="hessian")
+    report = evaluate_run(system, ansatz, theta, trace.final_cost)
+    assert trace.steps[-1].s == 1.0
+    assert np.isfinite(trace.final_cost)
+    assert report.infidelity < 1e-10
+    assert report.accuracy > 1.0 - 1e-10
 
 
 def test_prepare_validation():

@@ -29,43 +29,52 @@ __all__ = [
 ]
 
 
+def _worst(defects) -> float:
+    """Largest defect, or inf if any is NaN or infinite, so it fails every bound.
+
+    The builtin max would drop a NaN, since every comparison with NaN is false.
+    """
+    defects = np.asarray(defects, dtype=float)
+    if not np.all(np.isfinite(defects)):
+        return np.inf
+    return float(defects.max()) if defects.size else 0.0
+
+
 def schedule_endpoint_defect(kappas, steps: int) -> float:
     """Worst |s(v_min)| and |s(v_max) - 1| over kappas.
 
     Infinite when a default grid of `steps` stops at some kappa is not
     strictly increasing.
     """
-    worst = 0.0
+    defects = []
     for kappa in kappas:
         v_min, v_max = v_bounds(kappa)
-        worst = max(worst, abs(s_of_v(v_min, kappa)), abs(s_of_v(v_max, kappa) - 1.0))
-        if np.any(np.diff(default_sequence(kappa, steps).s_grid) <= 0.0):
+        defects += [abs(s_of_v(v_min, kappa)), abs(s_of_v(v_max, kappa) - 1.0)]
+        if not np.all(np.diff(default_sequence(kappa, steps).s_grid) > 0.0):
             return np.inf
-    return worst
+    return _worst(defects)
 
 
 def householder_defect(vectors) -> float:
     """Worst entry of S - S^T, S S - I, S S^T - I and S b/|b| - e1 over vectors b."""
-    worst = 0.0
+    defects = []
     for b in vectors:
         s = householder(b)
         eye = np.eye(len(b))
-        worst = max(
-            worst,
-            float(np.abs(s - s.T).max()),
-            float(np.abs(s @ s - eye).max()),
-            float(np.abs(s @ s.T - eye).max()),
-            float(np.abs(s @ (b / np.linalg.norm(b)) - eye[0]).max()),
-        )
-    return worst
+        defects += [
+            np.abs(s - s.T).max(),
+            np.abs(s @ s - eye).max(),
+            np.abs(s @ s.T - eye).max(),
+            np.abs(s @ (b / np.linalg.norm(b)) - eye[0]).max(),
+        ]
+    return _worst(defects)
 
 
 def norm_defect(cases) -> float:
     """Worst |norm(psi) - 1| of the ansatz state over cases (config, theta)."""
-    worst = 0.0
-    for config, theta in cases:
-        worst = max(worst, abs(float(np.linalg.norm(apply_ansatz(config, theta))) - 1.0))
-    return worst
+    return _worst(
+        [abs(np.linalg.norm(apply_ansatz(config, theta)) - 1.0) for config, theta in cases]
+    )
 
 
 def extrapolation_defect(cases) -> float:
@@ -75,27 +84,27 @@ def extrapolation_defect(cases) -> float:
     Hessian at s + ds, predicted from measurements at s, against direct
     evaluation at s + ds. Hessians are compared in the Frobenius norm.
     """
-    worst = 0.0
+    defects = []
     for model, config, theta, s, ds in cases:
         direct_c = cost(model, config, theta, s + ds)
         pred_c = cost_extrapolate(model, config, theta, s, ds)
         pred_h = hessian_extrapolate(hessian_bundle(model, config, theta, s), ds)
         direct_h = hessian_bundle(model, config, theta, s + ds).h_s
-        worst = max(worst, abs(pred_c - direct_c), float(np.linalg.norm(pred_h - direct_h)))
-    return worst
+        defects += [abs(pred_c - direct_c), np.linalg.norm(pred_h - direct_h)]
+    return _worst(defects)
 
 
 def ground_state_defect(systems, s_values) -> float:
     """Worst |x(s)^T H(s) x(s)| for the exact pencil solution x(s) of each system."""
-    worst = 0.0
+    defects = []
     for system in systems:
         model = build_cost_model(system)
         e1 = np.zeros(system.dim)
         e1[0] = 1.0
         for s in s_values:
             x = solve_parametric(system.matrix, e1, s)
-            worst = max(worst, abs(float(x @ assemble_hamiltonian(model, s) @ x)))
-    return worst
+            defects.append(abs(x @ assemble_hamiltonian(model, s) @ x))
+    return _worst(defects)
 
 
 def gradient_defect(cases, h: float = 1e-6, rtol: float = 0.0) -> float:
@@ -106,7 +115,7 @@ def gradient_defect(cases, h: float = 1e-6, rtol: float = 0.0) -> float:
     absolute gap; `gradient_defect(cases, h, rtol) <= atol` is the entrywise
     test of `np.allclose(g, fd, rtol, atol)` on every case.
     """
-    worst = -np.inf
+    defects = []
     for model, config, theta, s in cases:
         grad = cost_gradient(model, config, theta, s)
         for i in range(config.n_params):
@@ -115,8 +124,8 @@ def gradient_defect(cases, h: float = 1e-6, rtol: float = 0.0) -> float:
             up = cost(model, config, theta + step, s)
             down = cost(model, config, theta - step, s)
             fd = (up - down) / (2.0 * h)
-            worst = max(worst, abs(grad[i] - fd) - rtol * abs(fd))
-    return worst
+            defects.append(abs(grad[i] - fd) - rtol * abs(fd))
+    return _worst(defects)
 
 
 def _check_schedule_endpoints() -> tuple[bool, str]:

@@ -64,6 +64,13 @@ def test_norm_preserved():
     assert norm_defect(cases) < 1e-12
 
 
+def test_norm_defect_fails_on_nan_state():
+    config = AnsatzConfig(n=2, d=1)
+    bad = np.zeros(config.n_params)
+    bad[0] = np.nan
+    assert norm_defect([(config, np.zeros(config.n_params)), (config, bad)]) == np.inf
+
+
 def test_four_pi_periodicity():
     config = AnsatzConfig(n=2, d=1)
     rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -333,27 +334,36 @@ def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
     assert rows_2 == rows_1
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked pool workers see the patched run_single",
+)
 def test_cli_sweep_keeps_finished_cells_when_a_worker_dies(tmp_path, monkeypatch, capsys):
     raw = small_heat_raw()
     raw["problem"]["conductivity"] = "noisy_constant"
     raw["sweep"] = {"seeds": [0, 1]}
     cfg_path = write_config(tmp_path, raw)
-    finished = tmp_path / "seed0.done"
+    received = tmp_path / "parent_has_a_result"
     real_run_single = runner.run_single
+    real_as_completed = runner.as_completed
 
     def dies_on_seed_one(config, seed=None):
-        # the pool forks its workers, so they run this patched function
+        # seed 1 blocks until the parent holds seed 0's result, then dies
         if seed == 1:
             deadline = time.monotonic() + 60.0
-            while not finished.exists() and time.monotonic() < deadline:
+            while not received.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            time.sleep(0.5)  # lets the other worker's result reach the parent
             os._exit(1)
-        result = real_run_single(config, seed=seed)
-        finished.touch()
-        return result
+        return real_run_single(config, seed=seed)
+
+    def as_completed_then_signal(futures):
+        # runs in the parent: a future it yields already holds its outcome
+        for future in real_as_completed(futures):
+            received.touch()
+            yield future
 
     monkeypatch.setattr(runner, "run_single", dies_on_seed_one)
+    monkeypatch.setattr(runner, "as_completed", as_completed_then_signal)
     out = tmp_path / "out"
     code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
     assert code == 3

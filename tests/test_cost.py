@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+import avqls.verify as verify
 from avqls import (
     AnsatzConfig,
     ConductivityProfile,
@@ -109,6 +110,16 @@ def test_gradient_matches_finite_differences():
         grad = cost_gradient(model, config, theta, s)
         ref = fd_gradient(lambda th: cost(model, config, th, s), theta)
         assert np.allclose(grad, ref, rtol=1e-5, atol=1e-8)
+
+
+def test_gradient_defect_fails_on_nan_gradient(monkeypatch):
+    config = AnsatzConfig(n=2, d=1)
+    model = build_cost_model(np.diag([0.5, 0.7, 0.9, 1.0]))
+    cases = [(model, config, np.full(config.n_params, 0.3), 0.8)]
+    assert verify.gradient_defect(cases) < 1e-7
+    monkeypatch.setattr(verify, "cost_gradient", lambda *a, **k: np.full(config.n_params, np.nan))
+    assert verify.gradient_defect(cases) == np.inf
+    assert verify.gradient_defect(cases, rtol=1e-5) == np.inf
 
 
 def test_hessian_matches_finite_differences():

@@ -73,23 +73,6 @@ def _ring_permutation(config: AnsatzConfig) -> np.ndarray:
     return perm
 
 
-def _apply_ry_column(psi: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Rotate qubit q of state column b by Ry with (cos, sin)[q, b], in place.
-
-    psi holds one state per column, shape (2**n, B), so each rotation is one
-    strided pair update of the whole batch with the batch axis innermost.
-    """
-    n, batch = cos.shape
-    for q in range(n):
-        view = psi.reshape(2 ** q, 2, -1, batch)
-        c = cos[q]
-        s = sin[q]
-        top = view[:, 0].copy()
-        bot = view[:, 1]
-        view[:, 0] = c * top - s * bot
-        view[:, 1] = s * top + c * bot
-
-
 def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     """Return U(theta)|0...0> as a real unit vector of length 2**n.
 
@@ -104,21 +87,31 @@ def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
             f"expected {config.n_params} parameters, got shape {theta.shape}"
         )
     n = config.n
-    half = np.ascontiguousarray(0.5 * theta.reshape(-1, config.n_params).T)
+    half = 0.5 * theta.reshape(-1, config.n_params).T
     batch = half.shape[1]
-    cos = np.cos(half)
-    sin = np.sin(half)
+    # cs[k] = (cos, sin) of half angle k, one entry per batch column
+    cs = np.empty((config.n_params, 2, batch))
+    np.cos(half, out=cs[:, 0])
+    np.sin(half, out=cs[:, 1])
     # The initial column acts on |0...0>, so it prepares the product state
     # of (cos, sin) pairs, qubit 0 as the most significant bit.
-    psi = np.ones((1, batch))
-    for q in range(n):
-        pairs = np.empty((len(psi), 2, batch))
-        np.multiply(psi, cos[q], out=pairs[:, 0])
-        np.multiply(psi, sin[q], out=pairs[:, 1])
-        psi = pairs.reshape(-1, batch)
-    for layer in range(1, config.d + 1):
-        psi = psi[_ring_permutation(config)]
-        block = slice(layer * n, (layer + 1) * n)
-        _apply_ry_column(psi, cos[block], sin[block])
+    psi = cs[0]
+    for q in range(1, n):
+        psi = (psi[:, None] * cs[q]).reshape(-1, batch)
+    # Every later Ry maps the pair (top, bot) of its qubit to
+    # c * (top, bot) + (bot, top) * (-s, s). Negation is exact and the sums
+    # differ only in operand order, so this equals c*top - s*bot and
+    # s*top + c*bot bitwise, in three numpy calls on the whole batch.
+    cos = cs[n:, 0]
+    signed = cs[n:, None, 1:] * np.array([-1.0, 1.0])[:, None, None]
+    perm = _ring_permutation(config)
+    for layer in range(config.d):
+        psi = psi[perm]
+        for q in range(n):
+            k = layer * n + q
+            view = psi.reshape(2 ** q, 2, -1, batch)
+            out = view * cos[k]
+            out += view[:, ::-1] * signed[k]
+            psi = out.reshape(-1, batch)
     return psi.T if theta.ndim == 2 else psi[:, 0]
 

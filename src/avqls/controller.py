@@ -26,7 +26,7 @@ from .cost import (
     CostModel,
     HessianBundle,
     build_cost_model,
-    cost,  # noqa: F401  (kept importable: perfbench wraps avqls.controller.cost)
+    cost,  # noqa: F401  (perfbench wraps it; see tests/test_perfbench_bindings.py)
     cost_and_gradient,
     cost_gradient,
     hessian_bundle,

@@ -19,6 +19,7 @@ generators at any shift beta with sin(beta) != 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,10 +91,12 @@ def _terms_of_states(model: CostModel, states: np.ndarray) -> np.ndarray:
     y = states @ model.d_op.T
     x0 = states[:, 0]
     y0 = y[:, 0]
-    ea = np.einsum("ij,ij->i", y, y) - y0 * y0
-    eb = 2.0 * (np.einsum("ij,ij->i", states, y) - x0 * y0)
-    ec = np.einsum("ij,ij->i", states, states) - x0 * x0
-    return np.stack([ea, eb, ec], axis=1)
+    terms = np.empty((len(states), 3))
+    np.subtract(np.einsum("ij,ij->i", y, y), y0 * y0, out=terms[:, 0])
+    np.subtract(np.einsum("ij,ij->i", states, y), x0 * y0, out=terms[:, 1])
+    terms[:, 1] *= 2.0
+    np.subtract(np.einsum("ij,ij->i", states, states), x0 * x0, out=terms[:, 2])
+    return terms
 
 
 def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.ndarray:
@@ -103,6 +106,8 @@ def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.
     """
     _check_dims(model, config)
     chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
+    if len(points) <= chunk:
+        return _terms_of_states(model, apply_ansatz(config, points))
     return np.concatenate([
         _terms_of_states(model, apply_ansatz(config, points[k:k + chunk]))
         for k in range(0, len(points), chunk)
@@ -114,14 +119,43 @@ def _in_s(terms: np.ndarray, s: float) -> np.ndarray:
     return s * s * terms[..., 0] + s * terms[..., 1] + terms[..., 2]
 
 
-def _gradient_points(theta: np.ndarray, beta: float) -> np.ndarray:
-    """The 2 n_p shift-rule points: theta + beta e_i, then theta - beta e_i."""
-    shifts = beta * np.eye(theta.size)
-    return np.concatenate([theta + shifts, theta - shifts])
+@functools.lru_cache(maxsize=None)
+def _objective_offsets(n_p: int, beta: float) -> np.ndarray:
+    """Offsets of the 2 n_p + 1 objective points from theta, read-only.
+
+    Row 0 is the centre; rows 1..2 n_p are the shift-rule points
+    theta + beta e_i, then theta - beta e_i. Adding -0.0 leaves every theta
+    unchanged, sign of zero included, and adding -beta equals subtracting
+    beta, so theta + table is bitwise the explicit points.
+    """
+    shifts = beta * np.eye(n_p)
+    table = np.concatenate([np.full((1, n_p), -0.0), shifts, -shifts])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_offsets(n_p: int, beta: float) -> np.ndarray:
+    """Offsets of the 2 n_p^2 + 2 n_p + 1 Hessian-bundle points, read-only.
+
+    After the gradient points come the centre, theta +- 2 beta e_i, and the
+    four double shifts of each pair i < j in np.triu_indices order.
+    """
+    eye = np.eye(n_p)
+    iu, ju = np.triu_indices(n_p, k=1)
+    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    table = np.concatenate([
+        _objective_offsets(n_p, beta)[1:],
+        beta * np.concatenate(
+            [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
+        ),
+    ])
+    table.flags.writeable = False
+    return table
 
 
 def _shift_rule(terms: np.ndarray, beta: float) -> np.ndarray:
-    """Per-parameter derivatives from the terms at _gradient_points."""
+    """Per-parameter derivatives from the terms at theta +- beta e_i."""
     n_p = len(terms) // 2
     return (terms[:n_p] - terms[n_p:]) / (2.0 * math.sin(beta))
 
@@ -166,7 +200,7 @@ def cost_gradient(
     _check_s(s)
     _check_beta(beta)
     theta = _check_theta(config, theta)
-    terms = _terms_at(model, config, _gradient_points(theta, beta))
+    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params, beta)[1:])
     return _in_s(_shift_rule(terms, beta), s)
 
 
@@ -181,8 +215,7 @@ def cost_and_gradient(
     _check_s(s)
     _check_beta(beta)
     theta = _check_theta(config, theta)
-    points = np.concatenate([theta[None], _gradient_points(theta, beta)])
-    terms = _terms_at(model, config, points)
+    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params, beta))
     return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:], beta), s)
 
 
@@ -227,16 +260,8 @@ def hessian_bundle(
     n_p = config.n_params
     denom = 2.0 * math.sin(beta)
     denom2 = denom * denom
-    eye = np.eye(n_p)
     iu, ju = np.triu_indices(n_p, k=1)
-    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
-    # After the gradient points: the centre, theta +- 2 beta e_i, and the
-    # four double shifts of each pair i < j.
-    offsets = beta * np.concatenate(
-        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
-    )
-    points = np.concatenate([_gradient_points(theta, beta), theta + offsets])
-    terms = _terms_at(model, config, points)
+    terms = _terms_at(model, config, theta + _hessian_offsets(n_p, beta))
     grad3 = _shift_rule(terms[:2 * n_p], beta)
     sizes = [2 * n_p, 1, n_p, n_p] + [len(iu)] * 3
     center, plus2, minus2, pp, pm, mp, mm = np.split(terms, np.cumsum(sizes))[1:]

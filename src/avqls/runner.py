@@ -11,7 +11,8 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -316,24 +317,39 @@ def _run_cell(args: tuple) -> tuple:
         return cell, None, f"{type(exc).__name__}: {exc}"
 
 
+def _outcome(cell: SweepCell, future: Future) -> tuple:
+    try:
+        return future.result()
+    except Exception as exc:  # the worker died or the result did not pickle
+        return cell, None, f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Cartesian-product sweep; failures are recorded, not fatal.
 
-    A worker that dies breaks the pool: every cell not returned by then is
-    recorded as failed, and every cell that finished keeps its result.
+    A worker that dies breaks the pool, and every cell not returned by then
+    fails with BrokenProcessPool, including cells still running in a
+    healthy worker. Each such cell is rerun once, alone in a fresh
+    one-worker pool, so only a cell that breaks its own pool too is
+    recorded as failed. Every cell that finished keeps its result.
     """
     cells = _sweep_cells(config)
-    if jobs <= 1:
+    if jobs <= 1 or not cells:
         outcomes = [_run_cell((config, cell)) for cell in cells]
     else:
         outcomes = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        lost = []
+        # a forking pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             futures = {pool.submit(_run_cell, (config, cell)): cell for cell in cells}
             for future in as_completed(futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    outcomes.append((futures[future], None, f"{type(exc).__name__}: {exc}"))
+                if isinstance(future.exception(), BrokenProcessPool):
+                    lost.append(futures[future])
+                else:
+                    outcomes.append(_outcome(futures[future], future))
+        for cell in lost:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                outcomes.append(_outcome(cell, pool.submit(_run_cell, (config, cell))))
     results = {}
     errors = {}
     for cell, result, error in outcomes:

@@ -10,6 +10,7 @@ statevector engine.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from avqls import AnsatzConfig  # before numpy: one BLAS thread, as in the CLI
@@ -78,14 +79,9 @@ def _loop_cnot(psi: np.ndarray, control: int, target: int, n: int) -> None:
     view[tuple(i11)] = tmp
 
 
-def loop_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """One circuit, one gate at a time: the reference for apply_ansatz."""
-    theta = np.asarray(theta, dtype=float)
+def _loop_layers(psi: np.ndarray, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """Apply the entangling layers to psi, one gate at a time, in place."""
     n = config.n
-    psi = np.zeros(config.dim)
-    psi[0] = 1.0
-    for q in range(n):
-        _loop_ry(psi, q, theta[q])
     for layer in range(1, config.d + 1):
         for control, target in config.ring:
             _loop_cnot(psi, control, target, n)
@@ -93,6 +89,29 @@ def loop_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
         for q in range(n):
             _loop_ry(psi, q, block[q])
     return psi
+
+
+def loop_ansatz_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """One circuit, one gate at a time: the reference for apply_ansatz."""
+    theta = np.asarray(theta, dtype=float)
+    psi = np.zeros(config.dim)
+    psi[0] = 1.0
+    for q in range(config.n):
+        _loop_ry(psi, q, theta[q])
+    return _loop_layers(psi, config, theta)
+
+
+def product_loop_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """loop_ansatz_state with the initial column built as a Kronecker product.
+
+    apply_ansatz multiplies the initial (cos, sin) pairs where the loop adds
+    rotated zeros: the values agree, but an initial angle of exactly +-0
+    leaves zero amplitudes whose sign can differ. This is the reference for
+    the sign bits.
+    """
+    theta = np.asarray(theta, dtype=float)
+    pairs = [np.array([math.cos(0.5 * a), math.sin(0.5 * a)]) for a in theta[:config.n]]
+    return _loop_layers(functools.reduce(np.kron, pairs), config, theta)
 
 
 def loop_terms(model, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:

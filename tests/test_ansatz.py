@@ -4,7 +4,7 @@ import pytest
 from avqls import AnsatzConfig, apply_ansatz
 from avqls.verify import norm_defect
 
-from conftest import dense_ansatz_state, loop_ansatz_state
+from conftest import dense_ansatz_state, loop_ansatz_state, product_loop_state
 
 
 def test_zero_angles_fix_first_basis_vector():
@@ -52,6 +52,27 @@ def test_batch_rows_equal_loop_engine(n):
         reference = loop_ansatz_state(config, theta)
         assert np.array_equal(row, reference)
         assert np.array_equal(apply_ansatz(config, theta), reference)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_rows_equal_loop_engine_bitwise(n):
+    # exact +-0 angles give zero amplitudes and +-pi angles near-zero cosines
+    rng = np.random.default_rng(300 + n)
+    for d in range(4):
+        config = AnsatzConfig(n=n, d=d)
+        thetas = rng.uniform(-4 * np.pi, 4 * np.pi, (8, config.n_params))
+        thetas[1] = 0.0
+        thetas[2] = -0.0
+        thetas[3] = np.pi
+        thetas[4] = -np.pi
+        thetas[5, ::2], thetas[5, 1::2] = -0.0, np.pi
+        thetas[6, ::2], thetas[6, 1::2] = 0.0, -np.pi
+        thetas[7, ::3], thetas[7, 1::3] = -0.0, 0.0
+        batch = apply_ansatz(config, thetas)
+        for theta, row in zip(thetas, batch):
+            assert np.array_equal(row, loop_ansatz_state(config, theta))
+            signs = np.signbit(product_loop_state(config, theta))
+            assert np.array_equal(np.signbit(row), signs)
 
 
 def test_norm_preserved():

@@ -376,6 +376,71 @@ def test_cli_sweep_keeps_finished_cells_when_a_worker_dies(tmp_path, monkeypatch
     assert rows[1]["error"].startswith("BrokenProcessPool")
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked pool workers see the patched run_single",
+)
+def test_cli_sweep_reruns_cells_a_dead_worker_broke(tmp_path, monkeypatch, capsys):
+    raw = small_heat_raw()
+    raw["problem"]["conductivity"] = "noisy_constant"
+    raw["sweep"] = {"seeds": [0, 1]}
+    cfg_path = write_config(tmp_path, raw)
+    started = tmp_path / "seed_zero_started"
+    real_run_single = runner.run_single
+
+    def seed_one_breaks_the_pool(config, seed=None):
+        if seed == 1:
+            # dies, on every attempt, once seed 0 is mid-solve in the other worker
+            deadline = time.monotonic() + 60.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(1)
+        if not started.exists():
+            # seed 0's first attempt: blocks until the broken pool terminates it
+            started.touch()
+            time.sleep(60.0)
+            raise RuntimeError("the broken pool left this worker running")
+        return real_run_single(config, seed=seed)
+
+    monkeypatch.setattr(runner, "run_single", seed_one_breaks_the_pool)
+    out = tmp_path / "out"
+    code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
+    assert code == 3
+    assert "1/2 cells ok" in capsys.readouterr().out
+    assert [p.name for p in out.glob("trace_*.json")] == ["trace_n2_d1_T10_l0_s0.json"]
+    with open(out / "sweep_details.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    assert rows[0]["error"] == "" and rows[0]["infidelity"] != ""
+    assert rows[1]["error"].startswith("BrokenProcessPool")
+
+
+def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):
+    raw = {
+        "problem": {"conductivity": "noisy_constant"},
+        "solver": {"n": 3, "d": 1, "T": 4, "schedule": "hessian"},
+        "sweep": {"seeds": [0, 1]},
+    }
+    cfg_path = write_config(tmp_path, raw)
+    workers = []
+    real_pool = runner.ProcessPoolExecutor
+
+    def recording_pool(max_workers=None, **kwargs):
+        workers.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs in ("1", "8"):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert "2/2 cells ok" in capsys.readouterr().out
+        outputs.append(sweep_outputs(out))
+    assert workers == [2]
+    assert outputs[1] == outputs[0]
+
+
 def cli_env(**extra) -> dict:
     """Environment for a subprocess CLI run without a BLAS thread setting."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

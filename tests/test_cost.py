@@ -244,6 +244,44 @@ def test_chunked_bundle_matches_loop_reference(monkeypatch):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("beta", [DEFAULT_SHIFT, -0.7])
+def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
+    model, config, theta = normalized_case(70, 2)
+    theta[0], theta[2] = -0.0, 0.0
+    n_p = config.n_params
+    cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
+    seen = []
+    real_terms_at = cost_module._terms_at
+
+    def recording_terms_at(model, config, points):
+        seen.append(points)
+        return real_terms_at(model, config, points)
+
+    monkeypatch.setattr(cost_module, "_terms_at", recording_terms_at)
+    cost_gradient(model, config, theta, 0.4, beta)
+    cost_and_gradient(model, config, theta, 0.4, beta)
+    hessian_bundle(model, config, theta, 0.4, beta)
+    eye = np.eye(n_p)
+    iu, ju = np.triu_indices(n_p, k=1)
+    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    gradient = np.concatenate([theta + beta * eye, theta - beta * eye])
+    objective = np.concatenate([theta[None], gradient])
+    bundle = np.concatenate([gradient, theta + beta * np.concatenate(
+        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
+    )])
+    assert len(seen) == 3
+    for got, want in zip(seen, (gradient, objective, bundle)):
+        assert bitwise_equal(got, want)
+    tables = cost_module._objective_offsets(n_p, beta), cost_module._hessian_offsets(n_p, beta)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+
 def test_invalid_inputs_rejected():
     model = build_cost_model(np.eye(4))
     config = AnsatzConfig(n=2, d=1)

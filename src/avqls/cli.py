@@ -22,6 +22,7 @@ from .runner import (
     aggregate_rows,
     build_system,
     cell_config,
+    cell_seed,
     emit_schedule,
     run_single,
     run_sweep,
@@ -120,7 +121,7 @@ def _cmd_sweep(args) -> int:
         cell_cfg = cell_config(config, cell)
         rows.append(summary_row(cell_cfg, result, cell.seed, error=error))
         if result is not None and "json" in config.output.formats:
-            payload = trace_payload(cell_cfg, result, seed=config.seed + cell.seed)
+            payload = trace_payload(cell_cfg, result, seed=cell_seed(config, cell))
             write_trace(out_dir / f"trace_{cell.tag()}.json", payload)
     if "csv" in config.output.formats:
         write_summary(out_dir / "sweep_details.csv", rows)

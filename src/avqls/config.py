@@ -1,13 +1,15 @@
 """Run configuration: JSON file loading, validation and defaults.
 
 The file is a single JSON object with nested sections. Unknown keys are
-rejected and every validation error names the offending field path.
+rejected and every validation error names the offending field path. Each
+field is declared once, on its dataclass, with its default and its check;
+parsing, the unknown-key check and the payload all read those fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -23,240 +25,6 @@ __all__ = [
 ]
 
 _SIGMA_DEFAULTS = {"noisy_constant": 0.2, "noisy_linear": 0.05}
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    family: str = "heat"
-    conductivity: str = "constant"
-    lambda0: float = 1.0
-    slope: float = 2.0
-    sigma: float | None = None
-    source: str = "point"
-    l: float = 0.0
-    q0: float = 1.0
-
-    def resolved_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        return _SIGMA_DEFAULTS.get(self.conductivity, 0.0)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    n: int = 4
-    d: int = 2
-    T: int = 50
-    schedule: str = "hessian"
-    eps_psd: float = 1e-8
-    gtol: float = 1e-8
-    max_iter: int = 500
-    bounded: bool = False
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    n: tuple[int, ...] | None = None
-    d: tuple[int, ...] | None = None
-    T: tuple[int, ...] | None = None
-    l: tuple[float, ...] | None = None
-    seeds: tuple[int, ...] = (0,)
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    dir: str = "runs"
-    formats: tuple[str, ...] = ("json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    problem: ProblemConfig = field(default_factory=ProblemConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    sweep: SweepConfig | None = None
-    output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
-
-    def to_payload(self) -> dict:
-        payload = {
-            "problem": {
-                "family": self.problem.family,
-                "conductivity": self.problem.conductivity,
-                "lambda0": self.problem.lambda0,
-                "slope": self.problem.slope,
-                "sigma": self.problem.resolved_sigma(),
-                "source": self.problem.source,
-                "l": self.problem.l,
-                "q0": self.problem.q0,
-            },
-            "solver": {
-                "n": self.solver.n,
-                "d": self.solver.d,
-                "T": self.solver.T,
-                "schedule": self.solver.schedule,
-                "eps_psd": self.solver.eps_psd,
-                "gtol": self.solver.gtol,
-                "max_iter": self.solver.max_iter,
-                "bounded": self.solver.bounded,
-            },
-            "output": {
-                "dir": self.output.dir,
-                "formats": list(self.output.formats),
-            },
-            "seed": self.seed,
-        }
-        if self.sweep is not None:
-            payload["sweep"] = {
-                key: list(val)
-                for key, val in (
-                    ("n", self.sweep.n),
-                    ("d", self.sweep.d),
-                    ("T", self.sweep.T),
-                    ("l", self.sweep.l),
-                    ("seeds", self.sweep.seeds),
-                )
-                if val is not None
-            }
-        return payload
-
-
-def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})")
-    return config_from_dict(raw)
-
-
-def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _check_keys(raw, {"problem", "solver", "sweep", "output", "seed"}, "top level")
-    problem = _parse_problem(raw.get("problem", {}))
-    solver = _parse_solver(raw.get("solver", {}))
-    sweep = _parse_sweep(raw.get("sweep")) if "sweep" in raw else None
-    output = _parse_output(raw.get("output", {}))
-    seed = _as_int(raw.get("seed", 0), "seed", minimum=0)
-    config = RunConfig(
-        problem=problem, solver=solver, sweep=sweep, output=output, seed=seed
-    )
-    _cross_validate(config)
-    return config
-
-
-def _parse_problem(section) -> ProblemConfig:
-    _expect_object(section, "problem")
-    allowed = {"family", "conductivity", "lambda0", "slope", "sigma", "source", "l", "q0"}
-    _check_keys(section, allowed, "problem")
-    family = _as_choice(section.get("family", "heat"), "problem.family", ("heat", "identity"))
-    conductivity = _as_choice(
-        section.get("conductivity", "constant"),
-        "problem.conductivity",
-        ("constant", "noisy_constant", "linear", "noisy_linear"),
-    )
-    sigma = section.get("sigma")
-    if sigma is not None:
-        sigma = _as_float(sigma, "problem.sigma", minimum=0.0)
-    return ProblemConfig(
-        family=family,
-        conductivity=conductivity,
-        lambda0=_as_float(section.get("lambda0", 1.0), "problem.lambda0", strict_min=0.0),
-        slope=_as_float(section.get("slope", 2.0), "problem.slope", strict_min=0.0),
-        sigma=sigma,
-        source=_as_choice(section.get("source", "point"), "problem.source", ("point", "exponential")),
-        l=_as_float(section.get("l", 0.0), "problem.l", minimum=0.0),
-        q0=_as_float(section.get("q0", 1.0), "problem.q0", strict_min=0.0),
-    )
-
-
-def _parse_solver(section) -> SolverConfig:
-    _expect_object(section, "solver")
-    allowed = {"n", "d", "T", "schedule", "eps_psd", "gtol", "max_iter", "bounded"}
-    _check_keys(section, allowed, "solver")
-    return SolverConfig(
-        n=_as_int(section.get("n", 4), "solver.n", minimum=1),
-        d=_as_int(section.get("d", 2), "solver.d", minimum=0),
-        T=_as_int(section.get("T", 50), "solver.T", minimum=1),
-        schedule=_as_choice(
-            section.get("schedule", "hessian"),
-            "solver.schedule",
-            ("fixed", "dynamic", "hessian"),
-        ),
-        eps_psd=_as_float(section.get("eps_psd", 1e-8), "solver.eps_psd", strict_min=0.0),
-        gtol=_as_float(section.get("gtol", 1e-8), "solver.gtol", strict_min=0.0),
-        max_iter=_as_int(section.get("max_iter", 500), "solver.max_iter", minimum=1),
-        bounded=_as_bool(section.get("bounded", False), "solver.bounded"),
-    )
-
-
-def _parse_sweep(section) -> SweepConfig:
-    _expect_object(section, "sweep")
-    _check_keys(section, {"n", "d", "T", "l", "seeds"}, "sweep")
-
-    def int_list(key, minimum):
-        if key not in section:
-            return None
-        return tuple(
-            _as_int(v, f"sweep.{key}[{i}]", minimum=minimum)
-            for i, v in enumerate(_as_list(section[key], f"sweep.{key}"))
-        )
-
-    l_values = None
-    if "l" in section:
-        l_values = tuple(
-            _as_float(v, f"sweep.l[{i}]", minimum=0.0)
-            for i, v in enumerate(_as_list(section["l"], "sweep.l"))
-        )
-    seeds = (0,)
-    if "seeds" in section:
-        seeds = tuple(
-            _as_int(v, f"sweep.seeds[{i}]", minimum=0)
-            for i, v in enumerate(_as_list(section["seeds"], "sweep.seeds"))
-        )
-    return SweepConfig(
-        n=int_list("n", 1), d=int_list("d", 0), T=int_list("T", 1),
-        l=l_values, seeds=seeds,
-    )
-
-
-def _parse_output(section) -> OutputConfig:
-    _expect_object(section, "output")
-    _check_keys(section, {"dir", "formats"}, "output")
-    formats = section.get("formats", ["json", "csv"])
-    formats = tuple(
-        _as_choice(v, f"output.formats[{i}]", ("json", "csv"))
-        for i, v in enumerate(_as_list(formats, "output.formats"))
-    )
-    dir_value = section.get("dir", "runs")
-    if not isinstance(dir_value, str) or not dir_value:
-        raise ConfigError("output.dir: expected a non-empty string")
-    return OutputConfig(dir=dir_value, formats=formats)
-
-
-def _cross_validate(config: RunConfig) -> None:
-    if config.problem.family == "heat":
-        if config.problem.conductivity in ("constant", "linear"):
-            if config.problem.sigma not in (None, 0.0):
-                raise ConfigError(
-                    "problem.sigma: only meaningful for noisy conductivity kinds"
-                )
-    if config.sweep is not None:
-        if config.sweep.l is not None and config.problem.source != "exponential":
-            raise ConfigError("sweep.l: requires problem.source = 'exponential'")
-
-
-def _expect_object(section, path: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-
-
-def _check_keys(section: dict, allowed: set, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -286,6 +54,12 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_text(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    return value
+
+
 def _as_choice(value, path: str, choices: tuple) -> str:
     if value not in choices:
         raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
@@ -296,3 +70,165 @@ def _as_list(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
     return value
+
+
+def _field(default, check):
+    """A config field: its default and its check(value, path) -> value."""
+    return field(default=default, metadata={"check": check})
+
+
+def _section(cls):
+    """A required section, parsed as `cls`; absent means all defaults."""
+    return field(default_factory=cls, metadata={"check": _object(cls)})
+
+
+def _object(cls):
+    return lambda value, path: _parse(cls, value, path)
+
+
+def _int(minimum):
+    return lambda value, path: _as_int(value, path, minimum=minimum)
+
+
+def _float(minimum=None, strict_min=None):
+    return lambda value, path: _as_float(value, path, minimum=minimum, strict_min=strict_min)
+
+
+def _choice(*choices):
+    return lambda value, path: _as_choice(value, path, choices)
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _list_of(check):
+    def parse(value, path):
+        return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
+
+    return parse
+
+
+@dataclass(frozen=True)
+class ProblemConfig:
+    family: str = _field("heat", _choice("heat", "identity"))
+    conductivity: str = _field(
+        "constant", _choice("constant", "noisy_constant", "linear", "noisy_linear")
+    )
+    lambda0: float = _field(1.0, _float(strict_min=0.0))
+    slope: float = _field(2.0, _float(strict_min=0.0))
+    sigma: float | None = _field(None, _optional(_float(minimum=0.0)))
+    source: str = _field("point", _choice("point", "exponential"))
+    l: float = _field(0.0, _float(minimum=0.0))
+    q0: float = _field(1.0, _float(strict_min=0.0))
+
+    def resolved_sigma(self) -> float:
+        if self.sigma is not None:
+            return self.sigma
+        return _SIGMA_DEFAULTS.get(self.conductivity, 0.0)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    n: int = _field(4, _int(1))
+    d: int = _field(2, _int(0))
+    T: int = _field(50, _int(1))
+    schedule: str = _field("hessian", _choice("fixed", "dynamic", "hessian"))
+    eps_psd: float = _field(1e-8, _float(strict_min=0.0))
+    gtol: float = _field(1e-8, _float(strict_min=0.0))
+    max_iter: int = _field(500, _int(1))
+    bounded: bool = _field(False, _as_bool)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    n: tuple[int, ...] | None = _field(None, _list_of(_int(1)))
+    d: tuple[int, ...] | None = _field(None, _list_of(_int(0)))
+    T: tuple[int, ...] | None = _field(None, _list_of(_int(1)))
+    l: tuple[float, ...] | None = _field(None, _list_of(_float(minimum=0.0)))
+    seeds: tuple[int, ...] = _field((0,), _list_of(_int(0)))
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    dir: str = _field("runs", _as_text)
+    formats: tuple[str, ...] = _field(("json", "csv"), _list_of(_choice("json", "csv")))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    problem: ProblemConfig = _section(ProblemConfig)
+    solver: SolverConfig = _section(SolverConfig)
+    sweep: SweepConfig | None = _field(None, _object(SweepConfig))
+    output: OutputConfig = _section(OutputConfig)
+    seed: int = _field(0, _int(0))
+
+    def to_payload(self) -> dict:
+        """The config as JSON data: unset (None) fields left out, sigma resolved."""
+        payload = _payload(self)
+        payload["problem"]["sigma"] = self.problem.resolved_sigma()
+        return payload
+
+
+def _payload(config) -> dict:
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out[f.name] = _payload(value)
+        elif value is not None:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def load_config(path: str | Path) -> RunConfig:
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})")
+    return config_from_dict(raw)
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    config = _parse(RunConfig, raw, "")
+    _cross_validate(config)
+    return config
+
+
+def _parse(cls, section, path: str):
+    """`cls` from one JSON object; `path` is "" at the top level.
+
+    Each present key runs its field's check; absent keys take the default.
+    """
+    where = path or "top level"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    checks = {f.name: f.metadata["check"] for f in fields(cls)}
+    for key in section:
+        if key not in checks:
+            raise ConfigError(f"{where}.{key}: unknown key")
+    return cls(**{
+        key: check(section[key], f"{path}.{key}" if path else key)
+        for key, check in checks.items()
+        if key in section
+    })
+
+
+def _cross_validate(config: RunConfig) -> None:
+    if config.problem.family == "heat":
+        if config.problem.conductivity in ("constant", "linear"):
+            if config.problem.sigma not in (None, 0.0):
+                raise ConfigError(
+                    "problem.sigma: only meaningful for noisy conductivity kinds"
+                )
+        elif config.problem.resolved_sigma() <= 0.0:
+            raise ConfigError(
+                "problem.sigma: must be > 0.0 for noisy conductivity kinds, "
+                f"got {config.problem.sigma}"
+            )
+    if config.sweep is not None:
+        if config.sweep.l is not None and config.problem.source != "exponential":
+            raise ConfigError("sweep.l: requires problem.source = 'exponential'")

@@ -22,6 +22,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .ansatz import AnsatzConfig
+from .config import SolverConfig
 from .cost import (
     CostModel,
     HessianBundle,
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-DEFAULT_EPS_PSD = 1e-8
 
 
 class StepKind(str, Enum):
@@ -109,7 +108,7 @@ def propose_step(
     bundle: HessianBundle,
     s: float,
     delta_s_min: float,
-    eps_psd: float = DEFAULT_EPS_PSD,
+    eps_psd: float = SolverConfig.eps_psd,
 ) -> StepDecision:
     """Pick the next increment from the extrapolated convexity picture.
 
@@ -139,10 +138,10 @@ def propose_step(
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    gtol: float = 1e-8
-    max_iter: int = 500
+    gtol: float = SolverConfig.gtol
+    max_iter: int = SolverConfig.max_iter
     ftol: float = 1e-14
-    bounded: bool = False
+    bounded: bool = SolverConfig.bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +233,10 @@ class RunTrace:
 def solve_adiabatic(
     system: PreparedSystem,
     config: AnsatzConfig,
-    T: int = 50,
+    T: int = SolverConfig.T,
     opts: OptimizerOptions | None = None,
-    eps_psd: float = DEFAULT_EPS_PSD,
-    mode: str = "hessian",
+    eps_psd: float = SolverConfig.eps_psd,
+    mode: str = SolverConfig.schedule,
 ) -> tuple[np.ndarray, RunTrace]:
     """Sweep s from 0 to 1 with warm starts; returns (theta_star, trace).
 

@@ -105,7 +105,6 @@ class SolutionReport:
     x_exact: np.ndarray
     infidelity: float
     accuracy: float
-    cost_final: float
     overlaps: np.ndarray | None = None
 
 

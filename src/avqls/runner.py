@@ -13,7 +13,8 @@ import json
 import logging
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -46,6 +47,7 @@ __all__ = [
     "SweepResult",
     "build_system",
     "cell_config",
+    "cell_seed",
     "evaluate_run",
     "run_single",
     "run_sweep",
@@ -84,7 +86,6 @@ def evaluate_run(
     system: PreparedSystem,
     ansatz: AnsatzConfig,
     theta_star: np.ndarray,
-    cost_final: float,
 ) -> SolutionReport:
     """Solution quality of a finished run, reported in the original basis."""
     e1 = np.zeros(system.dim)
@@ -105,7 +106,6 @@ def evaluate_run(
         x_exact=x_exact,
         infidelity=infid,
         accuracy=acc,
-        cost_final=cost_final,
         overlaps=overlaps,
     )
 
@@ -134,34 +134,13 @@ def run_single(config: RunConfig, seed: int | None = None) -> RunResult:
         eps_psd=config.solver.eps_psd,
         mode=config.solver.schedule,
     )
-    report = evaluate_run(system, ansatz, theta, trace.final_cost)
+    report = evaluate_run(system, ansatz, theta)
     return RunResult(system=system, trace=trace, report=report)
 
 
 def trace_payload(config: RunConfig, result: RunResult, seed: int | None = None) -> dict:
     """Deterministic JSON payload for one run (timings excluded)."""
     system, trace, report = result.system, result.trace, result.report
-    steps = []
-    for rec in trace.steps:
-        steps.append(
-            {
-                "index": rec.index,
-                "s_from": rec.s_from,
-                "s": rec.s,
-                "kind": rec.kind.value,
-                "delta_s": rec.delta_s,
-                "lambda_min_start": rec.lambda_min_start,
-                "lambda_min_at_end": rec.lambda_min_at_end,
-                "iterations": rec.iterations,
-                "nfev": rec.nfev,
-                "circuit_evals": rec.circuit_evals,
-                "cost": rec.cost,
-                "grad_norm": rec.grad_norm,
-                "theta_jump": rec.theta_jump,
-                "converged": rec.converged,
-                "note": rec.note,
-            }
-        )
     return {
         "schema": TRACE_SCHEMA,
         "config": config.to_payload(),
@@ -180,22 +159,25 @@ def trace_payload(config: RunConfig, result: RunResult, seed: int | None = None)
             "t": trace.t,
             "t_over_T": trace.t / trace.T,
             "final_cost": trace.final_cost,
-            "theta_star": [float(v) for v in trace.theta_star],
+            "theta_star": trace.theta_star.tolist(),
         },
-        "steps": steps,
+        "steps": [
+            {f.name: _plain(getattr(rec, f.name)) for f in fields(rec)} for rec in trace.steps
+        ],
         "report": {
             "infidelity": report.infidelity,
             "accuracy": report.accuracy,
-            "cost_final": report.cost_final,
-            "x_variational": [float(v) for v in report.x_variational],
-            "x_exact": [float(v) for v in report.x_exact],
-            "overlaps": (
-                None
-                if report.overlaps is None
-                else [float(v) for v in report.overlaps]
-            ),
+            "cost_final": trace.final_cost,
+            "x_variational": report.x_variational.tolist(),
+            "x_exact": report.x_exact.tolist(),
+            "overlaps": None if report.overlaps is None else report.overlaps.tolist(),
         },
     }
+
+
+def _plain(value):
+    """JSON form of a record field: an enum member as its value."""
+    return value.value if isinstance(value, Enum) else value
 
 
 def dump_trace(payload: dict) -> str:
@@ -214,23 +196,16 @@ _SUMMARY_FIELDS = [
 
 
 def summary_row(config: RunConfig, result: RunResult | None, seed: int, error: str = "") -> dict:
-    row = {
-        "n": config.solver.n,
-        "d": config.solver.d,
-        "T": config.solver.T,
-        "l": config.problem.l,
-        "seed": seed,
-        "mode": config.solver.schedule,
-        "kappa": "",
-        "embedded": "",
-        "t": "",
-        "t_over_T": "",
-        "final_cost": "",
-        "infidelity": "",
-        "accuracy": "",
-        "wall_time_s": "",
-        "error": error,
-    }
+    row = dict.fromkeys(_SUMMARY_FIELDS, "")
+    row.update(
+        n=config.solver.n,
+        d=config.solver.d,
+        T=config.solver.T,
+        l=config.problem.l,
+        seed=seed,
+        mode=config.solver.schedule,
+        error=error,
+    )
     if result is not None:
         row.update(
             kappa=repr(float(result.system.kappa)),
@@ -245,14 +220,17 @@ def summary_row(config: RunConfig, result: RunResult | None, seed: int, error: s
     return row
 
 
-def write_summary(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SUMMARY_FIELDS)
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     path.write_text(buf.getvalue())
+
+
+def write_summary(path: Path, rows: list[dict]) -> None:
+    _write_csv(path, _SUMMARY_FIELDS, rows)
 
 
 @dataclass(frozen=True)
@@ -295,8 +273,6 @@ def _sweep_cells(config: RunConfig) -> list[SweepCell]:
 
 def cell_config(config: RunConfig, cell: SweepCell) -> RunConfig:
     """The run configuration of one sweep cell."""
-    from dataclasses import replace
-
     return replace(
         config,
         problem=replace(config.problem, l=cell.l),
@@ -304,14 +280,16 @@ def cell_config(config: RunConfig, cell: SweepCell) -> RunConfig:
     )
 
 
+def cell_seed(config: RunConfig, cell: SweepCell) -> int:
+    """The cell's RNG seed: the master seed offsets the sweep's seed entry, so
+    a different master reshuffles every cell while reruns stay identical."""
+    return config.seed + cell.seed
+
+
 def _run_cell(args: tuple) -> tuple:
     config, cell = args
-    cfg = cell_config(config, cell)
-    # Per-cell RNG: the master seed offsets the sweep's seed entries, so a
-    # different master reshuffles every cell while reruns stay identical.
-    effective_seed = config.seed + cell.seed
     try:
-        result = run_single(cfg, seed=effective_seed)
+        result = run_single(cell_config(config, cell), seed=cell_seed(config, cell))
         return cell, result, None
     except Exception as exc:  # recorded, the sweep keeps going
         return cell, None, f"{type(exc).__name__}: {exc}"
@@ -361,11 +339,15 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     return SweepResult(cells=cells, results=results, errors=errors)
 
 
-_AGGREGATE_FIELDS = [
-    "n", "d", "T", "l", "seeds", "failures",
-    "infidelity_mean", "infidelity_min", "infidelity_max",
-    "accuracy_mean", "accuracy_min", "accuracy_max",
-    "t_over_T_mean", "t_over_T_min", "t_over_T_max",
+# Each of these per-run values gets a _mean, _min and _max column.
+_AGGREGATED = {
+    "infidelity": lambda result: result.report.infidelity,
+    "accuracy": lambda result: result.report.accuracy,
+    "t_over_T": lambda result: result.trace.t / result.trace.T,
+}
+_STATS = ("mean", "min", "max")
+_AGGREGATE_FIELDS = ["n", "d", "T", "l", "seeds", "failures"] + [
+    f"{name}_{stat}" for name in _AGGREGATED for stat in _STATS
 ]
 
 
@@ -378,39 +360,22 @@ def aggregate_rows(sweep: SweepResult) -> list[dict]:
     for key in sorted(groups):
         cells = groups[key]
         done = [sweep.results[c] for c in cells if c in sweep.results]
-        row = {
-            "n": key[0], "d": key[1], "T": key[2], "l": key[3],
-            "seeds": len(cells), "failures": len(cells) - len(done),
-        }
+        row = dict.fromkeys(_AGGREGATE_FIELDS, "")
+        row.update(
+            n=key[0], d=key[1], T=key[2], l=key[3],
+            seeds=len(cells), failures=len(cells) - len(done),
+        )
         if done:
-            infid = np.array([r.report.infidelity for r in done])
-            acc = np.array([r.report.accuracy for r in done])
-            ratio = np.array([r.trace.t / r.trace.T for r in done])
-            row.update(
-                infidelity_mean=repr(float(infid.mean())),
-                infidelity_min=repr(float(infid.min())),
-                infidelity_max=repr(float(infid.max())),
-                accuracy_mean=repr(float(acc.mean())),
-                accuracy_min=repr(float(acc.min())),
-                accuracy_max=repr(float(acc.max())),
-                t_over_T_mean=repr(float(ratio.mean())),
-                t_over_T_min=repr(float(ratio.min())),
-                t_over_T_max=repr(float(ratio.max())),
-            )
-        else:
-            row.update({name: "" for name in _AGGREGATE_FIELDS[6:]})
+            for name, value in _AGGREGATED.items():
+                values = np.array([value(r) for r in done])
+                for stat in _STATS:
+                    row[f"{name}_{stat}"] = repr(float(getattr(values, stat)()))
         rows.append(row)
     return rows
 
 
 def write_aggregate(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_AGGREGATE_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    path.write_text(buf.getvalue())
+    _write_csv(path, _AGGREGATE_FIELDS, rows)
 
 
 def emit_schedule(kappa: float, T: int, fmt: str = "csv") -> str:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from avqls import (
     run_sweep,
 )
 from avqls.cli import main
+from avqls.config import SweepConfig
 from avqls.runner import aggregate_rows, build_system, dump_trace, emit_schedule, trace_payload
 
 
@@ -75,15 +77,118 @@ def test_value_validation_messages():
         )
 
 
+_CONDUCTIVITIES = "('constant', 'noisy_constant', 'linear', 'noisy_linear')"
+
+# One wrong-type and one out-of-range value for every field, with the exact
+# message each raises.
+FIELD_ERRORS = [
+    ({"problem": {"family": 3}}, "problem.family: expected one of ('heat', 'identity'), got 3"),
+    ({"problem": {"family": "poisson"}},
+     "problem.family: expected one of ('heat', 'identity'), got 'poisson'"),
+    ({"problem": {"conductivity": 1}},
+     f"problem.conductivity: expected one of {_CONDUCTIVITIES}, got 1"),
+    ({"problem": {"conductivity": "gaussian"}},
+     f"problem.conductivity: expected one of {_CONDUCTIVITIES}, got 'gaussian'"),
+    ({"problem": {"lambda0": "1"}}, "problem.lambda0: expected a number, got '1'"),
+    ({"problem": {"lambda0": 0}}, "problem.lambda0: must be > 0.0, got 0.0"),
+    ({"problem": {"slope": True}}, "problem.slope: expected a number, got True"),
+    ({"problem": {"slope": -1}}, "problem.slope: must be > 0.0, got -1.0"),
+    ({"problem": {"sigma": "0.2"}}, "problem.sigma: expected a number, got '0.2'"),
+    ({"problem": {"sigma": -0.1}}, "problem.sigma: must be >= 0.0, got -0.1"),
+    ({"problem": {"source": []}},
+     "problem.source: expected one of ('point', 'exponential'), got []"),
+    ({"problem": {"source": "line"}},
+     "problem.source: expected one of ('point', 'exponential'), got 'line'"),
+    ({"problem": {"l": None}}, "problem.l: expected a number, got None"),
+    ({"problem": {"l": -1}}, "problem.l: must be >= 0.0, got -1.0"),
+    ({"problem": {"q0": "x"}}, "problem.q0: expected a number, got 'x'"),
+    ({"problem": {"q0": 0.0}}, "problem.q0: must be > 0.0, got 0.0"),
+    ({"solver": {"n": "4"}}, "solver.n: expected an integer, got '4'"),
+    ({"solver": {"n": 0}}, "solver.n: must be >= 1, got 0"),
+    ({"solver": {"d": 1.0}}, "solver.d: expected an integer, got 1.0"),
+    ({"solver": {"d": -1}}, "solver.d: must be >= 0, got -1"),
+    ({"solver": {"T": True}}, "solver.T: expected an integer, got True"),
+    ({"solver": {"T": 0}}, "solver.T: must be >= 1, got 0"),
+    ({"solver": {"schedule": None}},
+     "solver.schedule: expected one of ('fixed', 'dynamic', 'hessian'), got None"),
+    ({"solver": {"schedule": "euler"}},
+     "solver.schedule: expected one of ('fixed', 'dynamic', 'hessian'), got 'euler'"),
+    ({"solver": {"eps_psd": "1e-8"}}, "solver.eps_psd: expected a number, got '1e-8'"),
+    ({"solver": {"eps_psd": 0.0}}, "solver.eps_psd: must be > 0.0, got 0.0"),
+    ({"solver": {"gtol": [1e-8]}}, "solver.gtol: expected a number, got [1e-08]"),
+    ({"solver": {"gtol": -1e-8}}, "solver.gtol: must be > 0.0, got -1e-08"),
+    ({"solver": {"max_iter": 2.5}}, "solver.max_iter: expected an integer, got 2.5"),
+    ({"solver": {"max_iter": 0}}, "solver.max_iter: must be >= 1, got 0"),
+    ({"solver": {"bounded": 0}}, "solver.bounded: expected true or false, got 0"),
+    ({"solver": {"bounded": "true"}}, "solver.bounded: expected true or false, got 'true'"),
+    ({"sweep": {"n": 4}}, "sweep.n: expected a non-empty list"),
+    ({"sweep": {"n": [2, 0]}}, "sweep.n[1]: must be >= 1, got 0"),
+    ({"sweep": {"d": ["2"]}}, "sweep.d[0]: expected an integer, got '2'"),
+    ({"sweep": {"d": [1, -1]}}, "sweep.d[1]: must be >= 0, got -1"),
+    ({"sweep": {"T": [5.0]}}, "sweep.T[0]: expected an integer, got 5.0"),
+    ({"sweep": {"T": [5, 0]}}, "sweep.T[1]: must be >= 1, got 0"),
+    ({"sweep": {"l": "x"}}, "sweep.l: expected a non-empty list"),
+    ({"sweep": {"l": [0.0, -1]}}, "sweep.l[1]: must be >= 0.0, got -1.0"),
+    ({"sweep": {"seeds": []}}, "sweep.seeds: expected a non-empty list"),
+    ({"sweep": {"seeds": [0, -1]}}, "sweep.seeds[1]: must be >= 0, got -1"),
+    ({"output": {"dir": 3}}, "output.dir: expected a non-empty string"),
+    ({"output": {"dir": ""}}, "output.dir: expected a non-empty string"),
+    ({"output": {"formats": "json"}}, "output.formats: expected a non-empty list"),
+    ({"output": {"formats": ["json", "xml"]}},
+     "output.formats[1]: expected one of ('json', 'csv'), got 'xml'"),
+    ({"seed": "0"}, "seed: expected an integer, got '0'"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ([], "top level: expected a JSON object"),
+    ({"problem": 1}, "problem: expected a JSON object"),
+    ({"solver": None}, "solver: expected a JSON object"),
+    ({"sweep": []}, "sweep: expected a JSON object"),
+    ({"output": "runs"}, "output: expected a JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    FIELD_ERRORS,
+    ids=[f"{i}-{message.split(':')[0]}" for i, (_, message) in enumerate(FIELD_ERRORS)],
+)
+def test_every_field_error_message(raw, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert str(info.value) == message
+
+
+def test_noisy_conductivity_needs_positive_sigma(tmp_path, capsys):
+    for kind in ("noisy_constant", "noisy_linear"):
+        with pytest.raises(ConfigError, match=r"^problem\.sigma: "):
+            config_from_dict({"problem": {"conductivity": kind, "sigma": 0}})
+    raw = small_heat_raw()
+    raw["problem"].update(conductivity="noisy_constant", sigma=0.0)
+    assert main(["solve", str(write_config(tmp_path, raw))]) == 1
+    assert "problem.sigma" in capsys.readouterr().err
+
+
 def test_payload_round_trip():
     raw = {
-        "problem": {"conductivity": "noisy_linear", "source": "exponential", "l": 2.0},
-        "solver": {"n": 3, "d": 1, "T": 25, "schedule": "dynamic"},
-        "sweep": {"l": [0.0, 2.0], "seeds": [0, 1, 2]},
+        "problem": {
+            "family": "identity", "conductivity": "noisy_linear", "lambda0": 1.5,
+            "slope": 0.5, "sigma": 0.1, "source": "exponential", "l": 2.0, "q0": 3.0,
+        },
+        "solver": {
+            "n": 3, "d": 1, "T": 25, "schedule": "dynamic", "eps_psd": 1e-6,
+            "gtol": 1e-7, "max_iter": 200, "bounded": True,
+        },
+        "sweep": {"n": [2, 3], "d": [0, 1], "T": [10, 20], "l": [0.0, 2.0], "seeds": [0, 1, 2]},
+        "output": {"dir": "runs/round-trip", "formats": ["csv"]},
         "seed": 7,
     }
     cfg = config_from_dict(raw)
+    default = RunConfig(sweep=SweepConfig())
+    for name in ("problem", "solver", "sweep", "output"):
+        for f in fields(getattr(cfg, name)):
+            assert getattr(getattr(cfg, name), f.name) != getattr(getattr(default, name), f.name)
+    assert cfg.seed != default.seed
     payload = cfg.to_payload()
+    assert payload == raw
     again = config_from_dict(payload)
     assert again.to_payload() == payload
     assert isinstance(again, RunConfig)

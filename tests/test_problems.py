@@ -260,7 +260,7 @@ def test_indefinite_system_solves_end_to_end(seed):
     assert system.n_qubits == 3
     ansatz = AnsatzConfig(n=system.n_qubits, d=2)
     theta, trace = solve_adiabatic(system, ansatz, T=20, mode="hessian")
-    report = evaluate_run(system, ansatz, theta, trace.final_cost)
+    report = evaluate_run(system, ansatz, theta)
     assert trace.steps[-1].s == 1.0
     assert np.isfinite(trace.final_cost)
     assert report.infidelity < 1e-10

@@ -18,10 +18,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .ansatz import AnsatzConfig, apply_ansatz
-from .config import RunConfig, config_from_dict, load_config
+from .config import RunConfig, SolverConfig, config_from_dict, load_config
 from .controller import (
     MinimizeResult,
-    OptimizerOptions,
     RunTrace,
     StepKind,
     StepRecord,
@@ -37,7 +36,6 @@ from .cost import (
     cost,
     cost_extrapolate,
     cost_gradient,
-    cost_hessian,
     hessian_bundle,
     hessian_extrapolate,
 )

@@ -102,9 +102,15 @@ def _optional(check):
     return lambda value, path: None if value is None else check(value, path)
 
 
-def _list_of(check):
+def _list_of(check, distinct=False):
     def parse(value, path):
-        return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path)))
+        items = []
+        for i, v in enumerate(_as_list(value, path)):
+            item = check(v, f"{path}[{i}]")
+            if distinct and item in items:
+                raise ConfigError(f"{path}[{i}]: repeats an earlier entry, got {item}")
+            items.append(item)
+        return tuple(items)
 
     return parse
 
@@ -140,13 +146,14 @@ class SolverConfig:
     bounded: bool = _field(False, _as_bool)
 
 
+# A repeated sweep entry would solve the same cell twice and count it as two seeds.
 @dataclass(frozen=True)
 class SweepConfig:
-    n: tuple[int, ...] | None = _field(None, _list_of(_int(1)))
-    d: tuple[int, ...] | None = _field(None, _list_of(_int(0)))
-    T: tuple[int, ...] | None = _field(None, _list_of(_int(1)))
-    l: tuple[float, ...] | None = _field(None, _list_of(_float(minimum=0.0)))
-    seeds: tuple[int, ...] = _field((0,), _list_of(_int(0)))
+    n: tuple[int, ...] | None = _field(None, _list_of(_int(1), distinct=True))
+    d: tuple[int, ...] | None = _field(None, _list_of(_int(0), distinct=True))
+    T: tuple[int, ...] | None = _field(None, _list_of(_int(1), distinct=True))
+    l: tuple[float, ...] | None = _field(None, _list_of(_float(minimum=0.0), distinct=True))
+    seeds: tuple[int, ...] = _field((0,), _list_of(_int(0), distinct=True))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,7 +24,6 @@ import scipy.optimize
 from .ansatz import AnsatzConfig
 from .config import SolverConfig
 from .cost import (
-    CostModel,
     HessianBundle,
     build_cost_model,
     cost,  # noqa: F401  (perfbench wraps it; see tests/test_perfbench_bindings.py)
@@ -34,12 +33,11 @@ from .cost import (
     hessian_extrapolate,
 )
 from .problems import PreparedSystem
-from .schedule import Schedule, default_sequence, next_increment, uniform_sequence
+from .schedule import default_sequence, next_increment, uniform_sequence
 
 __all__ = [
     "StepKind",
     "StepDecision",
-    "OptimizerOptions",
     "MinimizeResult",
     "StepRecord",
     "RunTrace",
@@ -49,6 +47,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# L-BFGS-B's stop on a small relative cost decrease; every run uses this value, so no setting.
+_FTOL = 1e-14
 
 
 class StepKind(str, Enum):
@@ -136,14 +137,6 @@ def propose_step(
     return StepDecision(StepKind.HESSIAN_STEP, ds_star, lam_here, lam_end)
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    gtol: float = SolverConfig.gtol
-    max_iter: int = SolverConfig.max_iter
-    ftol: float = 1e-14
-    bounded: bool = SolverConfig.bounded
-
-
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
     theta: np.ndarray
@@ -158,20 +151,20 @@ class MinimizeResult:
 def minimize_cost(
     fun,
     theta0: np.ndarray,
-    opts: OptimizerOptions | None = None,
+    solver: SolverConfig = SolverConfig(),
 ) -> MinimizeResult:
     """Quasi-Newton line-search minimization with an analytic gradient.
 
     fun(theta) returns (cost, gradient) together, so one batch of circuits
-    serves both.
+    serves both. Reads solver.gtol, solver.max_iter and solver.bounded.
 
-    Terminates when the projected-gradient infinity norm drops below gtol
-    or after max_iter iterations. On a line-search failure the best point
-    found so far is returned with converged=False.
+    Terminates when the projected-gradient infinity norm drops below gtol,
+    when the relative cost decrease drops below _FTOL, or after max_iter
+    iterations. On a line-search failure the best point found so far is
+    returned with converged=False.
     """
-    opts = opts or OptimizerOptions()
     theta0 = np.asarray(theta0, dtype=float)
-    bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * theta0.size if opts.bounded else None
+    bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * theta0.size if solver.bounded else None
     res = scipy.optimize.minimize(
         fun,
         theta0,
@@ -179,9 +172,9 @@ def minimize_cost(
         method="L-BFGS-B",
         bounds=bounds,
         options={
-            "maxiter": opts.max_iter,
-            "gtol": opts.gtol,
-            "ftol": opts.ftol,
+            "maxiter": solver.max_iter,
+            "gtol": solver.gtol,
+            "ftol": _FTOL,
         },
     )
     return MinimizeResult(
@@ -189,7 +182,7 @@ def minimize_cost(
         cost=float(res.fun),
         iterations=int(res.nit),
         nfev=int(res.nfev),
-        njev=int(getattr(res, "njev", res.nfev)),
+        njev=int(res.njev),
         converged=bool(res.success),
         message=str(res.message),
     )
@@ -214,59 +207,65 @@ class StepRecord:
     note: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     mode: str
     T: int
-    kappa: float
-    steps: list[StepRecord] = field(default_factory=list)
-    theta_star: np.ndarray | None = None
-    final_cost: float = math.nan
-    wall_time_s: float = math.nan
+    steps: list[StepRecord]
+    theta_star: np.ndarray
+    wall_time_s: float
 
     @property
     def t(self) -> int:
         """Effective number of optimization steps actually executed."""
         return len(self.steps)
 
+    @property
+    def final_cost(self) -> float:
+        """Cost of the last step, at s = 1; every run takes at least one step."""
+        return self.steps[-1].cost
+
 
 def solve_adiabatic(
     system: PreparedSystem,
-    config: AnsatzConfig,
-    T: int = SolverConfig.T,
-    opts: OptimizerOptions | None = None,
-    eps_psd: float = SolverConfig.eps_psd,
-    mode: str = SolverConfig.schedule,
-) -> tuple[np.ndarray, RunTrace]:
-    """Sweep s from 0 to 1 with warm starts; returns (theta_star, trace).
+    ansatz: AnsatzConfig,
+    solver: SolverConfig = SolverConfig(),
+) -> RunTrace:
+    """Sweep s from 0 to 1 with warm starts; the trace holds theta_star.
+
+    Every field of `solver` but n and d is read (the ansatz fixes the
+    circuit); the stopping rule is read by minimize_cost.
 
     At s = 0 the zero parameter vector is the exact minimum (the circuit
     prepares e1, the working right-hand side), so the loop decides the
     first increment before any optimization. Each pass decides a step from
     the current converged point, advances s and reoptimizes warm-started.
     """
+    mode, T = solver.schedule, solver.T
     if mode not in ("fixed", "dynamic", "hessian"):
         raise ValueError(f"unknown schedule mode {mode!r}")
-    if system.n_qubits != config.n:
+    if system.n_qubits != ansatz.n:
         raise ValueError(
-            f"ansatz acts on {config.n} qubits but the system needs {system.n_qubits}"
+            f"ansatz acts on {ansatz.n} qubits but the system needs {system.n_qubits}"
         )
-    opts = opts or OptimizerOptions()
     model = build_cost_model(system)
-    sched = _make_schedule(mode, system.kappa, T)
-    n_p = config.n_params
+    if mode == "fixed":
+        sched = uniform_sequence(T, system.kappa)
+    else:
+        sched = default_sequence(system.kappa, T)
+    n_p = ansatz.n_params
     bundle_evals = 2 * n_p * n_p + 2 * n_p + 1
 
     theta = np.zeros(n_p)
     s = 0.0
-    trace = RunTrace(mode=mode, T=T, kappa=system.kappa)
+    steps: list[StepRecord] = []
     started = time.perf_counter()
     max_steps = T + 5
 
     while s < 1.0 - 1e-12:
         if mode == "hessian":
-            bundle = hessian_bundle(model, config, theta, s)
-            decision = propose_step(bundle, s, next_increment(sched, s), eps_psd)
+            bundle = hessian_bundle(model, ansatz, theta, s)
+            decision = propose_step(bundle, s, next_increment(sched, s), solver.eps_psd)
             probe_evals = bundle_evals
         else:
             decision = StepDecision(
@@ -277,12 +276,12 @@ def solve_adiabatic(
         if s_next > 1.0 - 1e-12:
             s_next = 1.0
         res = minimize_cost(
-            lambda th: cost_and_gradient(model, config, th, s_next),
+            lambda th: cost_and_gradient(model, ansatz, th, s_next),
             theta,
-            opts,
+            solver,
         )
         grad_norm = float(
-            np.abs(cost_gradient(model, config, res.theta, s_next)).max()
+            np.abs(cost_gradient(model, ansatz, res.theta, s_next)).max()
         )
         note = ""
         if res.cost < -1e-10:
@@ -290,7 +289,7 @@ def solve_adiabatic(
         if not res.converged:
             note = (note + "; " if note else "") + res.message
         record = StepRecord(
-            index=len(trace.steps),
+            index=len(steps),
             s_from=s,
             s=s_next,
             kind=decision.kind,
@@ -306,7 +305,7 @@ def solve_adiabatic(
             converged=res.converged,
             note=note,
         )
-        trace.steps.append(record)
+        steps.append(record)
         log.info(
             "step,%d,%.8f,%s,%.3e,%d,%.6e,%.3e",
             record.index,
@@ -319,18 +318,15 @@ def solve_adiabatic(
         )
         theta = res.theta
         s = s_next
-        if len(trace.steps) > max_steps:
+        if len(steps) > max_steps:
             raise RuntimeError(
                 f"sweep exceeded {max_steps} steps; schedule is not advancing"
             )
 
-    trace.theta_star = theta
-    trace.final_cost = trace.steps[-1].cost if trace.steps else 0.0
-    trace.wall_time_s = time.perf_counter() - started
-    return theta, trace
-
-
-def _make_schedule(mode: str, kappa: float, T: int) -> Schedule:
-    if mode == "fixed":
-        return uniform_sequence(T, kappa)
-    return default_sequence(kappa, T)
+    return RunTrace(
+        mode=mode,
+        T=T,
+        steps=steps,
+        theta_star=theta,
+        wall_time_s=time.perf_counter() - started,
+    )

@@ -37,7 +37,6 @@ __all__ = [
     "cost_extrapolate",
     "cost_gradient",
     "cost_and_gradient",
-    "cost_hessian",
     "hessian_bundle",
     "hessian_extrapolate",
 ]
@@ -50,9 +49,8 @@ _MAX_BATCH_AMPLITUDES = 2 ** 20
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
-    """The prepared matrix M and D = M - I, which fixes the s-expansion."""
+    """D = M - I of the prepared matrix M, which fixes the s-expansion."""
 
-    matrix: np.ndarray
     d_op: np.ndarray
     dim: int
 
@@ -68,7 +66,7 @@ def build_cost_model(source) -> CostModel:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     dim = matrix.shape[0]
-    return CostModel(matrix=matrix, d_op=matrix - np.eye(dim), dim=dim)
+    return CostModel(d_op=matrix - np.eye(dim), dim=dim)
 
 
 def assemble_hamiltonian(model: CostModel, s: float) -> np.ndarray:
@@ -274,17 +272,6 @@ def hessian_bundle(
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
     return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, grad=_in_s(grad3, s), s=s)
-
-
-def cost_hessian(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    s: float,
-    beta: float = DEFAULT_SHIFT,
-) -> np.ndarray:
-    """Exact parameter Hessian of C_s, symmetric by construction."""
-    return hessian_bundle(model, config, theta, s, beta).h_s
 
 
 def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:

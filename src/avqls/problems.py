@@ -201,9 +201,7 @@ class PreparedSystem:
         return self.matrix.shape[0]
 
 
-def prepare(
-    a: np.ndarray, b: np.ndarray, allow_embedding: bool = True
-) -> PreparedSystem:
+def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
     """Rotate, normalize and (if needed) embed a system into working form.
 
     Steps: flip the sign of A when every eigenvalue has negative real part
@@ -251,10 +249,6 @@ def prepare(
         embedded = False
         wires = n_qubits
     else:
-        if not allow_embedding:
-            raise ValueError(
-                "spectrum is not strictly positive and embedding is disabled"
-            )
         # (1-s) sz(x)I + s sx(x)M equals (sz(x)I) [(1-s) I + s W] with
         # W = [[0, M], [-M, 0]]; the orthogonal prefactor drops out of the
         # cost operator, so the embedded problem is again a plain pencil

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ansatz import AnsatzConfig, apply_ansatz
 from .config import RunConfig
-from .controller import OptimizerOptions, RunTrace, solve_adiabatic
+from .controller import RunTrace, solve_adiabatic
 from .metrics import (
     SolutionReport,
     accuracy,
@@ -121,20 +121,8 @@ def run_single(config: RunConfig, seed: int | None = None) -> RunResult:
     """Execute one configured run (no file output; see write_trace/write_summary)."""
     system = build_system(config, seed=seed)
     ansatz = AnsatzConfig(n=system.n_qubits, d=config.solver.d)
-    opts = OptimizerOptions(
-        gtol=config.solver.gtol,
-        max_iter=config.solver.max_iter,
-        bounded=config.solver.bounded,
-    )
-    theta, trace = solve_adiabatic(
-        system,
-        ansatz,
-        T=config.solver.T,
-        opts=opts,
-        eps_psd=config.solver.eps_psd,
-        mode=config.solver.schedule,
-    )
-    report = evaluate_run(system, ansatz, theta)
+    trace = solve_adiabatic(system, ansatz, config.solver)
+    report = evaluate_run(system, ansatz, trace.theta_star)
     return RunResult(system=system, trace=trace, report=report)
 
 

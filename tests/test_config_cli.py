@@ -143,6 +143,11 @@ FIELD_ERRORS = [
     ({"solver": None}, "solver: expected a JSON object"),
     ({"sweep": []}, "sweep: expected a JSON object"),
     ({"output": "runs"}, "output: expected a JSON object"),
+    ({"sweep": {"n": [2, 3, 2]}}, "sweep.n[2]: repeats an earlier entry, got 2"),
+    ({"sweep": {"d": [1, 1]}}, "sweep.d[1]: repeats an earlier entry, got 1"),
+    ({"sweep": {"T": [5, 5]}}, "sweep.T[1]: repeats an earlier entry, got 5"),
+    ({"sweep": {"l": [2, 2.0]}}, "sweep.l[1]: repeats an earlier entry, got 2.0"),
+    ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds[1]: repeats an earlier entry, got 0"),
 ]
 
 
@@ -355,6 +360,36 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"solver": {"m": 1}})
     assert main(["solve", str(cfg_path)]) == 1
     assert "solver.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        ("solve", {"solver": {"n": 0}}, "solver.n: must be >= 1, got 0"),
+        (
+            "sweep",
+            {
+                "problem": {"conductivity": "noisy_constant"},
+                "solver": {"n": 2, "d": 1, "T": 4},
+                "sweep": {"seeds": [0, 0]},
+            },
+            "sweep.seeds[1]: repeats an earlier entry, got 0",
+        ),
+    ],
+    ids=["solve", "sweep"],
+)
+def test_cli_config_error_is_one_stderr_line(tmp_path, command, raw, message):
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "avqls.cli", command, str(cfg_path), "--out", str(out)],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_sweep_requires_section(tmp_path, capsys):

@@ -5,16 +5,18 @@ import scipy.optimize
 from avqls import (
     AnsatzConfig,
     ConductivityProfile,
-    OptimizerOptions,
+    SolverConfig,
     SourceSpec,
     StepKind,
     classical_solve,
+    config_from_dict,
     heat_system,
     infidelity,
     minimize_cost,
     prepare,
     propose_step,
     recover_solution,
+    run_single,
     solve_adiabatic,
 )
 from avqls.cost import HessianBundle, hessian_extrapolate
@@ -167,7 +169,7 @@ def test_minimize_cost_rosenbrock():
     res = minimize_cost(
         lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
-        OptimizerOptions(gtol=1e-10, max_iter=1000),
+        SolverConfig(gtol=1e-10, max_iter=1000),
     )
     assert res.converged
     assert np.allclose(res.theta, [1.0, 1.0], atol=1e-5)
@@ -180,7 +182,7 @@ def test_minimize_cost_respects_bounds():
     def g(x):
         return np.array([2.0 * (x[0] - 10.0)])
 
-    res = minimize_cost(lambda x: (f(x), g(x)), np.zeros(1), OptimizerOptions(bounded=True))
+    res = minimize_cost(lambda x: (f(x), g(x)), np.zeros(1), SolverConfig(bounded=True))
     assert res.theta[0] == pytest.approx(2.0 * np.pi)
 
 
@@ -188,7 +190,7 @@ def test_minimize_cost_iteration_cap():
     res = minimize_cost(
         lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
-        OptimizerOptions(max_iter=2),
+        SolverConfig(max_iter=2),
     )
     assert res.iterations <= 2
     assert not res.converged
@@ -201,18 +203,18 @@ def identity_system():
 def test_solve_adiabatic_identity_jumps_immediately():
     system = identity_system()
     config = AnsatzConfig(n=1, d=1)
-    theta, trace = solve_adiabatic(system, config, T=10, mode="hessian")
+    trace = solve_adiabatic(system, config, SolverConfig(T=10, schedule="hessian"))
     assert trace.t == 1
     assert trace.steps[0].kind is StepKind.JUMP_TO_ONE
     assert trace.steps[0].s == 1.0
     assert trace.final_cost < 1e-10
-    assert np.allclose(theta, 0.0, atol=1e-6)
+    assert np.allclose(trace.theta_star, 0.0, atol=1e-6)
 
 
 def test_solve_adiabatic_mode_validation():
     system = identity_system()
     with pytest.raises(ValueError, match="mode"):
-        solve_adiabatic(system, AnsatzConfig(n=1, d=1), mode="euler")
+        solve_adiabatic(system, AnsatzConfig(n=1, d=1), SolverConfig(schedule="euler"))
     with pytest.raises(ValueError, match="qubits"):
         solve_adiabatic(system, AnsatzConfig(n=2, d=1))
 
@@ -226,7 +228,7 @@ def heat_2q():
 def test_solve_adiabatic_fixed_walks_full_grid():
     a, b, system = heat_2q()
     config = AnsatzConfig(n=2, d=1)
-    theta, trace = solve_adiabatic(system, config, T=5, mode="fixed")
+    trace = solve_adiabatic(system, config, SolverConfig(T=5, schedule="fixed"))
     assert trace.t == 5
     assert all(rec.kind is StepKind.FALLBACK_SCHEDULE for rec in trace.steps)
     grid = [rec.s for rec in trace.steps]
@@ -236,7 +238,7 @@ def test_solve_adiabatic_fixed_walks_full_grid():
 def test_solve_adiabatic_dynamic_walks_schedule():
     a, b, system = heat_2q()
     config = AnsatzConfig(n=2, d=1)
-    theta, trace = solve_adiabatic(system, config, T=5, mode="dynamic")
+    trace = solve_adiabatic(system, config, SolverConfig(T=5, schedule="dynamic"))
     assert trace.t == 5
     s_vals = [rec.s for rec in trace.steps]
     assert s_vals[-1] == 1.0
@@ -248,10 +250,10 @@ def test_solve_adiabatic_dynamic_walks_schedule():
 def test_solve_adiabatic_solves_small_heat_problem():
     a, b, system = heat_2q()
     config = AnsatzConfig(n=2, d=1)
-    theta, trace = solve_adiabatic(system, config, T=20, mode="hessian")
+    trace = solve_adiabatic(system, config, SolverConfig(T=20, schedule="hessian"))
     assert trace.t <= 20
     assert trace.steps[-1].s == 1.0
-    state = recover_solution(system, _final_state(system, config, theta))
+    state = recover_solution(system, _final_state(system, config, trace.theta_star))
     assert infidelity(state, classical_solve(a, b)) < 1e-6
     for rec in trace.steps:
         assert rec.circuit_evals > 0
@@ -261,12 +263,54 @@ def test_solve_adiabatic_solves_small_heat_problem():
 def test_solve_adiabatic_is_deterministic():
     a, b, system = heat_2q()
     config = AnsatzConfig(n=2, d=1)
-    theta1, trace1 = solve_adiabatic(system, config, T=8, mode="hessian")
-    theta2, trace2 = solve_adiabatic(system, config, T=8, mode="hessian")
-    assert np.array_equal(theta1, theta2)
+    trace1 = solve_adiabatic(system, config, SolverConfig(T=8, schedule="hessian"))
+    trace2 = solve_adiabatic(system, config, SolverConfig(T=8, schedule="hessian"))
+    assert np.array_equal(trace1.theta_star, trace2.theta_star)
     assert [r.s for r in trace1.steps] == [r.s for r in trace2.steps]
     assert [r.cost for r in trace1.steps] == [r.cost for r in trace2.steps]
     assert [r.nfev for r in trace1.steps] == [r.nfev for r in trace2.steps]
+
+
+def test_run_single_passes_every_solver_setting(monkeypatch):
+    # each setting changes this run where the default does not, so a setting
+    # dropped between the config and the solver fails here
+    calls = []
+    minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+
+    def run(**solver):
+        calls.clear()
+        raw = {
+            "problem": {"conductivity": "noisy_constant"},
+            "solver": {"n": 3, "d": 2, "T": 20, **solver},
+        }
+        return run_single(config_from_dict(raw)).trace
+
+    default = run()
+    assert default.t == 20
+    assert default.steps[0].kind is not StepKind.JUMP_TO_ONE
+    assert max(rec.iterations for rec in default.steps) > 1
+    assert all(call["bounds"] is None for call in calls)
+
+    assert all(rec.iterations == 0 for rec in run(gtol=1e3).steps)
+    assert all(rec.iterations <= 1 for rec in run(max_iter=1).steps)
+    jumped = run(eps_psd=1e3)
+    assert jumped.t == 1
+    assert jumped.steps[0].kind is StepKind.JUMP_TO_ONE
+    fixed = run(schedule="fixed", T=3)
+    assert fixed.t == 3
+    assert all(rec.kind is StepKind.FALLBACK_SCHEDULE for rec in fixed.steps)
+
+    run(bounded=True)
+    assert len(calls) == 20
+    for call in calls:
+        assert call["bounds"] == [(-2.0 * np.pi, 2.0 * np.pi)] * 9  # n (d + 1) angles
+        assert call["options"]["ftol"] == 1e-14
 
 
 def _final_state(system, config, theta):

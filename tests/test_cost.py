@@ -19,7 +19,6 @@ from avqls.cost import (
     cost_and_gradient,
     cost_extrapolate,
     cost_gradient,
-    cost_hessian,
     hessian_bundle,
     hessian_extrapolate,
 )
@@ -93,7 +92,7 @@ def test_single_qubit_closed_form():
         assert abs(cost(model, config, t, 1.0) - (1 - np.cos(theta)) / 2) < 1e-14
         grad = cost_gradient(model, config, t, 1.0)
         assert abs(grad[0] - np.sin(theta) / 2) < 1e-12
-        hess = cost_hessian(model, config, t, 1.0)
+        hess = hessian_bundle(model, config, t, 1.0).h_s
         assert abs(hess[0, 0] - np.cos(theta) / 2) < 1e-12
 
 
@@ -131,7 +130,7 @@ def test_hessian_matches_finite_differences():
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, config.n_params)
         s = rng.uniform(0.0, 1.0)
-        hess = cost_hessian(model, config, theta, s)
+        hess = hessian_bundle(model, config, theta, s).h_s
         ref = fd_hessian(lambda th: cost(model, config, th, s), theta)
         assert np.allclose(hess, ref, atol=1e-4)
         assert np.allclose(hess, hess.T, atol=1e-14)
@@ -151,7 +150,7 @@ def test_shift_angle_invariance():
         for beta in (DEFAULT_SHIFT, np.pi / 3, 1.0)
     ]
     hessians = [
-        cost_hessian(model, config, theta, s, beta=beta)
+        hessian_bundle(model, config, theta, s, beta=beta).h_s
         for beta in (DEFAULT_SHIFT, np.pi / 3, 1.0)
     ]
     for other in grads[1:]:
@@ -187,7 +186,7 @@ def test_hessian_extrapolation_is_exact():
         delta = rng.uniform(0.0, 1.0 - s)
         bundle = hessian_bundle(model, config, theta, s)
         predicted = hessian_extrapolate(bundle, delta)
-        direct = cost_hessian(model, config, theta, s + delta)
+        direct = hessian_bundle(model, config, theta, s + delta).h_s
         assert np.abs(predicted - direct).max() < 1e-10
 
 

@@ -5,6 +5,7 @@ from avqls import (
     AnsatzConfig,
     ConductivityProfile,
     SingularMatrixError,
+    SolverConfig,
     SourceSpec,
     build_source,
     discretize_heat,
@@ -259,8 +260,8 @@ def test_indefinite_system_solves_end_to_end(seed):
     assert system.embedded is True
     assert system.n_qubits == 3
     ansatz = AnsatzConfig(n=system.n_qubits, d=2)
-    theta, trace = solve_adiabatic(system, ansatz, T=20, mode="hessian")
-    report = evaluate_run(system, ansatz, theta)
+    trace = solve_adiabatic(system, ansatz, SolverConfig(T=20, schedule="hessian"))
+    report = evaluate_run(system, ansatz, trace.theta_star)
     assert trace.steps[-1].s == 1.0
     assert np.isfinite(trace.final_cost)
     assert report.infidelity < 1e-10
@@ -274,8 +275,6 @@ def test_prepare_validation():
         prepare(np.eye(3), np.ones(3))
     with pytest.raises(ValueError, match="nonzero"):
         prepare(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError, match="embedding"):
-        prepare(np.diag([1.0, -1.0]), np.array([1.0, 0.0]), allow_embedding=False)
 
 
 def test_recover_solution_plain_round_trip():

@@ -18,7 +18,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .ansatz import AnsatzConfig, apply_ansatz
-from .config import RunConfig, SolverConfig, config_from_dict, load_config
+from .config import ProblemConfig, RunConfig, SolverConfig, config_from_dict, load_config
 from .controller import (
     MinimizeResult,
     RunTrace,
@@ -49,9 +49,7 @@ from .metrics import (
     solve_parametric,
 )
 from .problems import (
-    ConductivityProfile,
     PreparedSystem,
-    SourceSpec,
     build_source,
     discretize_heat,
     heat_system,

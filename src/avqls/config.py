@@ -9,6 +9,7 @@ parsing, the unknown-key check and the payload all read those fields.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -41,6 +42,8 @@ def _as_float(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
@@ -128,6 +131,21 @@ class ProblemConfig:
     l: float = _field(0.0, _float(minimum=0.0))
     q0: float = _field(1.0, _float(strict_min=0.0))
 
+    def __post_init__(self) -> None:
+        # A directly built ProblemConfig is checked like a parsed one.
+        for f in fields(self):
+            _check(self, f.name, f"problem.{f.name}")
+        if self.family != "heat":
+            return
+        if self.conductivity in ("constant", "linear"):
+            if self.sigma not in (None, 0.0):
+                raise ConfigError("problem.sigma: only meaningful for noisy conductivity kinds")
+        elif self.resolved_sigma() <= 0.0:
+            raise ConfigError(
+                "problem.sigma: must be > 0.0 for noisy conductivity kinds, "
+                f"got {self.sigma}"
+            )
+
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
             return self.sigma
@@ -170,11 +188,21 @@ class RunConfig:
     output: OutputConfig = _section(OutputConfig)
     seed: int = _field(0, _int(0))
 
+    def __post_init__(self) -> None:
+        # The seed can be replaced after parsing (`avqls solve --seed`).
+        _check(self, "seed", "seed")
+
     def to_payload(self) -> dict:
         """The config as JSON data: unset (None) fields left out, sigma resolved."""
         payload = _payload(self)
         payload["problem"]["sigma"] = self.problem.resolved_sigma()
         return payload
+
+
+def _check(config, name: str, path: str) -> None:
+    """Run field `name`'s declared check on its value and keep what it returns."""
+    check = config.__dataclass_fields__[name].metadata["check"]
+    object.__setattr__(config, name, check(getattr(config, name), path))
 
 
 def _payload(config) -> dict:
@@ -196,12 +224,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})")
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     config = _parse(RunConfig, raw, "")
-    _cross_validate(config)
+    sweep = config.sweep
+    if sweep is not None and sweep.l is not None and config.problem.source != "exponential":
+        raise ConfigError("sweep.l: requires problem.source = 'exponential'")
     return config
 
 
@@ -223,19 +255,3 @@ def _parse(cls, section, path: str):
         if key in section
     })
 
-
-def _cross_validate(config: RunConfig) -> None:
-    if config.problem.family == "heat":
-        if config.problem.conductivity in ("constant", "linear"):
-            if config.problem.sigma not in (None, 0.0):
-                raise ConfigError(
-                    "problem.sigma: only meaningful for noisy conductivity kinds"
-                )
-        elif config.problem.resolved_sigma() <= 0.0:
-            raise ConfigError(
-                "problem.sigma: must be > 0.0 for noisy conductivity kinds, "
-                f"got {config.problem.sigma}"
-            )
-    if config.sweep is not None:
-        if config.sweep.l is not None and config.problem.source != "exponential":
-            raise ConfigError("sweep.l: requires problem.source = 'exponential'")

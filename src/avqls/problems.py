@@ -2,12 +2,12 @@
 
 The physical model is one-dimensional heat conduction on (0, L) with
 Dirichlet boundaries, a space-dependent conductivity profile and a source
-term. Discretizing on N = 2**n interior sites gives a tridiagonal system
-A x = b. Preparation turns an arbitrary invertible system into the working
-form used by the variational solver: right-hand side exactly e1, matrix
-normalized to unit spectral norm, and, when the spectrum is not strictly
-positive, an ancilla embedding that makes the homotopy pencil nonsingular
-for every s.
+term, all read from a `ProblemConfig`. Discretizing on N = 2**n interior
+sites gives a tridiagonal system A x = b. Preparation turns an arbitrary
+invertible system into the working form used by the variational solver:
+right-hand side exactly e1, matrix normalized to unit spectral norm, and,
+when the spectrum is not strictly positive, an ancilla embedding that makes
+the homotopy pencil nonsingular for every s.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ProblemConfig
 from .errors import SingularMatrixError
 from .schedule import condition_number
 
 __all__ = [
     "LENGTH",
-    "ConductivityProfile",
-    "SourceSpec",
     "PreparedSystem",
     "sample_conductivity",
     "discretize_heat",
@@ -35,78 +34,43 @@ __all__ = [
 
 LENGTH = 1.0
 
-_CONDUCTIVITY_KINDS = ("constant", "noisy_constant", "linear", "noisy_linear")
-_SOURCE_KINDS = ("point", "exponential")
-
 # Gaussian perturbations are redrawn until every site stays above this
 # fraction of the mean noiseless conductivity, keeping the profile physical.
 _FLOOR_FRACTION = 0.01
 _RESAMPLE_BUDGET = 100
 
 
-@dataclass(frozen=True)
-class ConductivityProfile:
-    """Conductivity family on the grid; noisy kinds perturb site-wise."""
+def sample_conductivity(problem: ProblemConfig, n_sites: int, seed: int = 0) -> np.ndarray:
+    """Conductivity values at the interior sites z_i = i * dz, i = 1..N.
 
-    kind: str
-    lambda0: float = 1.0
-    slope: float = 2.0
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _CONDUCTIVITY_KINDS:
-            raise ValueError(f"unknown conductivity kind {self.kind!r}")
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if self.kind in ("noisy_constant", "noisy_linear") and self.sigma <= 0.0:
-            raise ValueError(f"noisy profile requires sigma > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Source term: a point source at the first site or an exponential decay."""
-
-    kind: str
-    l: float = 0.0
-    q0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.q0 <= 0.0:
-            raise ValueError(f"source magnitude must be positive, got {self.q0}")
-        if self.l < 0.0:
-            raise ValueError(f"decay rate must be >= 0, got {self.l}")
-
-
-def sample_conductivity(profile: ConductivityProfile, n_sites: int) -> np.ndarray:
-    """Conductivity values at the interior sites z_i = i * dz, i = 1..N."""
+    Noisy kinds perturb each site by N(0, sigma^2) drawn from `seed`.
+    """
     if n_sites < 1:
         raise ValueError(f"site count must be >= 1, got {n_sites}")
     dz = LENGTH / n_sites
     z = np.arange(1, n_sites + 1) * dz
-    if profile.kind in ("constant", "noisy_constant"):
-        base = np.full(n_sites, profile.lambda0)
+    if problem.conductivity in ("constant", "noisy_constant"):
+        base = np.full(n_sites, problem.lambda0)
     else:
-        base = profile.slope * z / LENGTH * profile.lambda0
-    if profile.kind in ("constant", "linear"):
+        base = problem.slope * z / LENGTH * problem.lambda0
+    if problem.conductivity in ("constant", "linear"):
         return base
-    rng = np.random.default_rng(profile.seed)
-    lam = base + rng.normal(0.0, profile.sigma, n_sites)
+    sigma = problem.resolved_sigma()
+    rng = np.random.default_rng(seed)
+    lam = base + rng.normal(0.0, sigma, n_sites)
     floor = _FLOOR_FRACTION * float(base.mean())
     for _ in range(_RESAMPLE_BUDGET):
         mask = lam <= floor
         if not mask.any():
             return lam
-        lam[mask] = base[mask] + rng.normal(0.0, profile.sigma, int(mask.sum()))
+        lam[mask] = base[mask] + rng.normal(0.0, sigma, int(mask.sum()))
     raise RuntimeError(
         f"could not keep conductivity above {floor} after {_RESAMPLE_BUDGET} redraws"
     )
 
 
 def discretize_heat(
-    profile: ConductivityProfile, n_qubits: int
+    problem: ProblemConfig, n_qubits: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal operator of d/dz(lambda(z) d/dz) on N = 2**n_qubits sites.
 
@@ -118,7 +82,7 @@ def discretize_heat(
     if n_qubits < 1:
         raise ValueError(f"qubit count must be >= 1, got {n_qubits}")
     n_sites = 2 ** n_qubits
-    lam = sample_conductivity(profile, n_sites)
+    lam = sample_conductivity(problem, n_sites, seed)
     dz = LENGTH / n_sites
     inv = 1.0 / (dz * dz)
     ext = np.concatenate([[lam[0]], lam, [lam[-1]]])
@@ -131,27 +95,26 @@ def discretize_heat(
     return matrix, lam
 
 
-def build_source(spec: SourceSpec, n_qubits: int) -> np.ndarray:
+def build_source(problem: ProblemConfig, n_qubits: int) -> np.ndarray:
     """Source vector on the grid: q0 * e1 or q0 * exp(-l * j * dz / L)."""
     if n_qubits < 1:
         raise ValueError(f"qubit count must be >= 1, got {n_qubits}")
     n_sites = 2 ** n_qubits
-    if spec.kind == "point":
+    if problem.source == "point":
         b = np.zeros(n_sites)
-        b[0] = spec.q0
+        b[0] = problem.q0
         return b
     j = np.arange(1, n_sites + 1)
     dz = LENGTH / n_sites
-    return spec.q0 * np.exp(-spec.l * j * dz / LENGTH)
+    return problem.q0 * np.exp(-problem.l * j * dz / LENGTH)
 
 
 def heat_system(
-    profile: ConductivityProfile, source: SourceSpec, n_qubits: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assembled (A, b, lambda) for one problem instance."""
-    matrix, lam = discretize_heat(profile, n_qubits)
-    b = build_source(source, n_qubits)
-    return matrix, b, lam
+    problem: ProblemConfig, n_qubits: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assembled (A, b) for one problem instance; `seed` draws the noisy conductivity."""
+    matrix, _ = discretize_heat(problem, n_qubits, seed)
+    return matrix, build_source(problem, n_qubits)
 
 
 def householder(b: np.ndarray) -> np.ndarray:

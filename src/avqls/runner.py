@@ -31,14 +31,7 @@ from .metrics import (
     infidelity,
     solve_parametric,
 )
-from .problems import (
-    ConductivityProfile,
-    PreparedSystem,
-    SourceSpec,
-    heat_system,
-    prepare,
-    recover_solution,
-)
+from .problems import PreparedSystem, heat_system, prepare, recover_solution
 from .schedule import default_sequence
 
 __all__ = [
@@ -68,18 +61,7 @@ def build_system(config: RunConfig, seed: int | None = None) -> PreparedSystem:
         b = np.zeros(2 ** n)
         b[0] = 1.0
         return prepare(np.eye(2 ** n), b)
-    profile = ConductivityProfile(
-        kind=config.problem.conductivity,
-        lambda0=config.problem.lambda0,
-        slope=config.problem.slope,
-        sigma=config.problem.resolved_sigma(),
-        seed=config.seed if seed is None else seed,
-    )
-    source = SourceSpec(
-        kind=config.problem.source, l=config.problem.l, q0=config.problem.q0
-    )
-    matrix, b, _ = heat_system(profile, source, n)
-    return prepare(matrix, b)
+    return prepare(*heat_system(config.problem, n, config.seed if seed is None else seed))
 
 
 def evaluate_run(

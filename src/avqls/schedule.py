@@ -59,8 +59,8 @@ def condition_number(matrix: np.ndarray) -> float:
 
 def v_bounds(kappa: float) -> tuple[float, float]:
     """Endpoints (v_min, v_max) of the auxiliary variable for a given kappa."""
-    if not kappa >= 1.0:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"condition number must be finite and >= 1, got {kappa}")
     k2 = kappa * kappa
     root = math.sqrt(1.0 + k2)
     pref = math.sqrt(2.0 * k2 / (1.0 + k2))
@@ -75,8 +75,6 @@ def v_bounds(kappa: float) -> tuple[float, float]:
 
 def s_of_v(v: float, kappa: float) -> float:
     """Map the auxiliary variable to the adiabatic parameter s in [0, 1]."""
-    if not kappa >= 1.0:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
     v_min, v_max = v_bounds(kappa)
     slack = 1e-9 * max(1.0, v_max - v_min)
     if v < v_min - slack or v > v_max + slack:

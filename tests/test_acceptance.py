@@ -13,8 +13,7 @@ import pytest
 
 from avqls import (
     AnsatzConfig,
-    ConductivityProfile,
-    SourceSpec,
+    ProblemConfig,
     condition_number,
     config_from_dict,
     cost,
@@ -44,10 +43,8 @@ def report(num, name, detail):
     print(f"criterion {num:>2} ({name}): PASS  {detail}")
 
 
-def constant_heat(n_qubits, source=None):
-    prof = ConductivityProfile(kind="constant")
-    src = source or SourceSpec(kind="point")
-    a, b, _ = heat_system(prof, src, n_qubits)
+def constant_heat(n_qubits):
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), n_qubits)
     return a, b, prepare(a, b)
 
 
@@ -63,7 +60,7 @@ def test_criterion_02_spectrum_and_conditioning():
     worst = 0.0
     kappas = {}
     for n in range(1, 7):
-        mat, _ = discretize_heat(ConductivityProfile(kind="constant"), n)
+        mat, _ = discretize_heat(ProblemConfig(conductivity="constant"), n)
         n_sites = 2 ** n
         dz = 1.0 / n_sites
         eigs = np.sort(np.linalg.eigvalsh(-(dz * dz) * mat))

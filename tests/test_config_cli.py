@@ -148,6 +148,14 @@ FIELD_ERRORS = [
     ({"sweep": {"T": [5, 5]}}, "sweep.T[1]: repeats an earlier entry, got 5"),
     ({"sweep": {"l": [2, 2.0]}}, "sweep.l[1]: repeats an earlier entry, got 2.0"),
     ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds[1]: repeats an earlier entry, got 0"),
+    ({"problem": {"lambda0": float("nan")}}, "problem.lambda0: expected a finite number, got nan"),
+    ({"problem": {"slope": float("-inf")}}, "problem.slope: expected a finite number, got -inf"),
+    ({"problem": {"sigma": float("nan")}}, "problem.sigma: expected a finite number, got nan"),
+    ({"problem": {"l": float("inf")}}, "problem.l: expected a finite number, got inf"),
+    ({"problem": {"q0": float("inf")}}, "problem.q0: expected a finite number, got inf"),
+    ({"solver": {"eps_psd": float("inf")}}, "solver.eps_psd: expected a finite number, got inf"),
+    ({"solver": {"gtol": float("nan")}}, "solver.gtol: expected a finite number, got nan"),
+    ({"sweep": {"l": [0.0, float("inf")]}}, "sweep.l[1]: expected a finite number, got inf"),
 ]
 
 
@@ -206,6 +214,8 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(bad)
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path)
 
 
 def small_heat_raw(**solver):
@@ -363,9 +373,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, raw, message",
+    "command, raw, extra, message",
     [
-        ("solve", {"solver": {"n": 0}}, "solver.n: must be >= 1, got 0"),
+        ("solve", {"solver": {"n": 0}}, [], "solver.n: must be >= 1, got 0"),
         (
             "sweep",
             {
@@ -373,16 +383,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                 "solver": {"n": 2, "d": 1, "T": 4},
                 "sweep": {"seeds": [0, 0]},
             },
+            [],
             "sweep.seeds[1]: repeats an earlier entry, got 0",
         ),
+        ("solve", small_heat_raw(), ["--seed", "-1"], "seed: must be >= 0, got -1"),
     ],
-    ids=["solve", "sweep"],
+    ids=["solve", "sweep", "seed-override"],
 )
-def test_cli_config_error_is_one_stderr_line(tmp_path, command, raw, message):
+def test_cli_config_error_is_one_stderr_line(tmp_path, command, raw, extra, message):
     cfg_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "avqls.cli", command, str(cfg_path), "--out", str(out)],
+        [sys.executable, "-m", "avqls.cli", command, str(cfg_path), *extra, "--out", str(out)],
         env=cli_env(),
         capture_output=True,
         text=True,

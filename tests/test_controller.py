@@ -4,9 +4,8 @@ import scipy.optimize
 
 from avqls import (
     AnsatzConfig,
-    ConductivityProfile,
+    ProblemConfig,
     SolverConfig,
-    SourceSpec,
     StepKind,
     classical_solve,
     config_from_dict,
@@ -220,8 +219,7 @@ def test_solve_adiabatic_mode_validation():
 
 
 def heat_2q():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="point"), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     return a, b, prepare(a, b)
 
 

@@ -6,8 +6,7 @@ import pytest
 import avqls.verify as verify
 from avqls import (
     AnsatzConfig,
-    ConductivityProfile,
-    SourceSpec,
+    ProblemConfig,
     heat_system,
     prepare,
 )
@@ -66,8 +65,7 @@ def test_expansion_matches_direct_hamiltonian():
 
 
 def test_cost_matches_dense_quadratic_form():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="point"), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     system = prepare(a, b)
     model = build_cost_model(system)
     config = AnsatzConfig(n=2, d=1)
@@ -97,8 +95,7 @@ def test_single_qubit_closed_form():
 
 
 def test_gradient_matches_finite_differences():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="point"), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     system = prepare(a, b)
     model = build_cost_model(system)
     config = AnsatzConfig(n=2, d=2)
@@ -137,8 +134,7 @@ def test_hessian_matches_finite_differences():
 
 
 def test_shift_angle_invariance():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="point"), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     system = prepare(a, b)
     model = build_cost_model(system)
     config = AnsatzConfig(n=2, d=1)

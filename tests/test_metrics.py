@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from avqls import (
-    ConductivityProfile,
+    ProblemConfig,
     SingularMatrixError,
-    SourceSpec,
     accuracy,
     classical_solve,
     eigen_overlaps,
@@ -82,8 +81,8 @@ def test_eigen_overlaps_diagonal():
 def test_uniform_source_favors_smallest_mode():
     """A spatially flat source concentrates the solution in the lowest
     conduction mode, which is where an interpolating solver benefits most."""
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="exponential", l=0.0), 5)
+    prof = ProblemConfig(conductivity="constant", source="exponential", l=0.0)
+    a, b = heat_system(prof, 5)
     x = classical_solve(a, b)
     overlaps = eigen_overlaps(-a, x)
     # -A is positive definite; the smallest eigenvalue is the slowest mode
@@ -92,10 +91,10 @@ def test_uniform_source_favors_smallest_mode():
 
 
 def test_sharper_sources_spread_over_modes():
-    prof = ConductivityProfile(kind="constant")
     weights = []
     for l in (0.0, 2.0, 5.0):
-        a, b, _ = heat_system(prof, SourceSpec(kind="exponential", l=l), 5)
+        prof = ProblemConfig(conductivity="constant", source="exponential", l=l)
+        a, b = heat_system(prof, 5)
         x = classical_solve(a, b)
         weights.append(eigen_overlaps(-a, x)[0])
     assert weights[0] > weights[1] > weights[2]

@@ -3,10 +3,10 @@ import pytest
 
 from avqls import (
     AnsatzConfig,
-    ConductivityProfile,
+    ConfigError,
+    ProblemConfig,
     SingularMatrixError,
     SolverConfig,
-    SourceSpec,
     build_source,
     discretize_heat,
     evaluate_run,
@@ -47,7 +47,7 @@ def stencil_oracle(lam: np.ndarray, dz: float) -> np.ndarray:
 
 
 def test_constant_profile_n2_matrix():
-    prof = ConductivityProfile(kind="constant")
+    prof = ProblemConfig(conductivity="constant")
     mat, lam = discretize_heat(prof, 2)
     assert np.array_equal(lam, np.ones(4))
     # dz = 1/4: diagonal -2/dz^2 = -32, neighbors 1/dz^2 = +16
@@ -58,7 +58,7 @@ def test_constant_profile_n2_matrix():
 
 
 def test_constant_profile_spectrum():
-    prof = ConductivityProfile(kind="constant")
+    prof = ProblemConfig(conductivity="constant")
     for n in (1, 2, 3, 4):
         mat, _ = discretize_heat(prof, n)
         n_sites = 2 ** n
@@ -70,7 +70,7 @@ def test_constant_profile_spectrum():
 
 
 def test_linear_profile_matches_stencil_oracle():
-    prof = ConductivityProfile(kind="linear", slope=2.0)
+    prof = ProblemConfig(conductivity="linear", slope=2.0)
     for n in (1, 2, 3):
         mat, lam = discretize_heat(prof, n)
         n_sites = 2 ** n
@@ -81,58 +81,56 @@ def test_linear_profile_matches_stencil_oracle():
 
 
 def test_noisy_profile_matches_stencil_oracle():
-    prof = ConductivityProfile(kind="noisy_constant", sigma=0.2, seed=4)
-    mat, lam = discretize_heat(prof, 3)
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=0.2)
+    mat, lam = discretize_heat(prof, 3, seed=4)
     assert np.allclose(mat, stencil_oracle(lam, 1.0 / 8.0), atol=1e-9)
 
 
 def test_conductivity_reproducible_by_seed():
-    prof = ConductivityProfile(kind="noisy_constant", sigma=0.2, seed=7)
-    a = sample_conductivity(prof, 16)
-    b = sample_conductivity(prof, 16)
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=0.2)
+    a = sample_conductivity(prof, 16, seed=7)
+    b = sample_conductivity(prof, 16, seed=7)
     assert np.array_equal(a, b)
-    other = sample_conductivity(
-        ConductivityProfile(kind="noisy_constant", sigma=0.2, seed=8), 16
-    )
+    other = sample_conductivity(prof, 16, seed=8)
     assert not np.array_equal(a, other)
 
 
 def test_conductivity_stays_positive():
     # a huge sigma forces redraws; every site must stay above the floor
-    prof = ConductivityProfile(kind="noisy_constant", sigma=5.0, seed=0)
-    lam = sample_conductivity(prof, 64)
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=5.0)
+    lam = sample_conductivity(prof, 64, seed=0)
     assert np.all(lam > 0.01 * 1.0 - 1e-15)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        ConductivityProfile(kind="noisy_constant")
-    with pytest.raises(ValueError, match="kind"):
-        ConductivityProfile(kind="quadratic")
-    with pytest.raises(ValueError, match="lambda0"):
-        ConductivityProfile(kind="constant", lambda0=0.0)
+    with pytest.raises(ConfigError, match=r"^problem\.sigma: must be > 0\.0"):
+        ProblemConfig(conductivity="noisy_constant", sigma=0.0)
+    with pytest.raises(ConfigError, match=r"^problem\.conductivity: expected one of"):
+        ProblemConfig(conductivity="quadratic")
+    with pytest.raises(ConfigError, match=r"^problem\.lambda0: must be > 0\.0"):
+        ProblemConfig(conductivity="constant", lambda0=0.0)
 
 
 def test_point_source():
-    b = build_source(SourceSpec(kind="point", q0=3.0), 2)
+    b = build_source(ProblemConfig(source="point", q0=3.0), 2)
     assert np.array_equal(b, [3.0, 0.0, 0.0, 0.0])
 
 
 def test_exponential_source():
-    b = build_source(SourceSpec(kind="exponential", l=0.0), 2)
+    b = build_source(ProblemConfig(source="exponential", l=0.0), 2)
     assert np.allclose(b, np.ones(4))
-    b2 = build_source(SourceSpec(kind="exponential", l=2.0), 2)
+    b2 = build_source(ProblemConfig(source="exponential", l=2.0), 2)
     j = np.arange(1, 5)
     assert np.allclose(b2, np.exp(-2.0 * j / 4.0))
 
 
 def test_source_validation():
-    with pytest.raises(ValueError):
-        SourceSpec(kind="point", q0=0.0)
-    with pytest.raises(ValueError):
-        SourceSpec(kind="exponential", l=-1.0)
-    with pytest.raises(ValueError):
-        SourceSpec(kind="gaussian")
+    with pytest.raises(ConfigError, match=r"^problem\.q0: must be > 0\.0"):
+        ProblemConfig(source="point", q0=0.0)
+    with pytest.raises(ConfigError, match=r"^problem\.l: must be >= 0\.0"):
+        ProblemConfig(source="exponential", l=-1.0)
+    with pytest.raises(ConfigError, match=r"^problem\.source: expected one of"):
+        ProblemConfig(source="gaussian")
 
 
 def test_householder_identity_for_e1():
@@ -162,8 +160,7 @@ def test_householder_rejects_zero():
 
 
 def test_prepare_heat_system():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="point"), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     system = prepare(a, b)
     assert system.sign_flipped is True
     assert system.embedded is False
@@ -181,8 +178,7 @@ def test_prepare_heat_system():
 
 
 def test_prepare_rotates_general_rhs():
-    prof = ConductivityProfile(kind="constant")
-    a, b, _ = heat_system(prof, SourceSpec(kind="exponential", l=2.0), 2)
+    a, b = heat_system(ProblemConfig(conductivity="constant", source="exponential", l=2.0), 2)
     system = prepare(a, b)
     # the reflection carries the unit rhs onto e1 exactly
     assert np.allclose(system.householder @ (b / np.linalg.norm(b)), np.eye(4)[0], atol=1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,8 @@ def test_uniform_sequence():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         default_sequence(0.5, 10)
+    with pytest.raises(ValueError):
+        default_sequence(math.inf, 10)
     with pytest.raises(ValueError):
         default_sequence(2.0, 0)
     with pytest.raises(ValueError):

@@ -107,6 +107,8 @@ def _dump_system(system, out_dir: Path) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     config = _apply_overrides(load_config(args.config), args)
     if config.sweep is None:
         raise ConfigError("sweep: section missing from config")

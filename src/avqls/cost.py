@@ -134,20 +134,17 @@ def _objective_offsets(n_p: int, beta: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _hessian_offsets(n_p: int, beta: float) -> np.ndarray:
-    """Offsets of the 2 n_p^2 + 2 n_p + 1 Hessian-bundle points, read-only.
+    """Offsets of the 2 n_p^2 + 1 Hessian-bundle points, read-only.
 
-    After the gradient points come the centre, theta +- 2 beta e_i, and the
-    four double shifts of each pair i < j in np.triu_indices order.
+    The centre, theta +- 2 beta e_i, and the four double shifts of each pair
+    i < j in np.triu_indices order.
     """
     eye = np.eye(n_p)
     iu, ju = np.triu_indices(n_p, k=1)
     pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
-    table = np.concatenate([
-        _objective_offsets(n_p, beta)[1:],
-        beta * np.concatenate(
-            [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
-        ),
-    ])
+    table = beta * np.concatenate(
+        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
+    )
     table.flags.writeable = False
     return table
 
@@ -222,19 +219,22 @@ class HessianBundle:
     """Hessians of C_s and of the expansion terms, measured at one point.
 
     h_s is the parameter Hessian of the cost at (theta, s); k_a and k_b are
-    the Hessians of <a_op> and <b_op>, which do not depend on s. grad is the
-    cost gradient at (theta, s).
+    the Hessians of <a_op> and <b_op>, which do not depend on s.
     """
 
     h_s: np.ndarray
     k_a: np.ndarray
     k_b: np.ndarray
-    grad: np.ndarray
     s: float
 
     @property
     def n_params(self) -> int:
         return self.h_s.shape[0]
+
+    @property
+    def circuit_evals(self) -> int:
+        """Circuits measured for the bundle, one per point: 2 n_p^2 + 1."""
+        return 2 * self.n_params ** 2 + 1
 
 
 def hessian_bundle(
@@ -244,10 +244,10 @@ def hessian_bundle(
     s: float,
     beta: float = DEFAULT_SHIFT,
 ) -> HessianBundle:
-    """Measure H_s, the component Hessians and the gradient in one pass.
+    """Measure H_s and the component Hessians in one pass.
 
     Shifted circuit evaluations are shared across the three operators, so
-    the full bundle costs 2 n_p^2 + 2 n_p + 1 state preparations, simulated
+    the full bundle costs 2 n_p^2 + 1 state preparations, simulated
     as one batch. Diagonal Hessian entries use theta +- 2 beta e_i together
     with the unshifted point; off-diagonal entries use the four
     double-shifted points and are filled symmetrically.
@@ -260,9 +260,8 @@ def hessian_bundle(
     denom2 = denom * denom
     iu, ju = np.triu_indices(n_p, k=1)
     terms = _terms_at(model, config, theta + _hessian_offsets(n_p, beta))
-    grad3 = _shift_rule(terms[:2 * n_p], beta)
-    sizes = [2 * n_p, 1, n_p, n_p] + [len(iu)] * 3
-    center, plus2, minus2, pp, pm, mp, mm = np.split(terms, np.cumsum(sizes))[1:]
+    sizes = [1, n_p, n_p] + [len(iu)] * 3
+    center, plus2, minus2, pp, pm, mp, mm = np.split(terms, np.cumsum(sizes))
     hess3 = np.empty((3, n_p, n_p))
     diag = np.arange(n_p)
     hess3[:, diag, diag] = ((plus2 - 2.0 * center + minus2) / denom2).T
@@ -271,7 +270,7 @@ def hessian_bundle(
     hess3[:, ju, iu] = val
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
-    return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, grad=_in_s(grad3, s), s=s)
+    return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, s=s)
 
 
 def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:

@@ -372,6 +372,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "solver.m" in capsys.readouterr().err
 
 
+TWO_CELL_SWEEP = {
+    "problem": {"conductivity": "noisy_constant"},
+    "solver": {"n": 2, "d": 1, "T": 4},
+    "sweep": {"seeds": [0, 1]},
+}
+
+
 @pytest.mark.parametrize(
     "command, raw, extra, message",
     [
@@ -387,8 +394,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             "sweep.seeds[1]: repeats an earlier entry, got 0",
         ),
         ("solve", small_heat_raw(), ["--seed", "-1"], "seed: must be >= 0, got -1"),
+        ("sweep", TWO_CELL_SWEEP, ["--jobs", "0"], "--jobs: must be >= 1, got 0"),
+        ("sweep", TWO_CELL_SWEEP, ["--jobs", "-3"], "--jobs: must be >= 1, got -3"),
     ],
-    ids=["solve", "sweep", "seed-override"],
+    ids=["solve", "sweep", "seed-override", "jobs-zero", "jobs-negative"],
 )
 def test_cli_config_error_is_one_stderr_line(tmp_path, command, raw, extra, message):
     cfg_path = write_config(tmp_path, raw)

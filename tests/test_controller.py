@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -18,16 +20,17 @@ from avqls import (
     run_single,
     solve_adiabatic,
 )
-from avqls.cost import HessianBundle, hessian_extrapolate
+from avqls.cost import HessianBundle, build_cost_model, cost_gradient, hessian_extrapolate
+
+cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
+controller_module = importlib.import_module("avqls.controller")
 
 
 def make_bundle(h_s, k_a, k_b, s):
-    n = h_s.shape[0]
     return HessianBundle(
         h_s=np.asarray(h_s, dtype=float),
         k_a=np.asarray(k_a, dtype=float),
         k_b=np.asarray(k_b, dtype=float),
-        grad=np.zeros(n),
         s=s,
     )
 
@@ -253,9 +256,67 @@ def test_solve_adiabatic_solves_small_heat_problem():
     assert trace.steps[-1].s == 1.0
     state = recover_solution(system, _final_state(system, config, trace.theta_star))
     assert infidelity(state, classical_solve(a, b)) < 1e-6
-    for rec in trace.steps:
-        assert rec.circuit_evals > 0
-        assert rec.delta_s > 0
+    assert all(rec.delta_s > 0 for rec in trace.steps)
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        {"schedule": "fixed"},
+        {"schedule": "dynamic"},
+        {"schedule": "hessian"},
+        {"schedule": "hessian", "d": 2, "max_iter": 1},
+        {"schedule": "hessian", "d": 2, "bounded": True},
+    ],
+    ids=["fixed", "dynamic", "hessian", "hessian-max-iter-1", "hessian-bounded"],
+)
+def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver):
+    # each step charges the bundle's points, one circuit per L-BFGS cost
+    # evaluation and 2 n_p per gradient; grad_norm is read from the gradient
+    # L-BFGS-B returned at the step's optimum, not measured again
+    terms_rows, bundle_rows, results = [], [], []
+    real_terms_at = cost_module._terms_at
+    real_bundle = controller_module.hessian_bundle
+    real_minimize = controller_module.minimize_cost
+
+    def recording_terms_at(model, config, points):
+        terms_rows.append(len(points))
+        return real_terms_at(model, config, points)
+
+    def recording_bundle(*args, **kwargs):
+        first = len(terms_rows)
+        bundle = real_bundle(*args, **kwargs)
+        bundle_rows.append(sum(terms_rows[first:]))
+        assert bundle.circuit_evals == bundle_rows[-1]
+        return bundle
+
+    def recording_minimize(*args, **kwargs):
+        results.append(real_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cost_module, "_terms_at", recording_terms_at)
+    monkeypatch.setattr(controller_module, "hessian_bundle", recording_bundle)
+    monkeypatch.setattr(controller_module, "minimize_cost", recording_minimize)
+    raw = {
+        "problem": {"conductivity": "noisy_constant"},
+        "solver": {"n": 3, "d": 1, "T": 10, **solver},
+    }
+    config = config_from_dict(raw)
+    result = run_single(config)
+    steps = result.trace.steps
+    ansatz = AnsatzConfig(n=3, d=config.solver.d)
+    n_p = ansatz.n_params
+    assert len(results) == len(steps)
+    if config.solver.schedule == "hessian":
+        assert bundle_rows == [2 * n_p * n_p + 1] * len(steps)
+    else:
+        assert bundle_rows == []
+    model = build_cost_model(result.system)
+    for k, (rec, res) in enumerate(zip(steps, results)):
+        bundle = bundle_rows[k] if bundle_rows else 0
+        assert rec.circuit_evals == bundle + res.nfev + res.njev * 2 * n_p
+        remeasured = np.abs(cost_gradient(model, ansatz, res.theta, rec.s)).max()
+        assert rec.grad_norm == remeasured
 
 
 def test_solve_adiabatic_is_deterministic():

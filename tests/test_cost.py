@@ -200,7 +200,6 @@ def test_bundle_consistency():
     assert np.allclose(bundle.k_a, k_a, atol=1e-12)
     assert np.allclose(bundle.k_b, k_b, atol=1e-12)
     assert np.allclose(bundle.h_s, s * s * k_a + s * k_b + k_c, atol=1e-12)
-    assert np.allclose(bundle.grad, cost_gradient(model, config, theta, s), atol=1e-12)
     # shift-rule Hessians come out exactly symmetric by construction
     assert np.array_equal(bundle.h_s, bundle.h_s.T)
 
@@ -224,18 +223,18 @@ def test_batched_derivatives_match_loop_reference(n):
     assert abs(value - (s * s * ea + s * eb + ec)) <= BATCH_TOL
     assert np.allclose(fused_grad, grad, rtol=0, atol=BATCH_TOL)
     bundle = hessian_bundle(model, config, theta, s, beta)
-    for got, want in ((bundle.grad, grad), (bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
+    for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
 def test_chunked_bundle_matches_loop_reference(monkeypatch):
-    # a cap of 16 states splits the 181-point bundle into 12 batches
+    # a cap of 16 states splits the 163-point bundle into 11 batches
     model, config, theta = normalized_case(61, 3)
     cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
     monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 16 * config.dim)
-    grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, DEFAULT_SHIFT)
+    _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, DEFAULT_SHIFT)
     bundle = hessian_bundle(model, config, theta, 0.3)
-    for got, want in ((bundle.grad, grad), (bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
+    for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
@@ -265,9 +264,9 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
     pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
     gradient = np.concatenate([theta + beta * eye, theta - beta * eye])
     objective = np.concatenate([theta[None], gradient])
-    bundle = np.concatenate([gradient, theta + beta * np.concatenate(
+    bundle = theta + beta * np.concatenate(
         [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
-    )])
+    )
     assert len(seen) == 3
     for got, want in zip(seen, (gradient, objective, bundle)):
         assert bitwise_equal(got, want)

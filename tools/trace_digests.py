@@ -1,0 +1,138 @@
+"""Print one sha256 per trace and CSV of a fixed set of runs.
+
+Run from the root of a checkout:
+
+    python3 tools/trace_digests.py > after.txt
+    python3 tools/trace_digests.py --root ../parent > before.txt
+    diff before.txt after.txt
+
+Two checkouts print the same lines exactly when their results are
+byte-identical. `--root` names the checkout whose `src/` and `perfbench/`
+are imported; the default is the one this file sits in, so an older
+checkout without this file can be digested too. The inputs come from
+`perfbench/workloads.py`:
+
+- hessian-warmstart, workload seeds 1-3 (16 inputs each);
+- dynamic-wide, workload seed 3 (3 inputs);
+- `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
+  per trace and one per CSV.
+
+Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
+always dropped from the CSVs; `--drop FIELD` also drops a step field from
+every trace and a CSV column of that name, for a change that is meant to
+move that field only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+HESSIAN_SEEDS = (1, 2, 3)
+DYNAMIC_SEEDS = (3,)
+MASTER_SEEDS = range(6)
+CONFIG_SEEDS = (0, 1, 2)
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trace_digest(payload: dict, drop: set[str]) -> str:
+    for step in payload["steps"]:
+        for name in drop:
+            step.pop(name, None)
+    return sha(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def csv_digest(text: str, drop: set[str]) -> str:
+    rows = list(csv.DictReader(io.StringIO(text)))
+    kept = [name for name in rows[0] if name not in drop] if rows else []
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=kept, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return sha(out.getvalue())
+
+
+def solve_lines(config, seeds, label: str, drop: set[str]):
+    import avqls.runner
+
+    for seed in seeds:
+        result = avqls.runner.run_single(config, seed=seed)
+        payload = avqls.runner.trace_payload(config, result, seed=seed)
+        yield f"{trace_digest(payload, drop)}  {label} seed={seed}"
+
+
+def sweep_lines(workdir: Path, drop: set[str]):
+    import avqls.cli
+    import workloads
+
+    config_path = workdir / "sweep.json"
+    config_path.write_text(json.dumps(workloads.SWEEP_POOL, indent=2))
+    for master in MASTER_SEEDS:
+        out_name = f"sweep-{master}"  # recorded in the traces, so relative
+        argv = [
+            "sweep", config_path.name, "--jobs", str(workloads.SWEEP_JOBS),
+            "--out", out_name, "--seed", str(master),
+        ]
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = avqls.cli.main(argv)
+        finally:
+            os.chdir(here)
+        if code != 0:
+            raise SystemExit(f"avqls sweep with master seed {master} exited {code}")
+        for path in sorted((workdir / out_name).iterdir()):
+            if path.suffix == ".json":
+                digest = trace_digest(json.loads(path.read_text()), drop)
+            else:
+                digest = csv_digest(path.read_text(), drop | {"wall_time_s"})
+            yield f"{digest}  sweep-pool master={master} {path.name}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", metavar="CONFIG", help="extra run config")
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT, help="checkout to import")
+    parser.add_argument(
+        "--drop", action="append", default=[], metavar="FIELD",
+        help="step field or CSV column left out of the digests (repeatable)",
+    )
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import avqls  # sets BLAS to one thread before numpy loads
+    import workloads
+
+    drop = set(args.drop)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, seeds in (("hessian-warmstart", HESSIAN_SEEDS), ("dynamic-wide", DYNAMIC_SEEDS)):
+            for wseed in seeds:
+                work = workloads.make_workload(name, wseed, False, workdir)
+                inputs = [work.input_seed(k) for k in range(work.inputs)]
+                for line in solve_lines(work.config, inputs, f"{name}:{wseed}", drop):
+                    print(line, flush=True)
+        for path in args.configs:
+            config = avqls.load_config(path)
+            for line in solve_lines(config, CONFIG_SEEDS, Path(path).name, drop):
+                print(line, flush=True)
+        for line in sweep_lines(workdir, drop):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .config import load_config
 from .errors import ConfigError
@@ -101,6 +99,8 @@ def _cmd_solve(args) -> int:
 
 
 def _dump_system(system, out_dir: Path) -> None:
+    import scipy.io  # only --dump-system needs these, so other commands skip them
+    import scipy.sparse
     out_dir.mkdir(parents=True, exist_ok=True)
     scipy.io.mmwrite(str(out_dir / "matrix.mtx"), scipy.sparse.csr_matrix(system.a_matrix))
     np.savetxt(out_dir / "rhs.txt", system.b_vector)

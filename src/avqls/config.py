@@ -3,7 +3,7 @@
 The file is a single JSON object with nested sections. Unknown keys are
 rejected and every validation error names the offending field path. Each
 field is declared once, on its dataclass, with its default and its check;
-parsing, the unknown-key check and the payload all read those fields.
+building a section runs every check, whether it is parsed or made in Python.
 """
 
 from __future__ import annotations
@@ -70,13 +70,17 @@ def _as_choice(value, path: str, choices: tuple) -> str:
 
 
 def _as_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
     return value
 
 
 def _field(default, check):
-    """A config field: its default and its check(value, path) -> value."""
+    """A config field: its default and its check(value, path) -> value.
+
+    A field that defaults to None is optional: None (JSON null) leaves it out.
+    """
+    check = _optional(check) if default is None else check
     return field(default=default, metadata={"check": check})
 
 
@@ -86,7 +90,7 @@ def _section(cls):
 
 
 def _object(cls):
-    return lambda value, path: _parse(cls, value, path)
+    return lambda value, path: value if isinstance(value, cls) else _parse(cls, value, path)
 
 
 def _int(minimum):
@@ -118,23 +122,36 @@ def _list_of(check, distinct=False):
     return parse
 
 
+class _Checked:
+    """Building a section runs each field's check, with `_prefix` on its path.
+
+    A check gives back a checked value unchanged, so `replace` can run them again.
+    """
+
+    _prefix = ""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = f.metadata["check"](getattr(self, f.name), self._prefix + f.name)
+            object.__setattr__(self, f.name, value)
+
+
 @dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(_Checked):
+    _prefix = "problem."
     family: str = _field("heat", _choice("heat", "identity"))
     conductivity: str = _field(
         "constant", _choice("constant", "noisy_constant", "linear", "noisy_linear")
     )
     lambda0: float = _field(1.0, _float(strict_min=0.0))
     slope: float = _field(2.0, _float(strict_min=0.0))
-    sigma: float | None = _field(None, _optional(_float(minimum=0.0)))
+    sigma: float | None = _field(None, _float(minimum=0.0))
     source: str = _field("point", _choice("point", "exponential"))
     l: float = _field(0.0, _float(minimum=0.0))
     q0: float = _field(1.0, _float(strict_min=0.0))
 
     def __post_init__(self) -> None:
-        # A directly built ProblemConfig is checked like a parsed one.
-        for f in fields(self):
-            _check(self, f.name, f"problem.{f.name}")
+        super().__post_init__()
         if self.family != "heat":
             return
         if self.conductivity in ("constant", "linear"):
@@ -153,7 +170,8 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Checked):
+    _prefix = "solver."
     n: int = _field(4, _int(1))
     d: int = _field(2, _int(0))
     T: int = _field(50, _int(1))
@@ -166,7 +184,8 @@ class SolverConfig:
 
 # A repeated sweep entry would solve the same cell twice and count it as two seeds.
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Checked):
+    _prefix = "sweep."
     n: tuple[int, ...] | None = _field(None, _list_of(_int(1), distinct=True))
     d: tuple[int, ...] | None = _field(None, _list_of(_int(0), distinct=True))
     T: tuple[int, ...] | None = _field(None, _list_of(_int(1), distinct=True))
@@ -175,13 +194,14 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(_Checked):
+    _prefix = "output."
     dir: str = _field("runs", _as_text)
     formats: tuple[str, ...] = _field(("json", "csv"), _list_of(_choice("json", "csv")))
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Checked):
     problem: ProblemConfig = _section(ProblemConfig)
     solver: SolverConfig = _section(SolverConfig)
     sweep: SweepConfig | None = _field(None, _object(SweepConfig))
@@ -189,20 +209,15 @@ class RunConfig:
     seed: int = _field(0, _int(0))
 
     def __post_init__(self) -> None:
-        # The seed can be replaced after parsing (`avqls solve --seed`).
-        _check(self, "seed", "seed")
+        super().__post_init__()
+        if getattr(self.sweep, "l", None) is not None and self.problem.source != "exponential":
+            raise ConfigError("sweep.l: requires problem.source = 'exponential'")
 
     def to_payload(self) -> dict:
         """The config as JSON data: unset (None) fields left out, sigma resolved."""
         payload = _payload(self)
         payload["problem"]["sigma"] = self.problem.resolved_sigma()
         return payload
-
-
-def _check(config, name: str, path: str) -> None:
-    """Run field `name`'s declared check on its value and keep what it returns."""
-    check = config.__dataclass_fields__[name].metadata["check"]
-    object.__setattr__(config, name, check(getattr(config, name), path))
 
 
 def _payload(config) -> dict:
@@ -230,28 +245,20 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    config = _parse(RunConfig, raw, "")
-    sweep = config.sweep
-    if sweep is not None and sweep.l is not None and config.problem.source != "exponential":
-        raise ConfigError("sweep.l: requires problem.source = 'exponential'")
-    return config
+    return _parse(RunConfig, raw, "")
 
 
 def _parse(cls, section, path: str):
     """`cls` from one JSON object; `path` is "" at the top level.
 
-    Each present key runs its field's check; absent keys take the default.
+    Absent keys take the default; building `cls` checks every field.
     """
     where = path or "top level"
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    checks = {f.name: f.metadata["check"] for f in fields(cls)}
+    names = {f.name for f in fields(cls)}
     for key in section:
-        if key not in checks:
+        if key not in names:
             raise ConfigError(f"{where}.{key}: unknown key")
-    return cls(**{
-        key: check(section[key], f"{path}.{key}" if path else key)
-        for key, check in checks.items()
-        if key in section
-    })
+    return cls(**section)
 

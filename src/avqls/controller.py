@@ -245,8 +245,6 @@ def solve_adiabatic(
     the current converged point, advances s and reoptimizes warm-started.
     """
     mode, T = solver.schedule, solver.T
-    if mode not in ("fixed", "dynamic", "hessian"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
     if system.n_qubits != ansatz.n:
         raise ValueError(
             f"ansatz acts on {ansatz.n} qubits but the system needs {system.n_qubits}"

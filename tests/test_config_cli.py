@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from avqls import (
     run_sweep,
 )
 from avqls.cli import main
-from avqls.config import SweepConfig
+from avqls.config import OutputConfig, ProblemConfig, SolverConfig, SweepConfig
 from avqls.runner import aggregate_rows, build_system, dump_trace, emit_schedule, trace_payload
 
 
@@ -168,6 +168,68 @@ def test_every_field_error_message(raw, message):
     with pytest.raises(ConfigError) as info:
         config_from_dict(raw)
     assert str(info.value) == message
+
+
+SECTIONS = {
+    "problem": ProblemConfig, "solver": SolverConfig, "sweep": SweepConfig, "output": OutputConfig,
+}
+
+
+def one_field(raw):
+    """(dataclass, field, value) of a case that sets one field of one section, or the seed."""
+    if not isinstance(raw, dict) or len(raw) != 1:
+        return None
+    ((section, body),) = raw.items()
+    if section == "seed":
+        return RunConfig, "seed", body
+    if isinstance(body, dict) and len(body) == 1:
+        ((name, value),) = body.items()
+        return SECTIONS[section], name, value
+    return None
+
+
+DIRECT_ERRORS = [(case, message) for raw, message in FIELD_ERRORS if (case := one_field(raw))]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    DIRECT_ERRORS,
+    ids=[f"{i}-{message.split(':')[0]}" for i, (_, message) in enumerate(DIRECT_ERRORS)],
+)
+def test_every_field_error_message_when_built_directly(case, message):
+    cls, name, value = case
+    with pytest.raises(ConfigError) as info:
+        cls(**{name: value})
+    assert str(info.value) == message
+
+
+def test_sweep_l_needs_exponential_source_when_built_directly():
+    with pytest.raises(ConfigError) as info:
+        RunConfig(sweep=SweepConfig(l=(1.0,)))
+    assert str(info.value) == "sweep.l: requires problem.source = 'exponential'"
+    config = RunConfig(problem=ProblemConfig(source="exponential"), sweep=SweepConfig(l=(1.0,)))
+    assert config.sweep.l == (1.0,)
+
+
+def test_replace_on_a_built_section_checks_again_to_the_same_values():
+    sweep = SweepConfig(n=[2, 3], l=[0, 2.0], seeds=(0, 1))
+    assert (sweep.n, sweep.l, sweep.seeds) == ((2, 3), (0.0, 2.0), (0, 1))
+    assert replace(sweep, d=(1,)) == SweepConfig(n=(2, 3), d=(1,), l=(0.0, 2.0), seeds=(0, 1))
+    with pytest.raises(ConfigError, match=r"^sweep\.seeds\[1\]: repeats an earlier entry"):
+        replace(sweep, seeds=(0, 0))
+    output = replace(OutputConfig(), dir="elsewhere")
+    assert output == OutputConfig(dir="elsewhere", formats=["json", "csv"])
+    with pytest.raises(ConfigError, match=r"^output\.dir: "):
+        replace(output, dir="")
+    config = RunConfig(problem=ProblemConfig(source="exponential"), sweep=sweep, output=output)
+    again = replace(config, seed=3)
+    assert (again.problem, again.sweep, again.output) == (config.problem, sweep, output)
+
+
+def test_null_reads_as_absent():
+    assert config_from_dict({"sweep": None}) == config_from_dict({})
+    assert config_from_dict({"sweep": {"n": None, "l": None}}).sweep == SweepConfig()
+    assert config_from_dict({"problem": {"sigma": None}}).problem == ProblemConfig()
 
 
 def test_noisy_conductivity_needs_positive_sigma(tmp_path, capsys):

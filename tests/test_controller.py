@@ -215,7 +215,7 @@ def test_solve_adiabatic_identity_jumps_immediately():
 
 def test_solve_adiabatic_mode_validation():
     system = identity_system()
-    with pytest.raises(ValueError, match="mode"):
+    with pytest.raises(ValueError, match=r"^solver\.schedule: expected one of"):
         solve_adiabatic(system, AnsatzConfig(n=1, d=1), SolverConfig(schedule="euler"))
     with pytest.raises(ValueError, match="qubits"):
         solve_adiabatic(system, AnsatzConfig(n=2, d=1))

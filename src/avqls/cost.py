@@ -12,9 +12,10 @@ so that H(s) = s^2 a_op + s b_op + c_op identically. Their expectations are
 read off D x, so none of them is formed densely. Because the expansion is
 exact, expectation values of a_op and b_op measured at one value of s
 reconstruct the cost (and its parameter Hessian) at any other value of s
-without further circuit evaluations. Gradients and Hessians with respect to
-the circuit parameters use the two-point shift rule, which is exact for Ry
-generators at any shift beta with sin(beta) != 0.
+without further circuit evaluations. Gradients with respect to the circuit
+parameters use the two-point shift rule, exact for Ry generators at any
+shift beta with sin(beta) != 0. Hessians are exact bilinear forms of the
+derivative states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 """
 
 from __future__ import annotations
@@ -112,6 +113,22 @@ def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.
     ])
 
 
+def _projected(model: CostModel, states: np.ndarray) -> np.ndarray:
+    """(2, B, dim) rows P x and P D x of a (B, dim) batch of states x."""
+    pair = np.stack([states, states @ model.d_op.T])
+    pair[:, :, 0] = 0.0
+    return pair
+
+
+def _forms(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(3, B, B') forms x^T O z of (a_op, b_op, c_op) from _projected rows (q, r).
+
+    P = P^T P makes them r.r', r.q' + q.r' and q.q'.
+    """
+    g = left[:, None] @ right.swapaxes(1, 2)[None]  # g[k, l] = left[k] right[l]^T
+    return np.stack([g[1, 1], g[1, 0] + g[0, 1], g[0, 0]])
+
+
 def _in_s(terms: np.ndarray, s: float) -> np.ndarray:
     """Combine expansion terms (last axis a, b, c) into C_s = s^2 a + s b + c."""
     return s * s * terms[..., 0] + s * terms[..., 1] + terms[..., 2]
@@ -128,23 +145,6 @@ def _objective_offsets(n_p: int, beta: float) -> np.ndarray:
     """
     shifts = beta * np.eye(n_p)
     table = np.concatenate([np.full((1, n_p), -0.0), shifts, -shifts])
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _hessian_offsets(n_p: int, beta: float) -> np.ndarray:
-    """Offsets of the 2 n_p^2 + 1 Hessian-bundle points, read-only.
-
-    The centre, theta +- 2 beta e_i, and the four double shifts of each pair
-    i < j in np.triu_indices order.
-    """
-    eye = np.eye(n_p)
-    iu, ju = np.triu_indices(n_p, k=1)
-    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
-    table = beta * np.concatenate(
-        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
-    )
     table.flags.writeable = False
     return table
 
@@ -233,8 +233,13 @@ class HessianBundle:
 
     @property
     def circuit_evals(self) -> int:
-        """Circuits measured for the bundle, one per point: 2 n_p^2 + 1."""
-        return 2 * self.n_params ** 2 + 1
+        """Device circuits of the bundle: 1 + n_p + 3 n_p (n_p - 1) / 2.
+
+        C at theta and at each theta + pi e_i, then three per pair i < j
+        along e_i + e_j; verify.hessian_rule_defect states and checks the rule.
+        """
+        n_p = self.n_params
+        return 1 + n_p + 3 * (n_p * (n_p - 1) // 2)
 
 
 def hessian_bundle(
@@ -244,30 +249,35 @@ def hessian_bundle(
     s: float,
     beta: float = DEFAULT_SHIFT,
 ) -> HessianBundle:
-    """Measure H_s and the component Hessians in one pass.
+    """Measure H_s and the component Hessians in one pass, exact for every beta.
 
-    Shifted circuit evaluations are shared across the three operators, so
-    the full bundle costs 2 n_p^2 + 1 state preparations, simulated
-    as one batch. Diagonal Hessian entries use theta +- 2 beta e_i together
-    with the unshifted point; off-diagonal entries use the four
-    double-shifted points and are filled symmetrically.
+    With psi = psi(theta), chi_i = psi(theta + pi e_i) and
+    chi_ij = psi(theta + pi e_i + pi e_j), each operator O gives
+    H_ii = (chi_i^T O chi_i - psi^T O psi) / 2 and
+    H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. psi and the chi_i are one
+    batch, the chi_ij chunks of at most _MAX_BATCH_AMPLITUDES amplitudes,
+    each reduced at once to its forms with psi. beta is only checked.
     """
     _check_s(s)
     _check_beta(beta)
     theta = _check_theta(config, theta)
+    _check_dims(model, config)
     n_p = config.n_params
-    denom = 2.0 * math.sin(beta)
-    denom2 = denom * denom
+    eye = np.eye(n_p, dtype=bool)
     iu, ju = np.triu_indices(n_p, k=1)
-    terms = _terms_at(model, config, theta + _hessian_offsets(n_p, beta))
-    sizes = [1, n_p, n_p] + [len(iu)] * 3
-    center, plus2, minus2, pp, pm, mp, mm = np.split(terms, np.cumsum(sizes))
-    hess3 = np.empty((3, n_p, n_p))
+    # shifting only the chosen entries leaves every other one bitwise theta
+    singles = np.vstack([theta, np.where(eye, theta + np.pi, theta)])
+    first = _projected(model, apply_ansatz(config, singles))
+    gram = _forms(first, first)
+    hess3 = 0.5 * gram[:, 1:, 1:]
     diag = np.arange(n_p)
-    hess3[:, diag, diag] = ((plus2 - 2.0 * center + minus2) / denom2).T
-    val = ((pp - pm - mp + mm) / denom2).T
-    hess3[:, iu, ju] = val
-    hess3[:, ju, iu] = val
+    hess3[:, diag, diag] -= 0.5 * gram[:, :1, 0]
+    pairs = np.where(eye[iu] | eye[ju], theta + np.pi, theta)
+    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
+    for k in range(0, len(pairs), chunk):
+        states = _projected(model, apply_ansatz(config, pairs[k:k + chunk]))
+        hess3[:, iu[k:k + chunk], ju[k:k + chunk]] += 0.5 * _forms(states, first[:, :1])[..., 0]
+    hess3[:, ju, iu] = hess3[:, iu, ju]
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
     return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, s=s)

@@ -25,6 +25,7 @@ __all__ = [
     "extrapolation_defect",
     "ground_state_defect",
     "gradient_defect",
+    "hessian_rule_defect",
     "run_battery",
 ]
 
@@ -128,6 +129,41 @@ def gradient_defect(cases, h: float = 1e-6, rtol: float = 0.0) -> float:
     return _worst(defects)
 
 
+def hessian_rule_defect(cases) -> float:
+    """Worst gap between the bundle's H_s and the device rule it is charged for.
+
+    Each case is (model, config, theta, s). The rule measures the cost C at
+    theta, at theta + pi e_i, and at theta + t (e_i + e_j) for
+    t = pi/2, -pi/2, pi and each pair i < j. Since Ry(t + 2 pi) = -Ry(t),
+    C(theta + pi e_i) = C(theta - pi e_i), so the shift-rule second
+    difference (C(theta + pi e_i) - 2 C(theta) + C(theta - pi e_i)) / 4 is
+    H_ii = (C(theta + pi e_i) - C(theta)) / 2, from one shifted circuit.
+    f(t) = C(theta + t (e_i + e_j)) has frequencies <= 2, so
+    f''(0) = f(pi/2) + f(-pi/2) - 3/2 f(0) - 1/2 f(pi) and
+    H_ij = (f''(0) - H_ii - H_jj) / 2. Infinite when the rule's circuit count
+    is not the bundle's `circuit_evals`.
+    """
+    defects = []
+    for model, config, theta, s in cases:
+        n_p = config.n_params
+        eye = np.eye(n_p)
+        pairs = list(zip(*np.triu_indices(n_p, k=1)))
+        offsets = [np.zeros(n_p)] + [np.pi * e for e in eye] + [
+            t * (eye[i] + eye[j]) for i, j in pairs for t in (np.pi / 2, -np.pi / 2, np.pi)
+        ]
+        values = np.array([cost(model, config, theta + offset, s) for offset in offsets])
+        bundle = hessian_bundle(model, config, theta, s)
+        if len(values) != bundle.circuit_evals:
+            return np.inf
+        centre, along = values[0], values[1 + n_p:].reshape(-1, 3)
+        rule = np.diag((values[1:1 + n_p] - centre) / 2.0)
+        second = along[:, 0] + along[:, 1] - 1.5 * centre - 0.5 * along[:, 2]
+        for (i, j), f2 in zip(pairs, second):
+            rule[i, j] = rule[j, i] = (f2 - rule[i, i] - rule[j, j]) / 2.0
+        defects.append(np.abs(rule - bundle.h_s).max())
+    return _worst(defects)
+
+
 def _check_schedule_endpoints() -> tuple[bool, str]:
     worst = schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 25)
     return worst < 1e-10, f"max endpoint deviation {worst:.2e}"
@@ -176,6 +212,16 @@ def _check_gradient() -> tuple[bool, str]:
     return worst < 1e-7, f"max gradient defect {worst:.2e}"
 
 
+def _check_hessian_rule() -> tuple[bool, str]:
+    rng = np.random.default_rng(16)
+    config = AnsatzConfig(n=2, d=1)
+    matrix = rng.normal(size=(4, 4))
+    model = build_cost_model(matrix / np.linalg.norm(matrix, 2))
+    theta = rng.uniform(-np.pi, np.pi, config.n_params)
+    worst = hessian_rule_defect([(model, config, theta, 0.7)])
+    return worst < 1e-12, f"max rule defect {worst:.2e}"
+
+
 _CHECKS = [
     ("schedule endpoints", _check_schedule_endpoints),
     ("householder algebra", _check_householder),
@@ -183,6 +229,7 @@ _CHECKS = [
     ("derivative extrapolation", _check_extrapolation),
     ("ground-state identity", _check_ground_state),
     ("shift-rule gradient", _check_gradient),
+    ("Hessian device rule", _check_hessian_rule),
 ]
 
 

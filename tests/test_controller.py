@@ -271,30 +271,31 @@ def test_solve_adiabatic_solves_small_heat_problem():
     ids=["fixed", "dynamic", "hessian", "hessian-max-iter-1", "hessian-bounded"],
 )
 def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver):
-    # each step charges the bundle's points, one circuit per L-BFGS cost
-    # evaluation and 2 n_p per gradient; grad_norm is read from the gradient
-    # L-BFGS-B returned at the step's optimum, not measured again
-    terms_rows, bundle_rows, results = [], [], []
-    real_terms_at = cost_module._terms_at
+    # each step charges the bundle's device circuits (its derivative states
+    # are fewer), one circuit per L-BFGS cost evaluation and 2 n_p per
+    # gradient; grad_norm is read from the gradient L-BFGS-B returned at the
+    # step's optimum, not measured again
+    state_rows, bundle_rows, bundle_evals, results = [], [], [], []
+    real_apply = cost_module.apply_ansatz
     real_bundle = controller_module.hessian_bundle
     real_minimize = controller_module.minimize_cost
 
-    def recording_terms_at(model, config, points):
-        terms_rows.append(len(points))
-        return real_terms_at(model, config, points)
+    def recording_apply(config, points):
+        state_rows.append(len(points))
+        return real_apply(config, points)
 
     def recording_bundle(*args, **kwargs):
-        first = len(terms_rows)
+        first = len(state_rows)
         bundle = real_bundle(*args, **kwargs)
-        bundle_rows.append(sum(terms_rows[first:]))
-        assert bundle.circuit_evals == bundle_rows[-1]
+        bundle_rows.append(sum(state_rows[first:]))
+        bundle_evals.append(bundle.circuit_evals)
         return bundle
 
     def recording_minimize(*args, **kwargs):
         results.append(real_minimize(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cost_module, "_terms_at", recording_terms_at)
+    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
     monkeypatch.setattr(controller_module, "hessian_bundle", recording_bundle)
     monkeypatch.setattr(controller_module, "minimize_cost", recording_minimize)
     raw = {
@@ -307,13 +308,15 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch
     ansatz = AnsatzConfig(n=3, d=config.solver.d)
     n_p = ansatz.n_params
     assert len(results) == len(steps)
+    pairs = n_p * (n_p - 1) // 2
     if config.solver.schedule == "hessian":
-        assert bundle_rows == [2 * n_p * n_p + 1] * len(steps)
+        assert bundle_rows == [1 + n_p + pairs] * len(steps)
+        assert bundle_evals == [1 + n_p + 3 * pairs] * len(steps)
     else:
-        assert bundle_rows == []
+        assert bundle_rows == bundle_evals == []
     model = build_cost_model(result.system)
     for k, (rec, res) in enumerate(zip(steps, results)):
-        bundle = bundle_rows[k] if bundle_rows else 0
+        bundle = bundle_evals[k] if bundle_evals else 0
         assert rec.circuit_evals == bundle + res.nfev + res.njev * 2 * n_p
         remeasured = np.abs(cost_gradient(model, ansatz, res.theta, rec.s)).max()
         assert rec.grad_norm == remeasured

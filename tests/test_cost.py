@@ -228,14 +228,37 @@ def test_batched_derivatives_match_loop_reference(n):
 
 
 def test_chunked_bundle_matches_loop_reference(monkeypatch):
-    # a cap of 16 states splits the 163-point bundle into 11 batches
+    # a cap of 16 states splits the bundle's 46 states into 4 batches:
+    # psi with the 9 chi_i, then the 36 chi_ij as 16, 16 and 4
     model, config, theta = normalized_case(61, 3)
     cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
     monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 16 * config.dim)
+    batches = []
+    real_apply = cost_module.apply_ansatz
+
+    def recording_apply(config, points):
+        batches.append(len(points))
+        return real_apply(config, points)
+
+    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
     _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, DEFAULT_SHIFT)
     bundle = hessian_bundle(model, config, theta, 0.3)
+    assert batches == [10, 16, 16, 4]
+    assert max(batches) <= 16
     for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 2)])
+def test_bundle_equals_the_device_rule_it_is_charged_for(monkeypatch, n, d):
+    # infinite unless circuit_evals is exactly the rule's circuit count
+    model, _, _ = normalized_case(80 + n, n)
+    config = AnsatzConfig(n=n, d=d)
+    theta = np.random.default_rng(90 + n).uniform(-np.pi, np.pi, config.n_params)
+    cases = [(model, config, theta, 0.35)]
+    assert verify.hessian_rule_defect(cases) < 1e-12
+    monkeypatch.setattr(verify, "cost", lambda *a, **k: np.nan)
+    assert verify.hessian_rule_defect(cases) == np.inf
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -249,31 +272,34 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
     n_p = config.n_params
     cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
     seen = []
-    real_terms_at = cost_module._terms_at
+    real_apply = cost_module.apply_ansatz
 
-    def recording_terms_at(model, config, points):
+    def recording_apply(config, points):
         seen.append(points)
-        return real_terms_at(model, config, points)
+        return real_apply(config, points)
 
-    monkeypatch.setattr(cost_module, "_terms_at", recording_terms_at)
+    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
     cost_gradient(model, config, theta, 0.4, beta)
     cost_and_gradient(model, config, theta, 0.4, beta)
     hessian_bundle(model, config, theta, 0.4, beta)
     eye = np.eye(n_p)
-    iu, ju = np.triu_indices(n_p, k=1)
-    pair_sum, pair_diff = eye[iu] + eye[ju], eye[iu] - eye[ju]
     gradient = np.concatenate([theta + beta * eye, theta - beta * eye])
     objective = np.concatenate([theta[None], gradient])
-    bundle = theta + beta * np.concatenate(
-        [np.zeros((1, n_p)), 2.0 * eye, -2.0 * eye, pair_sum, pair_diff, -pair_diff, -pair_sum]
-    )
-    assert len(seen) == 3
-    for got, want in zip(seen, (gradient, objective, bundle)):
+
+    def shifted(*indices):
+        point = theta.copy()
+        for i in indices:
+            point[i] = theta[i] + np.pi
+        return point
+
+    # the bundle's derivative states do not depend on beta
+    singles = np.array([theta] + [shifted(i) for i in range(n_p)])
+    pairs = np.array([shifted(i, j) for i, j in zip(*np.triu_indices(n_p, k=1))])
+    assert len(seen) == 4
+    for got, want in zip(seen, (gradient, objective, singles, pairs)):
         assert bitwise_equal(got, want)
-    tables = cost_module._objective_offsets(n_p, beta), cost_module._hessian_offsets(n_p, beta)
-    for table in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cost_module._objective_offsets(n_p, beta)[0, 0] = 1.0
 
 
 def test_invalid_inputs_rejected():

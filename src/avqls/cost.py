@@ -13,15 +13,14 @@ read off D x, so none of them is formed densely. Because the expansion is
 exact, expectation values of a_op and b_op measured at one value of s
 reconstruct the cost (and its parameter Hessian) at any other value of s
 without further circuit evaluations. Gradients with respect to the circuit
-parameters use the two-point shift rule, exact for Ry generators at any
-shift beta with sin(beta) != 0. Hessians are exact bilinear forms of the
-derivative states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
+parameters use the two-point shift rule with the shift fixed at pi/2, exact
+for Ry generators. Hessians are exact bilinear forms of the derivative
+states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .ansatz import AnsatzConfig, apply_ansatz
 
 __all__ = [
-    "DEFAULT_SHIFT",
     "CostModel",
     "HessianBundle",
     "build_cost_model",
@@ -41,8 +39,6 @@ __all__ = [
     "hessian_bundle",
     "hessian_extrapolate",
 ]
-
-DEFAULT_SHIFT = math.pi / 2
 
 # Largest state batch simulated at once, in amplitudes (8 MiB of float64).
 _MAX_BATCH_AMPLITUDES = 2 ** 20
@@ -135,24 +131,27 @@ def _in_s(terms: np.ndarray, s: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _objective_offsets(n_p: int, beta: float) -> np.ndarray:
+def _objective_offsets(n_p: int) -> np.ndarray:
     """Offsets of the 2 n_p + 1 objective points from theta, read-only.
 
     Row 0 is the centre; rows 1..2 n_p are the shift-rule points
-    theta + beta e_i, then theta - beta e_i. Adding -0.0 leaves every theta
-    unchanged, sign of zero included, and adding -beta equals subtracting
-    beta, so theta + table is bitwise the explicit points.
+    theta + pi/2 e_i, then theta - pi/2 e_i. Adding -0.0 leaves every theta
+    unchanged, sign of zero included, and adding -pi/2 equals subtracting
+    pi/2, so theta + table is bitwise the explicit points.
     """
-    shifts = beta * np.eye(n_p)
+    shifts = (np.pi / 2) * np.eye(n_p)
     table = np.concatenate([np.full((1, n_p), -0.0), shifts, -shifts])
     table.flags.writeable = False
     return table
 
 
-def _shift_rule(terms: np.ndarray, beta: float) -> np.ndarray:
-    """Per-parameter derivatives from the terms at theta +- beta e_i."""
+def _shift_rule(terms: np.ndarray) -> np.ndarray:
+    """Per-parameter derivatives from the terms at theta +- pi/2 e_i.
+
+    The denominator 2 sin(pi/2) is exactly 2.
+    """
     n_p = len(terms) // 2
-    return (terms[:n_p] - terms[n_p:]) / (2.0 * math.sin(beta))
+    return (terms[:n_p] - terms[n_p:]) / 2.0
 
 
 def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) -> float:
@@ -181,37 +180,25 @@ def cost_extrapolate(
     return float(delta_s * delta_s * ea + delta_s * (2.0 * s * ea + eb) + cost_here)
 
 
-def cost_gradient(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    s: float,
-    beta: float = DEFAULT_SHIFT,
-) -> np.ndarray:
-    """Exact gradient of C_s via the two-point shift rule.
-
-    All 2 n_p shifted circuits are simulated as one batch.
-    """
-    _check_s(s)
-    _check_beta(beta)
-    theta = _check_theta(config, theta)
-    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params, beta)[1:])
-    return _in_s(_shift_rule(terms, beta), s)
-
-
 def cost_and_gradient(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    s: float,
-    beta: float = DEFAULT_SHIFT,
+    model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> tuple[float, np.ndarray]:
-    """(C_s(theta), its shift-rule gradient) from one batch of 2 n_p + 1 circuits."""
+    """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits."""
     _check_s(s)
-    _check_beta(beta)
     theta = _check_theta(config, theta)
-    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params, beta))
-    return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:], beta), s)
+    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params))
+    return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:]), s)
+
+
+def cost_gradient(
+    model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
+) -> np.ndarray:
+    """Exact gradient of C_s: the gradient half of cost_and_gradient.
+
+    It simulates the objective's 2 n_p + 1 points, the shift at pi/2, so it
+    reads the same numbers as the L-BFGS objective.
+    """
+    return cost_and_gradient(model, config, theta, s)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,23 +230,20 @@ class HessianBundle:
 
 
 def hessian_bundle(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    s: float,
-    beta: float = DEFAULT_SHIFT,
+    model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> HessianBundle:
-    """Measure H_s and the component Hessians in one pass, exact for every beta.
+    """Measure H_s and the component Hessians in one pass, exactly.
 
     With psi = psi(theta), chi_i = psi(theta + pi e_i) and
     chi_ij = psi(theta + pi e_i + pi e_j), each operator O gives
     H_ii = (chi_i^T O chi_i - psi^T O psi) / 2 and
     H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. psi and the chi_i are one
     batch, the chi_ij chunks of at most _MAX_BATCH_AMPLITUDES amplitudes,
-    each reduced at once to its forms with psi. beta is only checked.
+    each reduced at once to its forms with psi. The forms equal the pi/2
+    shift rule's second differences, without simulating its 2 n_p^2 + 1
+    points.
     """
     _check_s(s)
-    _check_beta(beta)
     theta = _check_theta(config, theta)
     _check_dims(model, config)
     n_p = config.n_params
@@ -291,11 +275,6 @@ def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:
     """
     ds = float(delta_s)
     return ds * ds * bundle.k_a + ds * (2.0 * bundle.s * bundle.k_a + bundle.k_b) + bundle.h_s
-
-
-def _check_beta(beta: float) -> None:
-    if abs(math.sin(beta)) < 1e-6:
-        raise ValueError(f"shift angle beta={beta} has sin(beta) too close to 0")
 
 
 def _check_theta(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:

@@ -156,16 +156,6 @@ def loop_shift_rule(model, config: AnsatzConfig, theta: np.ndarray, s: float, be
     return grad, s * s * k_a + s * k_b + h_c, k_a, k_b
 
 
-def fd_gradient(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return grad
-
-
 def fd_hessian(fun, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     m = x.size

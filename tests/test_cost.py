@@ -11,7 +11,6 @@ from avqls import (
     prepare,
 )
 from avqls.cost import (
-    DEFAULT_SHIFT,
     assemble_hamiltonian,
     build_cost_model,
     cost,
@@ -22,7 +21,7 @@ from avqls.cost import (
     hessian_extrapolate,
 )
 
-from conftest import fd_gradient, fd_hessian, loop_shift_rule, loop_terms
+from conftest import fd_hessian, loop_shift_rule, loop_terms
 
 # Batched results against the per-point loop reference; fixed in advance,
 # about 1e4 ulps of the O(1) costs of a spectrally normalized matrix.
@@ -100,12 +99,13 @@ def test_gradient_matches_finite_differences():
     model = build_cost_model(system)
     config = AnsatzConfig(n=2, d=2)
     rng = np.random.default_rng(17)
+    cases = []
     for _ in range(5):
         theta = rng.uniform(-np.pi, np.pi, config.n_params)
         s = rng.uniform(0.0, 1.0)
-        grad = cost_gradient(model, config, theta, s)
-        ref = fd_gradient(lambda th: cost(model, config, th, s), theta)
-        assert np.allclose(grad, ref, rtol=1e-5, atol=1e-8)
+        cases.append((model, config, theta, s))
+    # np.allclose(grad, fd, rtol=1e-5, atol=1e-8) on every case
+    assert verify.gradient_defect(cases, h=1e-5, rtol=1e-5) <= 1e-8
 
 
 def test_gradient_defect_fails_on_nan_gradient(monkeypatch):
@@ -141,18 +141,13 @@ def test_shift_angle_invariance():
     rng = np.random.default_rng(29)
     theta = rng.uniform(-np.pi, np.pi, config.n_params)
     s = 0.6
-    grads = [
-        cost_gradient(model, config, theta, s, beta=beta)
-        for beta in (DEFAULT_SHIFT, np.pi / 3, 1.0)
-    ]
-    hessians = [
-        hessian_bundle(model, config, theta, s, beta=beta).h_s
-        for beta in (DEFAULT_SHIFT, np.pi / 3, 1.0)
-    ]
-    for other in grads[1:]:
-        assert np.allclose(grads[0], other, atol=1e-9)
-    for other in hessians[1:]:
-        assert np.allclose(hessians[0], other, atol=1e-9)
+    # the shift rule is exact at every beta with sin(beta) != 0
+    grad = cost_gradient(model, config, theta, s)
+    hess = hessian_bundle(model, config, theta, s).h_s
+    for beta in (np.pi / 3, 1.0):
+        ref_grad, ref_hess, _, _ = loop_shift_rule(model, config, theta, s, beta)
+        assert np.allclose(grad, ref_grad, atol=1e-9)
+        assert np.allclose(hess, ref_hess, atol=1e-9)
 
 
 def test_cost_extrapolation_is_exact():
@@ -215,14 +210,15 @@ def normalized_case(seed: int, n: int):
 @pytest.mark.parametrize("n", [1, 3])
 def test_batched_derivatives_match_loop_reference(n):
     model, config, theta = normalized_case(50 + n, n)
-    s, beta = 0.6, 0.7
-    grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, s, beta)
-    assert np.allclose(cost_gradient(model, config, theta, s, beta), grad, rtol=0, atol=BATCH_TOL)
-    value, fused_grad = cost_and_gradient(model, config, theta, s, beta)
+    # the package shifts by pi/2; the reference at another angle is exact too
+    s = 0.6
+    grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, s, 0.7)
+    assert np.allclose(cost_gradient(model, config, theta, s), grad, rtol=0, atol=BATCH_TOL)
+    value, fused_grad = cost_and_gradient(model, config, theta, s)
     ea, eb, ec = loop_terms(model, config, theta)
     assert abs(value - (s * s * ea + s * eb + ec)) <= BATCH_TOL
     assert np.allclose(fused_grad, grad, rtol=0, atol=BATCH_TOL)
-    bundle = hessian_bundle(model, config, theta, s, beta)
+    bundle = hessian_bundle(model, config, theta, s)
     for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
@@ -241,7 +237,7 @@ def test_chunked_bundle_matches_loop_reference(monkeypatch):
         return real_apply(config, points)
 
     monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
-    _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, DEFAULT_SHIFT)
+    _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, np.pi / 2)
     bundle = hessian_bundle(model, config, theta, 0.3)
     assert batches == [10, 16, 16, 4]
     assert max(batches) <= 16
@@ -265,8 +261,7 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("beta", [DEFAULT_SHIFT, -0.7])
-def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
+def test_cached_offsets_give_the_explicit_points(monkeypatch):
     model, config, theta = normalized_case(70, 2)
     theta[0], theta[2] = -0.0, 0.0
     n_p = config.n_params
@@ -279,12 +274,12 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
         return real_apply(config, points)
 
     monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
-    cost_gradient(model, config, theta, 0.4, beta)
-    cost_and_gradient(model, config, theta, 0.4, beta)
-    hessian_bundle(model, config, theta, 0.4, beta)
+    cost_gradient(model, config, theta, 0.4)
+    cost_and_gradient(model, config, theta, 0.4)
+    hessian_bundle(model, config, theta, 0.4)
     eye = np.eye(n_p)
-    gradient = np.concatenate([theta + beta * eye, theta - beta * eye])
-    objective = np.concatenate([theta[None], gradient])
+    shift = np.pi / 2
+    objective = np.concatenate([theta[None], theta + shift * eye, theta - shift * eye])
 
     def shifted(*indices):
         point = theta.copy()
@@ -292,14 +287,14 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch, beta):
             point[i] = theta[i] + np.pi
         return point
 
-    # the bundle's derivative states do not depend on beta
     singles = np.array([theta] + [shifted(i) for i in range(n_p)])
     pairs = np.array([shifted(i, j) for i, j in zip(*np.triu_indices(n_p, k=1))])
     assert len(seen) == 4
-    for got, want in zip(seen, (gradient, objective, singles, pairs)):
+    # cost_gradient reads the objective's points
+    for got, want in zip(seen, (objective, objective, singles, pairs)):
         assert bitwise_equal(got, want)
     with pytest.raises(ValueError, match="read-only"):
-        cost_module._objective_offsets(n_p, beta)[0, 0] = 1.0
+        cost_module._objective_offsets(n_p)[0, 0] = 1.0
 
 
 def test_invalid_inputs_rejected():
@@ -308,8 +303,6 @@ def test_invalid_inputs_rejected():
     theta = np.zeros(config.n_params)
     with pytest.raises(ValueError, match="0, 1"):
         cost(model, config, theta, 1.5)
-    with pytest.raises(ValueError, match="shift"):
-        cost_gradient(model, config, theta, 0.5, beta=np.pi)
     with pytest.raises(ValueError):
         cost(model, AnsatzConfig(n=3, d=1), np.zeros(6), 0.5)
     with pytest.raises(ValueError):

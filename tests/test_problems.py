@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import avqls.verify as verify
 from avqls import (
     AnsatzConfig,
     ConfigError,
@@ -146,12 +147,7 @@ def test_householder_two_dim_example():
 
 def test_householder_algebra():
     rng = np.random.default_rng(13)
-    for _ in range(5):
-        b = rng.normal(size=16)
-        s = householder(b)
-        assert np.allclose(s, s.T, atol=1e-12)
-        assert np.allclose(s @ s, np.eye(16), atol=1e-12)
-        assert np.allclose(s @ (b / np.linalg.norm(b)), np.eye(16)[0], atol=1e-12)
+    assert verify.householder_defect([rng.normal(size=16) for _ in range(5)]) < 1e-12
 
 
 def test_householder_rejects_zero():

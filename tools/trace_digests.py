@@ -14,6 +14,9 @@ checkout without this file can be digested too. The inputs come from
 
 - hessian-warmstart, workload seeds 1-3 (16 inputs each);
 - dynamic-wide, workload seed 3 (3 inputs);
+- acceptance criterion 09's `dynamic` and `fixed` runs (n=6, d=1, T=10,
+  constant conductivity, point source, master seed), which round-off can
+  decide;
 - `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
   per trace and one per CSV.
 
@@ -41,6 +44,8 @@ HESSIAN_SEEDS = (1, 2, 3)
 DYNAMIC_SEEDS = (3,)
 MASTER_SEEDS = range(6)
 CONFIG_SEEDS = (0, 1, 2)
+C09_PROBLEM = {"conductivity": "constant", "source": "point"}
+C09_SOLVER = {"n": 6, "d": 1, "T": 10}
 
 
 def sha(text: str) -> str:
@@ -125,6 +130,11 @@ def main(argv: list[str] | None = None) -> int:
                 inputs = [work.input_seed(k) for k in range(work.inputs)]
                 for line in solve_lines(work.config, inputs, f"{name}:{wseed}", drop):
                     print(line, flush=True)
+        for mode in ("dynamic", "fixed"):
+            raw = {"problem": C09_PROBLEM, "solver": {**C09_SOLVER, "schedule": mode}}
+            config = avqls.config_from_dict(raw)
+            for line in solve_lines(config, (config.seed,), f"criterion-09:{mode}", drop):
+                print(line, flush=True)
         for path in args.configs:
             config = avqls.load_config(path)
             for line in solve_lines(config, CONFIG_SEEDS, Path(path).name, drop):

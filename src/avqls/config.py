@@ -51,12 +51,6 @@ def _as_float(
     return value
 
 
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
 def _as_text(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string")
@@ -139,7 +133,6 @@ class _Checked:
 @dataclass(frozen=True)
 class ProblemConfig(_Checked):
     _prefix = "problem."
-    family: str = _field("heat", _choice("heat", "identity"))
     conductivity: str = _field(
         "constant", _choice("constant", "noisy_constant", "linear", "noisy_linear")
     )
@@ -148,12 +141,9 @@ class ProblemConfig(_Checked):
     sigma: float | None = _field(None, _float(minimum=0.0))
     source: str = _field("point", _choice("point", "exponential"))
     l: float = _field(0.0, _float(minimum=0.0))
-    q0: float = _field(1.0, _float(strict_min=0.0))
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.family != "heat":
-            return
         if self.conductivity in ("constant", "linear"):
             if self.sigma not in (None, 0.0):
                 raise ConfigError("problem.sigma: only meaningful for noisy conductivity kinds")
@@ -179,7 +169,6 @@ class SolverConfig(_Checked):
     eps_psd: float = _field(1e-8, _float(strict_min=0.0))
     gtol: float = _field(1e-8, _float(strict_min=0.0))
     max_iter: int = _field(500, _int(1))
-    bounded: bool = _field(False, _as_bool)
 
 
 # A repeated sweep entry would solve the same cell twice and count it as two seeds.

@@ -12,7 +12,6 @@ uniform grid.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -158,7 +157,8 @@ def minimize_cost(
 
     fun(theta) returns (cost, gradient) together, so one batch of circuits
     serves both; the result keeps the gradient fun returned at its theta.
-    Reads solver.gtol, solver.max_iter and solver.bounded.
+    Reads solver.gtol and solver.max_iter. The angles are unbounded: the cost
+    is 2pi-periodic in each.
 
     Terminates when the projected-gradient infinity norm drops below gtol,
     when the relative cost decrease drops below _FTOL, or after max_iter
@@ -166,13 +166,11 @@ def minimize_cost(
     returned with converged=False.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * theta0.size if solver.bounded else None
     res = scipy.optimize.minimize(
         fun,
         theta0,
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds,
         options={
             "maxiter": solver.max_iter,
             "gtol": solver.gtol,
@@ -251,7 +249,7 @@ def solve_adiabatic(
         )
     model = build_cost_model(system)
     if mode == "fixed":
-        sched = uniform_sequence(T, system.kappa)
+        sched = uniform_sequence(T)
     else:
         sched = default_sequence(system.kappa, T)
     n_p = ansatz.n_params

@@ -96,17 +96,17 @@ def discretize_heat(
 
 
 def build_source(problem: ProblemConfig, n_qubits: int) -> np.ndarray:
-    """Source vector on the grid: q0 * e1 or q0 * exp(-l * j * dz / L)."""
+    """Source vector on the grid: e1 or exp(-l * j * dz / L); `prepare` normalizes it."""
     if n_qubits < 1:
         raise ValueError(f"qubit count must be >= 1, got {n_qubits}")
     n_sites = 2 ** n_qubits
     if problem.source == "point":
         b = np.zeros(n_sites)
-        b[0] = problem.q0
+        b[0] = 1.0
         return b
     j = np.arange(1, n_sites + 1)
     dz = LENGTH / n_sites
-    return problem.q0 * np.exp(-problem.l * j * dz / LENGTH)
+    return np.exp(-problem.l * j * dz / LENGTH)
 
 
 def heat_system(

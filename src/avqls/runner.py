@@ -56,12 +56,8 @@ _OVERLAP_LIMIT_QUBITS = 8
 
 def build_system(config: RunConfig, seed: int | None = None) -> PreparedSystem:
     """Prepared system for one run; `seed` overrides the master seed."""
-    n = config.solver.n
-    if config.problem.family == "identity":
-        b = np.zeros(2 ** n)
-        b[0] = 1.0
-        return prepare(np.eye(2 ** n), b)
-    return prepare(*heat_system(config.problem, n, config.seed if seed is None else seed))
+    seed = config.seed if seed is None else seed
+    return prepare(*heat_system(config.problem, config.solver.n, seed))
 
 
 def evaluate_run(

@@ -109,12 +109,12 @@ def default_sequence(kappa: float, T: int) -> Schedule:
     return Schedule(kappa=float(kappa), T=int(T), v_grid=v_grid, s_grid=s_grid)
 
 
-def uniform_sequence(T: int, kappa: float = 1.0) -> Schedule:
-    """Plain uniform grid s_j = j / T (fixed-step mode)."""
+def uniform_sequence(T: int) -> Schedule:
+    """Plain uniform grid s_j = j / T (fixed-step mode); it does not depend on kappa."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
     grid = np.linspace(0.0, 1.0, T + 1)
-    return Schedule(kappa=float(kappa), T=int(T), v_grid=grid.copy(), s_grid=grid)
+    return Schedule(kappa=1.0, T=int(T), v_grid=grid.copy(), s_grid=grid)
 
 
 def next_increment(schedule: Schedule, s: float) -> float:

@@ -177,17 +177,6 @@ def test_minimize_cost_rosenbrock():
     assert np.allclose(res.theta, [1.0, 1.0], atol=1e-5)
 
 
-def test_minimize_cost_respects_bounds():
-    def f(x):
-        return float((x[0] - 10.0) ** 2)
-
-    def g(x):
-        return np.array([2.0 * (x[0] - 10.0)])
-
-    res = minimize_cost(lambda x: (f(x), g(x)), np.zeros(1), SolverConfig(bounded=True))
-    assert res.theta[0] == pytest.approx(2.0 * np.pi)
-
-
 def test_minimize_cost_iteration_cap():
     res = minimize_cost(
         lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
@@ -266,9 +255,8 @@ def test_solve_adiabatic_solves_small_heat_problem():
         {"schedule": "dynamic"},
         {"schedule": "hessian"},
         {"schedule": "hessian", "d": 2, "max_iter": 1},
-        {"schedule": "hessian", "d": 2, "bounded": True},
     ],
-    ids=["fixed", "dynamic", "hessian", "hessian-max-iter-1", "hessian-bounded"],
+    ids=["fixed", "dynamic", "hessian", "hessian-max-iter-1"],
 )
 def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver):
     # each step charges the bundle's device circuits (its derivative states
@@ -357,7 +345,10 @@ def test_run_single_passes_every_solver_setting(monkeypatch):
     assert default.t == 20
     assert default.steps[0].kind is not StepKind.JUMP_TO_ONE
     assert max(rec.iterations for rec in default.steps) > 1
-    assert all(call["bounds"] is None for call in calls)
+    assert len(calls) == 20
+    for call in calls:
+        assert "bounds" not in call
+        assert call["options"]["ftol"] == 1e-14
 
     assert all(rec.iterations == 0 for rec in run(gtol=1e3).steps)
     assert all(rec.iterations <= 1 for rec in run(max_iter=1).steps)
@@ -367,12 +358,6 @@ def test_run_single_passes_every_solver_setting(monkeypatch):
     fixed = run(schedule="fixed", T=3)
     assert fixed.t == 3
     assert all(rec.kind is StepKind.FALLBACK_SCHEDULE for rec in fixed.steps)
-
-    run(bounded=True)
-    assert len(calls) == 20
-    for call in calls:
-        assert call["bounds"] == [(-2.0 * np.pi, 2.0 * np.pi)] * 9  # n (d + 1) angles
-        assert call["options"]["ftol"] == 1e-14
 
 
 def _final_state(system, config, theta):

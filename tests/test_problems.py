@@ -113,8 +113,8 @@ def test_profile_validation():
 
 
 def test_point_source():
-    b = build_source(ProblemConfig(source="point", q0=3.0), 2)
-    assert np.array_equal(b, [3.0, 0.0, 0.0, 0.0])
+    b = build_source(ProblemConfig(source="point"), 2)
+    assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_exponential_source():
@@ -126,8 +126,6 @@ def test_exponential_source():
 
 
 def test_source_validation():
-    with pytest.raises(ConfigError, match=r"^problem\.q0: must be > 0\.0"):
-        ProblemConfig(source="point", q0=0.0)
     with pytest.raises(ConfigError, match=r"^problem\.l: must be >= 0\.0"):
         ProblemConfig(source="exponential", l=-1.0)
     with pytest.raises(ConfigError, match=r"^problem\.source: expected one of"):

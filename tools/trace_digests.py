@@ -21,9 +21,10 @@ checkout without this file can be digested too. The inputs come from
   per trace and one per CSV.
 
 Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
-always dropped from the CSVs; `--drop FIELD` also drops a step field from
-every trace and a CSV column of that name, for a change that is meant to
-move that field only.
+always dropped from the CSVs. `--drop NAME` also drops the step field, the
+key of each section of the trace's config echo and the CSV column of that
+name: for a change meant to move that field only, or to delete that config
+field, the digests then show that every other byte is unchanged.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def sha(text: str) -> str:
 
 
 def trace_digest(payload: dict, drop: set[str]) -> str:
-    for step in payload["steps"]:
+    sections = [value for value in payload["config"].values() if isinstance(value, dict)]
+    for record in payload["steps"] + sections:
         for name in drop:
-            step.pop(name, None)
+            record.pop(name, None)
     return sha(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -112,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("configs", nargs="*", metavar="CONFIG", help="extra run config")
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT, help="checkout to import")
     parser.add_argument(
-        "--drop", action="append", default=[], metavar="FIELD",
-        help="step field or CSV column left out of the digests (repeatable)",
+        "--drop", action="append", default=[], metavar="NAME",
+        help="step field, config key or CSV column left out of the digests (repeatable)",
     )
     args = parser.parse_args(argv)
     root = args.root.resolve()

@@ -60,7 +60,6 @@ from .problems import (
 )
 from .runner import build_system, emit_schedule, evaluate_run, run_single, run_sweep
 from .schedule import (
-    Schedule,
     condition_number,
     default_sequence,
     next_increment,

@@ -106,11 +106,10 @@ def _first_psd_crossing(
 
 def propose_step(
     bundle: HessianBundle,
-    s: float,
     delta_s_min: float,
     eps_psd: float = SolverConfig.eps_psd,
 ) -> StepDecision:
-    """Pick the next increment from the extrapolated convexity picture.
+    """Pick the next increment from bundle.s, where the bundle was measured.
 
     Cases, in order: the current Hessian is itself indefinite (the point is
     not a trusted minimum), so fall back to the schedule increment; the
@@ -118,9 +117,9 @@ def propose_step(
     jump there; otherwise step to its first PSD crossing, floored at the
     schedule increment.
     """
-    remaining = 1.0 - s
+    remaining = 1.0 - bundle.s
     if remaining <= 0.0:
-        raise ValueError(f"no room left to step from s={s}")
+        raise ValueError(f"no room left to step from s={bundle.s}")
     ds_min = min(delta_s_min, remaining)
     if ds_min <= 0.0:
         raise ValueError(f"minimum step must be positive, got {delta_s_min}")
@@ -248,10 +247,7 @@ def solve_adiabatic(
             f"ansatz acts on {ansatz.n} qubits but the system needs {system.n_qubits}"
         )
     model = build_cost_model(system)
-    if mode == "fixed":
-        sched = uniform_sequence(T)
-    else:
-        sched = default_sequence(system.kappa, T)
+    grid = uniform_sequence(T) if mode == "fixed" else default_sequence(system.kappa, T)
     n_p = ansatz.n_params
 
     theta = np.zeros(n_p)
@@ -263,11 +259,11 @@ def solve_adiabatic(
     while s < 1.0 - 1e-12:
         if mode == "hessian":
             bundle = hessian_bundle(model, ansatz, theta, s)
-            decision = propose_step(bundle, s, next_increment(sched, s), solver.eps_psd)
+            decision = propose_step(bundle, next_increment(grid, s), solver.eps_psd)
             probe_evals = bundle.circuit_evals
         else:
             decision = StepDecision(
-                StepKind.FALLBACK_SCHEDULE, next_increment(sched, s), None, None
+                StepKind.FALLBACK_SCHEDULE, next_increment(grid, s), None, None
             )
             probe_evals = 0
         s_next = s + decision.delta_s

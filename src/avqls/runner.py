@@ -32,7 +32,7 @@ from .metrics import (
     solve_parametric,
 )
 from .problems import PreparedSystem, heat_system, prepare, recover_solution
-from .schedule import default_sequence
+from .schedule import default_sequence, v_bounds
 
 __all__ = [
     "RunResult",
@@ -268,29 +268,40 @@ def _outcome(cell: SweepCell, future: Future) -> tuple:
         return cell, None, f"{type(exc).__name__}: {exc}"
 
 
+def _pool_round(config: RunConfig, cells: list[SweepCell], workers: int) -> tuple[list, list]:
+    """Run cells in one fresh pool; returns their outcomes and the cells a broken pool lost."""
+    outcomes, lost = [], []
+    # a forking pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_cell, (config, cell)): cell for cell in cells}
+        for future in as_completed(futures):
+            if isinstance(future.exception(), BrokenProcessPool):
+                lost.append(futures[future])
+            else:
+                outcomes.append(_outcome(futures[future], future))
+    return outcomes, lost
+
+
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Cartesian-product sweep; failures are recorded, not fatal.
 
     A worker that dies breaks the pool, and every cell not returned by then
     fails with BrokenProcessPool, including cells still running in a
-    healthy worker. Each such cell is rerun once, alone in a fresh
-    one-worker pool, so only a cell that breaks its own pool too is
-    recorded as failed. Every cell that finished keeps its result.
+    healthy worker. Those cells are rerun together in one fresh pool of
+    min(jobs, lost) workers; each cell that pool loses too is rerun once
+    more, alone in a one-worker pool, so only a cell that breaks its own
+    pool is recorded as failed. Each pool opens after the previous one has
+    closed, so no fork happens while pool threads are alive. Every cell
+    that finished keeps its result.
     """
     cells = _sweep_cells(config)
     if jobs <= 1 or not cells:
         outcomes = [_run_cell((config, cell)) for cell in cells]
     else:
-        outcomes = []
-        lost = []
-        # a forking pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            futures = {pool.submit(_run_cell, (config, cell)): cell for cell in cells}
-            for future in as_completed(futures):
-                if isinstance(future.exception(), BrokenProcessPool):
-                    lost.append(futures[future])
-                else:
-                    outcomes.append(_outcome(futures[future], future))
+        outcomes, lost = _pool_round(config, cells, min(jobs, len(cells)))
+        if lost:
+            rerun, lost = _pool_round(config, lost, min(jobs, len(lost)))
+            outcomes += rerun
         for cell in lost:
             with ProcessPoolExecutor(max_workers=1) as pool:
                 outcomes.append(_outcome(cell, pool.submit(_run_cell, (config, cell))))
@@ -345,11 +356,13 @@ def write_aggregate(path: Path, rows: list[dict]) -> None:
 
 
 def emit_schedule(kappa: float, T: int, fmt: str = "csv") -> str:
-    """Schedule grid as CSV rows (j, s_j) or a JSON payload."""
-    sched = default_sequence(kappa, T)
+    """The default grid as CSV rows (j, s_j), or as JSON of kappa, T and the v and s grids."""
+    grid = default_sequence(kappa, T)
     if fmt == "json":
-        return json.dumps(sched.to_payload(), sort_keys=True, indent=2) + "\n"
+        v = np.linspace(*v_bounds(kappa), T + 1)  # the evenly spaced v that grid maps
+        payload = {"kappa": float(kappa), "T": int(T), "v": v.tolist(), "s": grid.tolist()}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     lines = ["j,s"]
-    for j, s in enumerate(sched.s_grid):
+    for j, s in enumerate(grid):
         lines.append(f"{j},{float(s)!r}")
     return "\n".join(lines) + "\n"

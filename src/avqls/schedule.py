@@ -7,14 +7,12 @@ form s(v) that concentrates steps near s = 1 for ill-conditioned systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidScheduleError, SingularMatrixError
 
 __all__ = [
-    "Schedule",
     "condition_number",
     "v_bounds",
     "s_of_v",
@@ -24,24 +22,6 @@ __all__ = [
 ]
 
 _ENDPOINT_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """A strictly increasing grid s_0 = 0 < s_1 < ... < s_T = 1."""
-
-    kappa: float
-    T: int
-    v_grid: np.ndarray
-    s_grid: np.ndarray
-
-    def to_payload(self) -> dict:
-        return {
-            "kappa": float(self.kappa),
-            "T": int(self.T),
-            "v": [float(v) for v in self.v_grid],
-            "s": [float(s) for s in self.s_grid],
-        }
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -70,7 +50,10 @@ def v_bounds(kappa: float) -> tuple[float, float]:
     arg_max = root + 1.0
     if arg_min <= 0.0:
         raise InvalidScheduleError(f"log argument not positive for kappa={kappa}")
-    return pref * math.log(arg_min), pref * math.log(arg_max)
+    v_min, v_max = pref * math.log(arg_min), pref * math.log(arg_max)
+    if not math.isfinite(v_max - v_min):  # near kappa = 1e154, 2 kappa^2 overflows
+        raise InvalidScheduleError(f"bounds ({v_min}, {v_max}) not finite for kappa={kappa}")
+    return v_min, v_max
 
 
 def s_of_v(v: float, kappa: float) -> float:
@@ -91,35 +74,31 @@ def s_of_v(v: float, kappa: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def default_sequence(kappa: float, T: int) -> Schedule:
-    """Grid of T+1 values with v evenly spaced between its endpoints."""
+def default_sequence(kappa: float, T: int) -> np.ndarray:
+    """Strictly increasing grid s_0 = 0 < ... < s_T = 1, the s(v) of T+1 evenly spaced v."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
-    v_min, v_max = v_bounds(kappa)
-    v_grid = np.linspace(v_min, v_max, T + 1)
-    s_grid = np.array([s_of_v(v, kappa) for v in v_grid])
-    if abs(s_grid[0]) > _ENDPOINT_TOL or abs(s_grid[-1] - 1.0) > _ENDPOINT_TOL:
+    grid = np.array([s_of_v(v, kappa) for v in np.linspace(*v_bounds(kappa), T + 1)])
+    if abs(grid[0]) > _ENDPOINT_TOL or abs(grid[-1] - 1.0) > _ENDPOINT_TOL:
         raise InvalidScheduleError(
-            f"schedule endpoints ({s_grid[0]}, {s_grid[-1]}) deviate from (0, 1)"
+            f"schedule endpoints ({grid[0]}, {grid[-1]}) deviate from (0, 1)"
         )
-    s_grid[0] = 0.0
-    s_grid[-1] = 1.0
-    if np.any(np.diff(s_grid) <= 0.0):
+    grid[0] = 0.0
+    grid[-1] = 1.0
+    if np.any(np.diff(grid) <= 0.0):
         raise InvalidScheduleError("schedule grid is not strictly increasing")
-    return Schedule(kappa=float(kappa), T=int(T), v_grid=v_grid, s_grid=s_grid)
+    return grid
 
 
-def uniform_sequence(T: int) -> Schedule:
-    """Plain uniform grid s_j = j / T (fixed-step mode); it does not depend on kappa."""
+def uniform_sequence(T: int) -> np.ndarray:
+    """Uniform grid s_j = j / T of T+1 values (fixed-step mode); it does not depend on kappa."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
-    grid = np.linspace(0.0, 1.0, T + 1)
-    return Schedule(kappa=1.0, T=int(T), v_grid=grid.copy(), s_grid=grid)
+    return np.linspace(0.0, 1.0, T + 1)
 
 
-def next_increment(schedule: Schedule, s: float) -> float:
-    """Distance from s to the next larger grid value (or to 1 past the grid)."""
-    grid = schedule.s_grid
+def next_increment(grid: np.ndarray, s: float) -> float:
+    """Distance from s to the next larger value of an increasing grid (or to 1 past it)."""
     j = int(np.searchsorted(grid, s + 1e-12, side="right"))
     if j >= len(grid):
         return max(1.0 - s, 0.0)

@@ -51,7 +51,7 @@ def schedule_endpoint_defect(kappas, steps: int) -> float:
     for kappa in kappas:
         v_min, v_max = v_bounds(kappa)
         defects += [abs(s_of_v(v_min, kappa)), abs(s_of_v(v_max, kappa) - 1.0)]
-        if not np.all(np.diff(default_sequence(kappa, steps).s_grid) > 0.0):
+        if not np.all(np.diff(default_sequence(kappa, steps)) > 0.0):
             return np.inf
     return _worst(defects)
 

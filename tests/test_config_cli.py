@@ -657,6 +657,50 @@ def test_cli_sweep_reruns_cells_a_dead_worker_broke(tmp_path, monkeypatch, capsy
     assert rows[1]["error"].startswith("BrokenProcessPool")
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked pool workers see the patched run_single",
+)
+def test_cli_sweep_reruns_lost_cells_in_one_parallel_pool(tmp_path, monkeypatch, capsys):
+    raw = small_heat_raw()
+    raw["problem"]["conductivity"] = "noisy_constant"
+    raw["sweep"] = {"seeds": [0, 1, 2, 3]}
+    cfg_path = write_config(tmp_path, raw)
+    started = tmp_path / "seed_one_started"
+    died = tmp_path / "seed_zero_died"
+    real_run_single = runner.run_single
+    workers = []
+    real_pool = runner.ProcessPoolExecutor
+
+    def seed_zero_dies_once(config, seed=None):
+        if not died.exists():
+            if seed == 0:
+                # first attempt: dies once seed 1 is mid-solve in the other worker
+                deadline = time.monotonic() + 60.0
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                died.touch()
+                os._exit(1)
+            if seed == 1:
+                # first attempt: blocks until the broken pool terminates it
+                started.touch()
+                time.sleep(60.0)
+                raise RuntimeError("the broken pool left this worker running")
+        return real_run_single(config, seed=seed)
+
+    def recording_pool(max_workers=None, **kwargs):
+        workers.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(runner, "run_single", seed_zero_dies_once)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
+    out = tmp_path / "out"
+    code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
+    assert code == 0
+    assert "4/4 cells ok" in capsys.readouterr().out
+    assert workers == [2, 2]
+
+
 def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):
     raw = {
         "problem": {"conductivity": "noisy_constant"},
@@ -738,6 +782,21 @@ def test_cli_schedule_subcommand(tmp_path, capsys):
          "--out", str(out_file)]
     ) == 0
     assert json.loads(out_file.read_text())["kappa"] == 10.0
+
+
+def test_cli_schedule_rejects_kappa_whose_bounds_overflow():
+    # 2 kappa^2 overflows, so the v bounds are infinite and every inner s(v) would be NaN
+    proc = subprocess.run(
+        [sys.executable, "-m", "avqls.cli", "schedule", "--kappa", "1.3e154", "--steps", "3"],
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "configuration error: bounds (-inf, inf) not finite for kappa=1.3e+154\n"
+    )
 
 
 def test_cli_verify_subcommand(capsys):

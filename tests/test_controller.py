@@ -39,7 +39,7 @@ def test_propose_step_jump_to_one():
     # constant positive-definite Hessian: safe all the way to s = 1
     z = np.zeros((2, 2))
     bundle = make_bundle(np.eye(2), z, z, s=0.2)
-    decision = propose_step(bundle, 0.2, 0.05)
+    decision = propose_step(bundle, 0.05)
     assert decision.kind is StepKind.JUMP_TO_ONE
     assert decision.delta_s == pytest.approx(0.8)
     assert decision.lambda_min_at_end == pytest.approx(1.0)
@@ -48,7 +48,7 @@ def test_propose_step_jump_to_one():
 def test_propose_step_fallback_on_indefinite_start():
     z = np.zeros((2, 2))
     bundle = make_bundle(np.diag([-1.0, 1.0]), z, z, s=0.3)
-    decision = propose_step(bundle, 0.3, 0.05)
+    decision = propose_step(bundle, 0.05)
     assert decision.kind is StepKind.FALLBACK_SCHEDULE
     assert decision.delta_s == pytest.approx(0.05)
 
@@ -57,7 +57,7 @@ def test_propose_step_hessian_root_linear():
     # lambda_min falls linearly: 1 - 2 ds, crossing near ds = 0.5
     z = np.zeros((2, 2))
     bundle = make_bundle(np.eye(2), z, -2.0 * np.eye(2), s=0.0)
-    decision = propose_step(bundle, 0.0, 0.01)
+    decision = propose_step(bundle, 0.01)
     assert decision.kind is StepKind.HESSIAN_STEP
     assert decision.delta_s == pytest.approx(0.5, abs=1e-5)
     # the returned step never overshoots into the indefinite region
@@ -68,7 +68,7 @@ def test_propose_step_hessian_root_quadratic():
     # lambda_min(ds) = 1 - 4 ds^2 at s = 0, crossing at ds = 0.5
     z = np.zeros((2, 2))
     bundle = make_bundle(np.eye(2), -4.0 * np.eye(2), z, s=0.0)
-    decision = propose_step(bundle, 0.0, 0.01)
+    decision = propose_step(bundle, 0.01)
     assert decision.kind is StepKind.HESSIAN_STEP
     assert decision.delta_s == pytest.approx(0.5, abs=1e-5)
 
@@ -76,7 +76,7 @@ def test_propose_step_hessian_root_quadratic():
 def test_propose_step_floors_at_schedule_increment():
     z = np.zeros((2, 2))
     bundle = make_bundle(np.eye(2), z, -2.0 * np.eye(2), s=0.0)
-    decision = propose_step(bundle, 0.0, 0.7)
+    decision = propose_step(bundle, 0.7)
     assert decision.kind is StepKind.MINIMUM_STEP
     assert decision.delta_s == pytest.approx(0.7)
 
@@ -84,7 +84,7 @@ def test_propose_step_floors_at_schedule_increment():
 def test_propose_step_min_step_clipped_to_remaining():
     z = np.zeros((2, 2))
     bundle = make_bundle(np.diag([-1.0, 1.0]), z, z, s=0.9)
-    decision = propose_step(bundle, 0.9, 0.5)
+    decision = propose_step(bundle, 0.5)
     assert decision.kind is StepKind.FALLBACK_SCHEDULE
     assert decision.delta_s == pytest.approx(0.1)
 
@@ -93,17 +93,17 @@ def test_propose_step_validation():
     z = np.zeros((2, 2))
     bundle = make_bundle(np.eye(2), z, z, s=1.0)
     with pytest.raises(ValueError, match="no room"):
-        propose_step(bundle, 1.0, 0.1)
+        propose_step(bundle, 0.1)
     bundle = make_bundle(np.eye(2), z, z, s=0.5)
     with pytest.raises(ValueError, match="positive"):
-        propose_step(bundle, 0.5, 0.0)
+        propose_step(bundle, 0.0)
 
 
 def test_propose_step_stops_before_interior_indefinite_region():
     # lambda_min = (1 - 4 ds)(1 - 2 ds): indefinite on (0.25, 0.5) only,
     # so the Hessian extrapolated to s = 1 alone would allow a jump
     bundle = make_bundle(np.eye(2), np.diag([8.0, 0.0]), np.diag([-6.0, 0.0]), s=0.0)
-    decision = propose_step(bundle, 0.0, 0.01)
+    decision = propose_step(bundle, 0.01)
     assert decision.kind is StepKind.HESSIAN_STEP
     assert decision.delta_s == pytest.approx(0.25, abs=1e-6)
 
@@ -115,7 +115,7 @@ def test_propose_step_finds_narrow_dip():
     bundle = make_bundle(
         np.diag([c * c - w * w, 1.0]), np.diag([1.0, 0.0]), np.diag([-2.0 * c, -1.5]), s=0.0
     )
-    decision = propose_step(bundle, 0.0, 0.01)
+    decision = propose_step(bundle, 0.01)
     assert decision.kind is StepKind.HESSIAN_STEP
     assert decision.delta_s == pytest.approx(c - w, abs=1e-5)
 
@@ -138,7 +138,7 @@ def test_propose_step_is_psd_up_to_the_step():
         bundle = make_bundle(
             h_s, random_symmetric(rng, n, rank), 2.0 * random_symmetric(rng, n, n), s
         )
-        decision = propose_step(bundle, s, 1e-9, eps)
+        decision = propose_step(bundle, 1e-9, eps)
         kinds.add(decision.kind)
         assert decision.kind in (StepKind.HESSIAN_STEP, StepKind.JUMP_TO_ONE)
         ds_star = decision.delta_s

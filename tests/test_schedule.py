@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from avqls import (
     SingularMatrixError,
     condition_number,
     default_sequence,
+    emit_schedule,
     next_increment,
     s_of_v,
     uniform_sequence,
@@ -73,34 +75,32 @@ def test_s_of_v_rejects_out_of_range():
 
 
 def test_default_sequence_basics():
-    sched = default_sequence(1.0, 2)
-    assert np.allclose(sched.s_grid, [0.0, 0.5, 1.0], atol=1e-14)
-    assert sched.s_grid[0] == 0.0
-    assert sched.s_grid[-1] == 1.0
-    assert sched.T == 2
+    grid = default_sequence(1.0, 2)
+    assert np.allclose(grid, [0.0, 0.5, 1.0], atol=1e-14)
+    assert grid[0] == 0.0
+    assert grid[-1] == 1.0
+    assert grid.size == 3
 
 
 def test_default_sequence_monotone_and_clustered():
     for kappa in (1.0, 10.0, 1e3):
-        sched = default_sequence(kappa, 100)
-        grid = sched.s_grid
+        grid = default_sequence(kappa, 100)
         assert grid.size == 101
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0)
     # high condition numbers concentrate points near s = 1
-    dense = default_sequence(1e3, 100).s_grid
+    dense = default_sequence(1e3, 100)
     assert np.sum(dense > 0.9) > 50
 
 
 def test_larger_kappa_pushes_grid_up():
-    lo = default_sequence(2.0, 50).s_grid
-    hi = default_sequence(200.0, 50).s_grid
+    lo = default_sequence(2.0, 50)
+    hi = default_sequence(200.0, 50)
     assert np.all(hi[1:-1] >= lo[1:-1])
 
 
 def test_uniform_sequence():
-    sched = uniform_sequence(4)
-    assert np.allclose(sched.s_grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(uniform_sequence(4), [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_schedule_validation():
@@ -112,26 +112,31 @@ def test_schedule_validation():
         default_sequence(2.0, 0)
     with pytest.raises(ValueError):
         uniform_sequence(0)
+    # 2 kappa^2 overflows here, so the v bounds are infinite and s(v) is NaN
+    with pytest.raises(InvalidScheduleError, match="not finite"):
+        default_sequence(1.3e154, 3)
 
 
 def test_next_increment_walks_the_grid():
-    sched = uniform_sequence(4)
-    assert abs(next_increment(sched, 0.0) - 0.25) < 1e-14
-    assert abs(next_increment(sched, 0.25) - 0.25) < 1e-14
+    grid = uniform_sequence(4)
+    assert abs(next_increment(grid, 0.0) - 0.25) < 1e-14
+    assert abs(next_increment(grid, 0.25) - 0.25) < 1e-14
     # from between grid points, steps to the next strictly larger node
-    assert abs(next_increment(sched, 0.3) - 0.2) < 1e-14
-    assert abs(next_increment(sched, 0.75) - 0.25) < 1e-14
+    assert abs(next_increment(grid, 0.3) - 0.2) < 1e-14
+    assert abs(next_increment(grid, 0.75) - 0.25) < 1e-14
 
 
 def test_next_increment_at_the_top():
     # nothing left to step over: the increment collapses to zero
-    sched = uniform_sequence(4)
-    assert next_increment(sched, 1.0) == 0.0
+    assert next_increment(uniform_sequence(4), 1.0) == 0.0
 
 
 def test_payload_round_trip():
-    sched = default_sequence(3.0, 5)
-    payload = sched.to_payload()
-    assert payload["kappa"] == 3.0
-    assert payload["T"] == 5
-    assert len(payload["s"]) == 6
+    # the JSON schedule reads back as the exact v and s grids
+    T = 5
+    for kappa in (1.0, 10.0, 1000.0):
+        payload = json.loads(emit_schedule(kappa, T, fmt="json"))
+        assert payload["kappa"] == kappa
+        assert payload["T"] == T
+        assert np.array_equal(payload["v"], np.linspace(*v_bounds(kappa), T + 1))
+        assert np.array_equal(payload["s"], default_sequence(kappa, T))

@@ -1,4 +1,4 @@
-"""Print one sha256 per trace and CSV of a fixed set of runs.
+"""Print one sha256 per trace, CSV and schedule printout of a fixed set of runs.
 
 Run from the root of a checkout:
 
@@ -18,13 +18,16 @@ checkout without this file can be digested too. The inputs come from
   constant conductivity, point source, master seed), which round-off can
   decide;
 - `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
-  per trace and one per CSV.
+  per trace and one per CSV;
+- `avqls schedule` at kappa 1, 3, 10, 1000 and 1e6, `--steps` 1, 4 and 50,
+  in both formats (30 lines).
 
 Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
 always dropped from the CSVs. `--drop NAME` also drops the step field, the
 key of each section of the trace's config echo and the CSV column of that
 name: for a change meant to move that field only, or to delete that config
-field, the digests then show that every other byte is unchanged.
+field, the digests then show that every other byte is unchanged. The
+schedule lines digest the printed bytes whole.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +51,8 @@ MASTER_SEEDS = range(6)
 CONFIG_SEEDS = (0, 1, 2)
 C09_PROBLEM = {"conductivity": "constant", "source": "point"}
 C09_SOLVER = {"n": 6, "d": 1, "T": 10}
+SCHEDULE_KAPPAS = ("1", "3", "10", "1000", "1e6")
+SCHEDULE_STEPS = ("1", "4", "50")
 
 
 def sha(text: str) -> str:
@@ -109,6 +115,18 @@ def sweep_lines(workdir: Path, drop: set[str]):
             yield f"{digest}  sweep-pool master={master} {path.name}"
 
 
+def schedule_lines():
+    import avqls.cli
+
+    for kappa, steps, fmt in product(SCHEDULE_KAPPAS, SCHEDULE_STEPS, ("csv", "json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = avqls.cli.main(["schedule", "--kappa", kappa, "--steps", steps, "--format", fmt])
+        if code != 0:
+            raise SystemExit(f"avqls schedule --kappa {kappa} --steps {steps} exited {code}")
+        yield f"{sha(out.getvalue())}  schedule kappa={kappa} steps={steps} {fmt}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*", metavar="CONFIG", help="extra run config")
@@ -143,6 +161,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(line, flush=True)
         for line in sweep_lines(workdir, drop):
             print(line, flush=True)
+    for line in schedule_lines():
+        print(line, flush=True)
     return 0
 
 

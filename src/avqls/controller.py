@@ -147,27 +147,73 @@ class MinimizeResult:
     message: str
 
 
+def _answer_first_call(fun, theta0: np.ndarray, first):
+    """fun, except that its first call at theta0 returns `first`, already measured there."""
+    pending = [first]
+
+    def answered(theta):
+        if pending and np.array_equal(theta, theta0):
+            return pending.pop()
+        return fun(theta)
+
+    return answered
+
+
 def minimize_cost(
     fun,
     theta0: np.ndarray,
     solver: SolverConfig = SolverConfig(),
+    hessian: np.ndarray | None = None,
 ) -> MinimizeResult:
     """Quasi-Newton line-search minimization with an analytic gradient.
 
     fun(theta) returns (cost, gradient) together, so one batch of circuits
-    serves both; the result keeps the gradient fun returned at its theta.
-    Reads solver.gtol and solver.max_iter. The angles are unbounded: the cost
-    is 2pi-periodic in each.
+    serves both; the result keeps the theta, cost and gradient of the fun
+    call L-BFGS-B stopped at, and nfev counts every fun call. Reads
+    solver.gtol, solver.max_iter and solver.eps_psd. The angles are
+    unbounded: the cost is 2pi-periodic in each.
 
-    Terminates when the projected-gradient infinity norm drops below gtol,
-    when the relative cost decrease drops below _FTOL, or after max_iter
-    iterations. On a line-search failure the best point found so far is
-    returned with converged=False.
+    `hessian` is the Hessian of the cost at theta0, if the caller holds it.
+    L-BFGS-B then runs in its whitened coordinates phi, with
+    theta = theta0 + V Lambda^{-1/2} phi and (Lambda, V) = eigh(hessian), so
+    its first step is a Newton step, when both hold:
+    - the smallest eigenvalue exceeds eps_psd;
+    - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
+      at or above 0, the floor of the nonnegative cost. A model that dips
+      below it fails before its own minimizer, so its metric is not used.
+    The second test reads fun at theta0, which is L-BFGS-B's first call in
+    either case, so it is answered from that reading and costs nothing.
+    Otherwise, or with no `hessian`, L-BFGS-B runs on theta itself and the
+    result is the same as without one.
+
+    Terminates when the projected-gradient infinity norm drops below gtol
+    (for a whitened solve, that of the gradient in phi,
+    (V Lambda^{-1/2})^T grad C), when the relative cost decrease drops below
+    _FTOL, or after max_iter iterations. On a line-search failure the best
+    point found so far is returned with converged=False.
     """
     theta0 = np.asarray(theta0, dtype=float)
+    objective, start, seen = fun, theta0, None
+    if hessian is not None:
+        lam, vec = np.linalg.eigh(hessian)
+        if lam[0] > solver.eps_psd:
+            basis = vec / np.sqrt(lam)
+            cost0, grad0 = first = fun(theta0)
+            measured = objective = _answer_first_call(fun, theta0, first)
+            white = basis.T @ grad0
+            if cost0 - 0.5 * float(white @ white) >= 0.0:
+                seen = {}
+
+                def objective(phi):
+                    theta = theta0 + basis @ phi
+                    value, grad = measured(theta)
+                    seen[phi.tobytes()] = (theta, value, grad)
+                    return value, basis.T @ grad
+
+                start = np.zeros_like(theta0)
     res = scipy.optimize.minimize(
-        fun,
-        theta0,
+        objective,
+        start,
         jac=True,
         method="L-BFGS-B",
         options={
@@ -176,10 +222,14 @@ def minimize_cost(
             "ftol": _FTOL,
         },
     )
+    if seen is None:
+        theta, value, grad = res.x, res.fun, res.jac
+    else:
+        theta, value, grad = seen[np.asarray(res.x, dtype=float).tobytes()]
     return MinimizeResult(
-        theta=np.asarray(res.x, dtype=float),
-        cost=float(res.fun),
-        grad=np.asarray(res.jac, dtype=float),
+        theta=np.asarray(theta, dtype=float),
+        cost=float(value),
+        grad=np.asarray(grad, dtype=float),
         iterations=int(res.nit),
         nfev=int(res.nfev),
         njev=int(res.njev),
@@ -240,6 +290,9 @@ def solve_adiabatic(
     prepares e1, the working right-hand side), so the loop decides the
     first increment before any optimization. Each pass decides a step from
     the current converged point, advances s and reoptimizes warm-started.
+    In `hessian` mode the reoptimization is preconditioned with the Hessian
+    of the next stop's cost at the warm start, which the bundle already
+    holds.
     """
     mode, T = solver.schedule, solver.T
     if system.n_qubits != ansatz.n:
@@ -273,6 +326,7 @@ def solve_adiabatic(
             lambda th: cost_and_gradient(model, ansatz, th, s_next),
             theta,
             solver,
+            hessian_extrapolate(bundle, s_next - s) if mode == "hessian" else None,
         )
         note = ""
         if res.cost < -1e-10:

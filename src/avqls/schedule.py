@@ -22,6 +22,9 @@ __all__ = [
 ]
 
 _ENDPOINT_TOL = 1e-8
+# sigma_min <= _SINGULAR_RATIO * sigma_max is singular to working precision,
+# so a schedule accepts kappa < 1 / _SINGULAR_RATIO and no larger.
+_SINGULAR_RATIO = 1e-14
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -30,7 +33,7 @@ def condition_number(matrix: np.ndarray) -> float:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
+    if sv[-1] <= _SINGULAR_RATIO * sv[0]:
         raise SingularMatrixError(
             f"matrix is singular to working precision (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})"
         )
@@ -39,8 +42,10 @@ def condition_number(matrix: np.ndarray) -> float:
 
 def v_bounds(kappa: float) -> tuple[float, float]:
     """Endpoints (v_min, v_max) of the auxiliary variable for a given kappa."""
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError(f"condition number must be finite and >= 1, got {kappa}")
+    if not (1.0 <= kappa and kappa * _SINGULAR_RATIO < 1.0):
+        raise InvalidScheduleError(
+            f"condition number must be in [1, {1.0 / _SINGULAR_RATIO:g}), got {kappa}"
+        )
     k2 = kappa * kappa
     root = math.sqrt(1.0 + k2)
     pref = math.sqrt(2.0 * k2 / (1.0 + k2))
@@ -48,12 +53,7 @@ def v_bounds(kappa: float) -> tuple[float, float]:
     # which avoids cancellation for large kappa.
     arg_min = kappa / (kappa + root)
     arg_max = root + 1.0
-    if arg_min <= 0.0:
-        raise InvalidScheduleError(f"log argument not positive for kappa={kappa}")
-    v_min, v_max = pref * math.log(arg_min), pref * math.log(arg_max)
-    if not math.isfinite(v_max - v_min):  # near kappa = 1e154, 2 kappa^2 overflows
-        raise InvalidScheduleError(f"bounds ({v_min}, {v_max}) not finite for kappa={kappa}")
-    return v_min, v_max
+    return pref * math.log(arg_min), pref * math.log(arg_max)
 
 
 def s_of_v(v: float, kappa: float) -> float:

@@ -785,7 +785,7 @@ def test_cli_schedule_subcommand(tmp_path, capsys):
 
 
 def test_cli_schedule_rejects_kappa_whose_bounds_overflow():
-    # 2 kappa^2 overflows, so the v bounds are infinite and every inner s(v) would be NaN
+    # 2 kappa^2 would overflow and make every inner s(v) NaN; kappa is refused first
     proc = subprocess.run(
         [sys.executable, "-m", "avqls.cli", "schedule", "--kappa", "1.3e154", "--steps", "3"],
         env=cli_env(),
@@ -795,7 +795,7 @@ def test_cli_schedule_rejects_kappa_whose_bounds_overflow():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "configuration error: bounds (-inf, inf) not finite for kappa=1.3e+154\n"
+        "configuration error: condition number must be in [1, 1e+14), got 1.3e+154\n"
     )
 
 

@@ -187,6 +187,77 @@ def test_minimize_cost_iteration_cap():
     assert not res.converged
 
 
+def ill_conditioned_quadratic(floor):
+    # condition number 1e4 in a rotated basis, minimum value `floor`; the
+    # Hessian is exact, and `calls` counts the evaluations
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    hessian = q @ np.diag(np.logspace(0.0, -4.0, 6)) @ q.T
+    target = rng.normal(size=6)
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        r = x - target
+        return floor + 0.5 * float(r @ hessian @ r), hessian @ r
+
+    return fun, hessian, target, calls
+
+
+def test_minimize_cost_preconditions_with_a_positive_definite_hessian():
+    fun, hessian, target, calls = ill_conditioned_quadratic(1.0)
+    plain = minimize_cost(fun, np.zeros(6), SolverConfig(gtol=1e-12))
+    calls.clear()
+    whitened = minimize_cost(fun, np.zeros(6), SolverConfig(gtol=1e-12), hessian)
+    assert len(calls) == whitened.nfev
+    assert plain.converged and whitened.converged
+    assert whitened.nfev < plain.nfev
+    assert np.allclose(whitened.theta, target, atol=1e-6)
+    assert np.allclose(plain.theta, target, atol=1e-6)
+    # the result is the theta, cost and theta-gradient fun returned there
+    cost, grad = fun(whitened.theta)
+    assert whitened.cost == cost
+    assert np.array_equal(whitened.grad, grad)
+
+
+def assert_same_result(res, plain):
+    assert np.array_equal(res.theta, plain.theta)
+    assert np.array_equal(res.grad, plain.grad)
+    assert (res.cost, res.iterations, res.nfev, res.njev, res.converged, res.message) == (
+        plain.cost, plain.iterations, plain.nfev, plain.njev, plain.converged, plain.message
+    )
+
+
+def test_minimize_cost_ignores_a_hessian_that_is_not_positive_definite():
+    # eigh returns a diagonal matrix's eigenvalues exactly, so the first case
+    # sits on the boundary lambda_min == eps_psd. The cost has no slope along
+    # e1 at the start, so even a metric that whitened e1 by that eigenvalue
+    # would pass the model test; only the eigenvalue test keeps theta.
+    weights = np.logspace(0.0, -4.0, 6)
+    target = np.array([0.0, 1.0, -2.0, 3.0, -1.0, 2.0])
+
+    def fun(x):
+        r = x - target
+        return 100.0 + 0.5 * float(weights @ r**2), weights * r
+
+    solver = SolverConfig()
+    plain = minimize_cost(fun, np.zeros(6), solver)
+    for floor in (solver.eps_psd, 0.0, -1.0):
+        hessian = np.diag([floor, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert_same_result(minimize_cost(fun, np.zeros(6), solver, hessian), plain)
+
+
+def test_minimize_cost_ignores_a_model_whose_minimum_is_below_zero():
+    # exact Hessian, but the quadratic model's minimum, -1, is below the
+    # floor of a nonnegative cost; the start is read once and counted once
+    fun, hessian, _, calls = ill_conditioned_quadratic(-1.0)
+    plain = minimize_cost(fun, np.zeros(6), SolverConfig(gtol=1e-12))
+    calls.clear()
+    res = minimize_cost(fun, np.zeros(6), SolverConfig(gtol=1e-12), hessian)
+    assert_same_result(res, plain)
+    assert len(calls) == res.nfev
+
+
 def identity_system():
     return prepare(np.eye(2), np.array([1.0, 0.0]))
 
@@ -249,21 +320,24 @@ def test_solve_adiabatic_solves_small_heat_problem():
 
 
 @pytest.mark.parametrize(
-    "solver",
+    "solver, seed",
     [
-        {"schedule": "fixed"},
-        {"schedule": "dynamic"},
-        {"schedule": "hessian"},
-        {"schedule": "hessian", "d": 2, "max_iter": 1},
+        ({"schedule": "fixed"}, 0),
+        ({"schedule": "dynamic"}, 0),
+        # seed 0's one step runs on theta (its quadratic model dips below 0);
+        # seed 1's second step runs whitened
+        ({"schedule": "hessian"}, 0),
+        ({"schedule": "hessian"}, 1),
+        ({"schedule": "hessian", "d": 2, "max_iter": 1}, 0),
     ],
-    ids=["fixed", "dynamic", "hessian", "hessian-max-iter-1"],
+    ids=["fixed", "dynamic", "hessian", "hessian-whitened", "hessian-max-iter-1"],
 )
-def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver):
+def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver, seed):
     # each step charges the bundle's device circuits (its derivative states
     # are fewer), one circuit per L-BFGS cost evaluation and 2 n_p per
     # gradient; grad_norm is read from the gradient L-BFGS-B returned at the
     # step's optimum, not measured again
-    state_rows, bundle_rows, bundle_evals, results = [], [], [], []
+    state_rows, bundle_rows, bundles, hessians, results = [], [], [], [], []
     real_apply = cost_module.apply_ansatz
     real_bundle = controller_module.hessian_bundle
     real_minimize = controller_module.minimize_cost
@@ -276,11 +350,20 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch
         first = len(state_rows)
         bundle = real_bundle(*args, **kwargs)
         bundle_rows.append(sum(state_rows[first:]))
-        bundle_evals.append(bundle.circuit_evals)
+        bundles.append(bundle)
         return bundle
 
-    def recording_minimize(*args, **kwargs):
-        results.append(real_minimize(*args, **kwargs))
+    def recording_minimize(fun, theta0, solver, hessian=None):
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return fun(theta)
+
+        hessians.append(hessian)
+        results.append(real_minimize(counted, theta0, solver, hessian))
+        # every objective call is one the tally charges
+        assert len(calls) == results[-1].nfev
         return results[-1]
 
     monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
@@ -289,6 +372,7 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch
     raw = {
         "problem": {"conductivity": "noisy_constant"},
         "solver": {"n": 3, "d": 1, "T": 10, **solver},
+        "seed": seed,
     }
     config = config_from_dict(raw)
     result = run_single(config)
@@ -299,12 +383,16 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch
     pairs = n_p * (n_p - 1) // 2
     if config.solver.schedule == "hessian":
         assert bundle_rows == [1 + n_p + pairs] * len(steps)
-        assert bundle_evals == [1 + n_p + 3 * pairs] * len(steps)
+        assert [b.circuit_evals for b in bundles] == [1 + n_p + 3 * pairs] * len(steps)
+        # each solve is handed the Hessian of its own cost at its warm start
+        for bundle, hessian, rec in zip(bundles, hessians, steps):
+            assert np.array_equal(hessian, hessian_extrapolate(bundle, rec.delta_s))
     else:
-        assert bundle_rows == bundle_evals == []
+        assert bundle_rows == bundles == []
+        assert hessians == [None] * len(steps)
     model = build_cost_model(result.system)
     for k, (rec, res) in enumerate(zip(steps, results)):
-        bundle = bundle_evals[k] if bundle_evals else 0
+        bundle = bundles[k].circuit_evals if bundles else 0
         assert rec.circuit_evals == bundle + res.nfev + res.njev * 2 * n_p
         remeasured = np.abs(cost_gradient(model, ansatz, res.theta, rec.s)).max()
         assert rec.grad_norm == remeasured

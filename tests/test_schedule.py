@@ -42,6 +42,15 @@ def test_condition_number_rejects_singular():
         condition_number(np.diag([1.0, 0.0]))
 
 
+def test_kappa_limit_is_where_condition_number_calls_a_matrix_singular():
+    with pytest.raises(SingularMatrixError):
+        condition_number(np.diag([1.0, 1e-14]))
+    assert math.isfinite(condition_number(np.diag([1.0, 1.01e-14])))
+    with pytest.raises(InvalidScheduleError, match=r"must be in \[1, 1e\+14\)"):
+        v_bounds(1e14)
+    assert all(math.isfinite(v) for v in v_bounds(math.nextafter(1e14, 0.0)))
+
+
 def test_v_bounds_unit_kappa():
     # kappa = 1 gives v = -+ log(1 + sqrt 2) by the closed form
     v_min, v_max = v_bounds(1.0)
@@ -112,8 +121,8 @@ def test_schedule_validation():
         default_sequence(2.0, 0)
     with pytest.raises(ValueError):
         uniform_sequence(0)
-    # 2 kappa^2 overflows here, so the v bounds are infinite and s(v) is NaN
-    with pytest.raises(InvalidScheduleError, match="not finite"):
+    # kappa at or past the singular limit is refused before any bound is computed
+    with pytest.raises(InvalidScheduleError, match=r"must be in \[1, 1e\+14\)"):
         default_sequence(1.3e154, 3)
 
 

@@ -136,8 +136,6 @@ class ProblemConfig(_Checked):
     conductivity: str = _field(
         "constant", _choice("constant", "noisy_constant", "linear", "noisy_linear")
     )
-    lambda0: float = _field(1.0, _float(strict_min=0.0))
-    slope: float = _field(2.0, _float(strict_min=0.0))
     sigma: float | None = _field(None, _float(minimum=0.0))
     source: str = _field("point", _choice("point", "exponential"))
     l: float = _field(0.0, _float(minimum=0.0))
@@ -166,9 +164,7 @@ class SolverConfig(_Checked):
     d: int = _field(2, _int(0))
     T: int = _field(50, _int(1))
     schedule: str = _field("hessian", _choice("fixed", "dynamic", "hessian"))
-    eps_psd: float = _field(1e-8, _float(strict_min=0.0))
     gtol: float = _field(1e-8, _float(strict_min=0.0))
-    max_iter: int = _field(500, _int(1))
 
 
 # A repeated sweep entry would solve the same cell twice and count it as two seeds.

@@ -32,7 +32,7 @@ from .cost import (
 # perfbench wraps these two; tests/test_perfbench_bindings.py checks they resolve
 from .cost import cost, cost_gradient  # noqa: F401
 from .problems import PreparedSystem
-from .schedule import default_sequence, next_increment, uniform_sequence
+from .schedule import S_TOL, default_sequence, next_increment, uniform_sequence
 
 __all__ = [
     "StepKind",
@@ -47,8 +47,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# L-BFGS-B's stop on a small relative cost decrease; every run uses this value, so no setting.
+# Every run uses these, so none is a setting: L-BFGS-B's stops on the relative cost
+# decrease and the iteration count, and the slack on lambda_min of a PSD Hessian.
 _FTOL = 1e-14
+_MAX_ITER = 500
+_EPS_PSD = 1e-8
 
 
 class StepKind(str, Enum):
@@ -70,12 +73,10 @@ def _lambda_min(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
-def _first_psd_crossing(
-    bundle: HessianBundle, remaining: float, eps_psd: float
-) -> float | None:
+def _first_psd_crossing(bundle: HessianBundle, remaining: float) -> float | None:
     """First step in (0, remaining] where the extrapolated Hessian stops being PSD.
 
-    M(ds) = ds^2 K_a + ds K_1 + (H_s + eps_psd I), with K_1 = 2 s K_a + K_b,
+    M(ds) = ds^2 K_a + ds K_1 + (H_s + _EPS_PSD I), with K_1 = 2 s K_a + K_b,
     is singular exactly at the eigenvalues of the companion pencil
     [[0, I], [-M(0), -K_1]] z = ds [[I, 0], [0, K_a]] z. The caller has
     checked that M(0) is PSD, so the first crossing is the smallest real
@@ -89,7 +90,7 @@ def _first_psd_crossing(
     n = bundle.n_params
     eye, zero = np.eye(n), np.zeros((n, n))
     k_1 = 2.0 * bundle.s * bundle.k_a + bundle.k_b
-    left = np.block([[zero, eye], [-(bundle.h_s + eps_psd * eye), -k_1]])
+    left = np.block([[zero, eye], [-(bundle.h_s + _EPS_PSD * eye), -k_1]])
     right = np.block([[eye, zero], [zero, bundle.k_a]])
     ds = scipy.linalg.eigvals(left, right)
     ds = ds.real[np.isfinite(ds) & (ds.imag == 0.0)]
@@ -98,22 +99,18 @@ def _first_psd_crossing(
         return None
     root = step = float(roots.min())
     back = float(np.spacing(root))
-    while _lambda_min(hessian_extrapolate(bundle, step)) + eps_psd < 0.0:
+    while _lambda_min(hessian_extrapolate(bundle, step)) + _EPS_PSD < 0.0:
         step = max(root - back, 0.0)
         back *= 2.0
     return step
 
 
-def propose_step(
-    bundle: HessianBundle,
-    delta_s_min: float,
-    eps_psd: float = SolverConfig.eps_psd,
-) -> StepDecision:
+def propose_step(bundle: HessianBundle, delta_s_min: float) -> StepDecision:
     """Pick the next increment from bundle.s, where the bundle was measured.
 
     Cases, in order: the current Hessian is itself indefinite (the point is
     not a trusted minimum), so fall back to the schedule increment; the
-    extrapolated Hessian stays PSD (within eps_psd) all the way to s = 1, so
+    extrapolated Hessian stays PSD (within _EPS_PSD) all the way to s = 1, so
     jump there; otherwise step to its first PSD crossing, floored at the
     schedule increment.
     """
@@ -125,9 +122,9 @@ def propose_step(
         raise ValueError(f"minimum step must be positive, got {delta_s_min}")
     lam_here = _lambda_min(bundle.h_s)
     lam_end = _lambda_min(hessian_extrapolate(bundle, remaining))
-    if lam_here < -eps_psd:
+    if lam_here < -_EPS_PSD:
         return StepDecision(StepKind.FALLBACK_SCHEDULE, ds_min, lam_here, lam_end)
-    ds_star = _first_psd_crossing(bundle, remaining, eps_psd)
+    ds_star = _first_psd_crossing(bundle, remaining)
     if ds_star is None:
         return StepDecision(StepKind.JUMP_TO_ONE, remaining, lam_here, lam_end)
     if ds_star <= ds_min:
@@ -170,14 +167,14 @@ def minimize_cost(
     fun(theta) returns (cost, gradient) together, so one batch of circuits
     serves both; the result keeps the theta, cost and gradient of the fun
     call L-BFGS-B stopped at, and nfev counts every fun call. Reads
-    solver.gtol, solver.max_iter and solver.eps_psd. The angles are
-    unbounded: the cost is 2pi-periodic in each.
+    solver.gtol. The angles are unbounded: the cost is 2pi-periodic in
+    each.
 
     `hessian` is the Hessian of the cost at theta0, if the caller holds it.
     L-BFGS-B then runs in its whitened coordinates phi, with
     theta = theta0 + V Lambda^{-1/2} phi and (Lambda, V) = eigh(hessian), so
     its first step is a Newton step, when both hold:
-    - the smallest eigenvalue exceeds eps_psd;
+    - the smallest eigenvalue exceeds _EPS_PSD;
     - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
       at or above 0, the floor of the nonnegative cost. A model that dips
       below it fails before its own minimizer, so its metric is not used.
@@ -189,14 +186,14 @@ def minimize_cost(
     Terminates when the projected-gradient infinity norm drops below gtol
     (for a whitened solve, that of the gradient in phi,
     (V Lambda^{-1/2})^T grad C), when the relative cost decrease drops below
-    _FTOL, or after max_iter iterations. On a line-search failure the best
+    _FTOL, or after _MAX_ITER iterations. On a line-search failure the best
     point found so far is returned with converged=False.
     """
     theta0 = np.asarray(theta0, dtype=float)
     objective, start, seen = fun, theta0, None
     if hessian is not None:
         lam, vec = np.linalg.eigh(hessian)
-        if lam[0] > solver.eps_psd:
+        if lam[0] > _EPS_PSD:
             basis = vec / np.sqrt(lam)
             cost0, grad0 = first = fun(theta0)
             measured = objective = _answer_first_call(fun, theta0, first)
@@ -217,7 +214,7 @@ def minimize_cost(
         jac=True,
         method="L-BFGS-B",
         options={
-            "maxiter": solver.max_iter,
+            "maxiter": _MAX_ITER,
             "gtol": solver.gtol,
             "ftol": _FTOL,
         },
@@ -283,8 +280,9 @@ def solve_adiabatic(
 ) -> RunTrace:
     """Sweep s from 0 to 1 with warm starts; the trace holds theta_star.
 
-    Every field of `solver` but n and d is read (the ansatz fixes the
-    circuit); the stopping rule is read by minimize_cost.
+    Reads solver.T and solver.schedule; minimize_cost reads solver.gtol,
+    and the ansatz fixes the circuit that solver.n and solver.d describe.
+    A step's note is L-BFGS-B's message when its solve did not converge.
 
     At s = 0 the zero parameter vector is the exact minimum (the circuit
     prepares e1, the working right-hand side), so the loop decides the
@@ -309,10 +307,10 @@ def solve_adiabatic(
     started = time.perf_counter()
     max_steps = T + 5
 
-    while s < 1.0 - 1e-12:
+    while s < 1.0 - S_TOL:
         if mode == "hessian":
             bundle = hessian_bundle(model, ansatz, theta, s)
-            decision = propose_step(bundle, next_increment(grid, s), solver.eps_psd)
+            decision = propose_step(bundle, next_increment(grid, s))
             probe_evals = bundle.circuit_evals
         else:
             decision = StepDecision(
@@ -320,7 +318,7 @@ def solve_adiabatic(
             )
             probe_evals = 0
         s_next = s + decision.delta_s
-        if s_next > 1.0 - 1e-12:
+        if s_next > 1.0 - S_TOL:
             s_next = 1.0
         res = minimize_cost(
             lambda th: cost_and_gradient(model, ansatz, th, s_next),
@@ -328,11 +326,6 @@ def solve_adiabatic(
             solver,
             hessian_extrapolate(bundle, s_next - s) if mode == "hessian" else None,
         )
-        note = ""
-        if res.cost < -1e-10:
-            note = f"negative cost {res.cost:.3e}"
-        if not res.converged:
-            note = (note + "; " if note else "") + res.message
         record = StepRecord(
             index=len(steps),
             s_from=s,
@@ -348,7 +341,7 @@ def solve_adiabatic(
             grad_norm=float(np.abs(res.grad).max()),
             theta_jump=float(np.linalg.norm(res.theta - theta)),
             converged=res.converged,
-            note=note,
+            note="" if res.converged else res.message,
         )
         steps.append(record)
         log.info(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzConfig, apply_ansatz
+from .schedule import check_s
 
 __all__ = [
     "CostModel",
@@ -68,16 +69,11 @@ def build_cost_model(source) -> CostModel:
 
 def assemble_hamiltonian(model: CostModel, s: float) -> np.ndarray:
     """Dense H(s) = A(s)^T P A(s) with A(s) = I + s D."""
-    _check_s(s)
+    check_s(s)
     pencil = np.eye(model.dim) + s * model.d_op
     projected = pencil.copy()
     projected[0] = 0.0
     return pencil.T @ projected
-
-
-def _check_s(s: float) -> None:
-    if not -1e-12 <= s <= 1.0 + 1e-12:
-        raise ValueError(f"adiabatic parameter must lie in [0, 1], got {s}")
 
 
 def _terms_of_states(model: CostModel, states: np.ndarray) -> np.ndarray:
@@ -156,7 +152,7 @@ def _shift_rule(terms: np.ndarray) -> np.ndarray:
 
 def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) -> float:
     """C_s(theta) = <theta| H(s) |theta>."""
-    _check_s(s)
+    check_s(s)
     terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
     return float(_in_s(terms, s))
 
@@ -172,8 +168,8 @@ def cost_extrapolate(
 
     Exact for any step because the cost is a quadratic polynomial in s.
     """
-    _check_s(s)
-    _check_s(s + delta_s)
+    check_s(s)
+    check_s(s + delta_s)
     terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
     ea, eb, _ = terms
     cost_here = _in_s(terms, s)
@@ -184,7 +180,7 @@ def cost_and_gradient(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> tuple[float, np.ndarray]:
     """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits."""
-    _check_s(s)
+    check_s(s)
     theta = _check_theta(config, theta)
     terms = _terms_at(model, config, theta + _objective_offsets(config.n_params))
     return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:]), s)
@@ -243,7 +239,7 @@ def hessian_bundle(
     shift rule's second differences, without simulating its 2 n_p^2 + 1
     points.
     """
-    _check_s(s)
+    check_s(s)
     theta = _check_theta(config, theta)
     _check_dims(model, config)
     n_p = config.n_params

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularMatrixError
+from .schedule import check_s
 
 __all__ = [
     "SolutionReport",
@@ -37,8 +38,7 @@ def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def solve_parametric(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """Normalized solution of the pencil ((1-s) I + s A) x = b."""
-    if not -1e-12 <= s <= 1.0 + 1e-12:
-        raise ValueError(f"adiabatic parameter must lie in [0, 1], got {s}")
+    check_s(s)
     a = np.asarray(a, dtype=float)
     pencil = (1.0 - s) * np.eye(a.shape[0]) + s * a
     return classical_solve(pencil, b)

@@ -43,16 +43,19 @@ _RESAMPLE_BUDGET = 100
 def sample_conductivity(problem: ProblemConfig, n_sites: int, seed: int = 0) -> np.ndarray:
     """Conductivity values at the interior sites z_i = i * dz, i = 1..N.
 
-    Noisy kinds perturb each site by N(0, sigma^2) drawn from `seed`.
+    The noiseless profile is 1 for the constant kinds and 2 z / L for the
+    linear ones; scaling it by c would, once `prepare` normalizes A, only
+    act as sigma / c. Noisy kinds perturb each site by N(0, sigma^2) drawn
+    from `seed`.
     """
     if n_sites < 1:
         raise ValueError(f"site count must be >= 1, got {n_sites}")
     dz = LENGTH / n_sites
     z = np.arange(1, n_sites + 1) * dz
     if problem.conductivity in ("constant", "noisy_constant"):
-        base = np.full(n_sites, problem.lambda0)
+        base = np.full(n_sites, 1.0)
     else:
-        base = problem.slope * z / LENGTH * problem.lambda0
+        base = 2.0 * z / LENGTH
     if problem.conductivity in ("constant", "linear"):
         return base
     sigma = problem.resolved_sigma()

@@ -21,10 +21,19 @@ __all__ = [
     "next_increment",
 ]
 
+# Round-off slack on the adiabatic parameter: an s within S_TOL of [0, 1]
+# is in range, and a grid point (or 1) within S_TOL past s has been reached.
+S_TOL = 1e-12
 _ENDPOINT_TOL = 1e-8
 # sigma_min <= _SINGULAR_RATIO * sigma_max is singular to working precision,
 # so a schedule accepts kappa < 1 / _SINGULAR_RATIO and no larger.
 _SINGULAR_RATIO = 1e-14
+
+
+def check_s(s: float) -> None:
+    """Raise ValueError unless s lies in [0, 1] up to S_TOL."""
+    if not -S_TOL <= s <= 1.0 + S_TOL:
+        raise ValueError(f"adiabatic parameter must lie in [0, 1], got {s}")
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -99,7 +108,7 @@ def uniform_sequence(T: int) -> np.ndarray:
 
 def next_increment(grid: np.ndarray, s: float) -> float:
     """Distance from s to the next larger value of an increasing grid (or to 1 past it)."""
-    j = int(np.searchsorted(grid, s + 1e-12, side="right"))
+    j = int(np.searchsorted(grid, s + S_TOL, side="right"))
     if j >= len(grid):
         return max(1.0 - s, 0.0)
     return float(grid[j] - s)

@@ -71,6 +71,10 @@ def test_unknown_keys_name_the_field_path():
         ({"problem": {"family": "heat"}}, "problem.family"),
         ({"problem": {"q0": 1.0}}, "problem.q0"),
         ({"solver": {"bounded": False}}, "solver.bounded"),
+        ({"problem": {"lambda0": 1.0}}, "problem.lambda0"),
+        ({"problem": {"slope": 2.0}}, "problem.slope"),
+        ({"solver": {"eps_psd": 1e-8}}, "solver.eps_psd"),
+        ({"solver": {"max_iter": 500}}, "solver.max_iter"),
     ):
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
@@ -122,10 +126,6 @@ FIELD_ERRORS = [
      f"problem.conductivity: expected one of {_CONDUCTIVITIES}, got 1"),
     ({"problem": {"conductivity": "gaussian"}},
      f"problem.conductivity: expected one of {_CONDUCTIVITIES}, got 'gaussian'"),
-    ({"problem": {"lambda0": "1"}}, "problem.lambda0: expected a number, got '1'"),
-    ({"problem": {"lambda0": 0}}, "problem.lambda0: must be > 0.0, got 0.0"),
-    ({"problem": {"slope": True}}, "problem.slope: expected a number, got True"),
-    ({"problem": {"slope": -1}}, "problem.slope: must be > 0.0, got -1.0"),
     ({"problem": {"sigma": "0.2"}}, "problem.sigma: expected a number, got '0.2'"),
     ({"problem": {"sigma": -0.1}}, "problem.sigma: must be >= 0.0, got -0.1"),
     ({"problem": {"source": []}},
@@ -144,12 +144,8 @@ FIELD_ERRORS = [
      "solver.schedule: expected one of ('fixed', 'dynamic', 'hessian'), got None"),
     ({"solver": {"schedule": "euler"}},
      "solver.schedule: expected one of ('fixed', 'dynamic', 'hessian'), got 'euler'"),
-    ({"solver": {"eps_psd": "1e-8"}}, "solver.eps_psd: expected a number, got '1e-8'"),
-    ({"solver": {"eps_psd": 0.0}}, "solver.eps_psd: must be > 0.0, got 0.0"),
     ({"solver": {"gtol": [1e-8]}}, "solver.gtol: expected a number, got [1e-08]"),
     ({"solver": {"gtol": -1e-8}}, "solver.gtol: must be > 0.0, got -1e-08"),
-    ({"solver": {"max_iter": 2.5}}, "solver.max_iter: expected an integer, got 2.5"),
-    ({"solver": {"max_iter": 0}}, "solver.max_iter: must be >= 1, got 0"),
     ({"sweep": {"n": 4}}, "sweep.n: expected a non-empty list"),
     ({"sweep": {"n": [2, 0]}}, "sweep.n[1]: must be >= 1, got 0"),
     ({"sweep": {"d": ["2"]}}, "sweep.d[0]: expected an integer, got '2'"),
@@ -177,11 +173,8 @@ FIELD_ERRORS = [
     ({"sweep": {"T": [5, 5]}}, "sweep.T[1]: repeats an earlier entry, got 5"),
     ({"sweep": {"l": [2, 2.0]}}, "sweep.l[1]: repeats an earlier entry, got 2.0"),
     ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds[1]: repeats an earlier entry, got 0"),
-    ({"problem": {"lambda0": float("nan")}}, "problem.lambda0: expected a finite number, got nan"),
-    ({"problem": {"slope": float("-inf")}}, "problem.slope: expected a finite number, got -inf"),
     ({"problem": {"sigma": float("nan")}}, "problem.sigma: expected a finite number, got nan"),
     ({"problem": {"l": float("inf")}}, "problem.l: expected a finite number, got inf"),
-    ({"solver": {"eps_psd": float("inf")}}, "solver.eps_psd: expected a finite number, got inf"),
     ({"solver": {"gtol": float("nan")}}, "solver.gtol: expected a finite number, got nan"),
     ({"sweep": {"l": [0.0, float("inf")]}}, "sweep.l[1]: expected a finite number, got inf"),
 ]
@@ -190,7 +183,9 @@ FIELD_ERRORS = [
 @pytest.mark.parametrize(
     "raw, message",
     FIELD_ERRORS,
-    ids=case_ids(FIELD_ERRORS, retired={0, 1, 14, 15, 30, 31, 62}),
+    ids=case_ids(
+        FIELD_ERRORS, retired={0, 1, 4, 5, 6, 7, 14, 15, 24, 25, 28, 29, 30, 31, 58, 59, 62, 63}
+    ),
 )
 def test_every_field_error_message(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -222,7 +217,9 @@ DIRECT_ERRORS = [(case, message) for raw, message in FIELD_ERRORS if (case := on
 @pytest.mark.parametrize(
     "case, message",
     DIRECT_ERRORS,
-    ids=case_ids(DIRECT_ERRORS, retired={0, 1, 14, 15, 30, 31, 57}),
+    ids=case_ids(
+        DIRECT_ERRORS, retired={0, 1, 4, 5, 6, 7, 14, 15, 24, 25, 28, 29, 30, 31, 53, 54, 57, 58}
+    ),
 )
 def test_every_field_error_message_when_built_directly(case, message):
     cls, name, value = case
@@ -273,12 +270,11 @@ def test_noisy_conductivity_needs_positive_sigma(tmp_path, capsys):
 def test_payload_round_trip():
     raw = {
         "problem": {
-            "conductivity": "noisy_linear", "lambda0": 1.5, "slope": 0.5, "sigma": 0.1,
+            "conductivity": "noisy_linear", "sigma": 0.1,
             "source": "exponential", "l": 2.0,
         },
         "solver": {
-            "n": 3, "d": 1, "T": 25, "schedule": "dynamic", "eps_psd": 1e-6,
-            "gtol": 1e-7, "max_iter": 200,
+            "n": 3, "d": 1, "T": 25, "schedule": "dynamic", "gtol": 1e-7,
         },
         "sweep": {"n": [2, 3], "d": [0, 1], "T": [10, 20], "l": [0.0, 2.0], "seeds": [0, 1, 2]},
         "output": {"dir": "runs/round-trip", "formats": ["csv"]},

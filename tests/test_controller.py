@@ -127,7 +127,7 @@ def random_symmetric(rng, n, rank):
 
 def test_propose_step_is_psd_up_to_the_step():
     rng = np.random.default_rng(7)
-    eps = 1e-8
+    eps = controller_module._EPS_PSD
     kinds = set()
     for trial in range(60):
         n = int(rng.integers(1, 7))
@@ -138,7 +138,7 @@ def test_propose_step_is_psd_up_to_the_step():
         bundle = make_bundle(
             h_s, random_symmetric(rng, n, rank), 2.0 * random_symmetric(rng, n, n), s
         )
-        decision = propose_step(bundle, 1e-9, eps)
+        decision = propose_step(bundle, 1e-9)
         kinds.add(decision.kind)
         assert decision.kind in (StepKind.HESSIAN_STEP, StepKind.JUMP_TO_ONE)
         ds_star = decision.delta_s
@@ -167,21 +167,22 @@ def test_minimize_cost_quadratic():
     assert res.nfev >= 1 and res.iterations >= 1
 
 
-def test_minimize_cost_rosenbrock():
+def test_minimize_cost_rosenbrock(monkeypatch):
+    monkeypatch.setattr(controller_module, "_MAX_ITER", 1000)
     res = minimize_cost(
         lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
-        SolverConfig(gtol=1e-10, max_iter=1000),
+        SolverConfig(gtol=1e-10),
     )
     assert res.converged
     assert np.allclose(res.theta, [1.0, 1.0], atol=1e-5)
 
 
-def test_minimize_cost_iteration_cap():
+def test_minimize_cost_iteration_cap(monkeypatch):
+    monkeypatch.setattr(controller_module, "_MAX_ITER", 2)
     res = minimize_cost(
         lambda x: (scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)),
         np.array([-1.2, 1.0]),
-        SolverConfig(max_iter=2),
     )
     assert res.iterations <= 2
     assert not res.converged
@@ -230,7 +231,7 @@ def assert_same_result(res, plain):
 
 def test_minimize_cost_ignores_a_hessian_that_is_not_positive_definite():
     # eigh returns a diagonal matrix's eigenvalues exactly, so the first case
-    # sits on the boundary lambda_min == eps_psd. The cost has no slope along
+    # sits on the boundary lambda_min == _EPS_PSD. The cost has no slope along
     # e1 at the start, so even a metric that whitened e1 by that eigenvalue
     # would pass the model test; only the eigenvalue test keeps theta.
     weights = np.logspace(0.0, -4.0, 6)
@@ -242,7 +243,7 @@ def test_minimize_cost_ignores_a_hessian_that_is_not_positive_definite():
 
     solver = SolverConfig()
     plain = minimize_cost(fun, np.zeros(6), solver)
-    for floor in (solver.eps_psd, 0.0, -1.0):
+    for floor in (controller_module._EPS_PSD, 0.0, -1.0):
         hessian = np.diag([floor, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert_same_result(minimize_cost(fun, np.zeros(6), solver, hessian), plain)
 
@@ -320,19 +321,21 @@ def test_solve_adiabatic_solves_small_heat_problem():
 
 
 @pytest.mark.parametrize(
-    "solver, seed",
+    "solver, seed, max_iter",
     [
-        ({"schedule": "fixed"}, 0),
-        ({"schedule": "dynamic"}, 0),
+        ({"schedule": "fixed"}, 0, None),
+        ({"schedule": "dynamic"}, 0, None),
         # seed 0's one step runs on theta (its quadratic model dips below 0);
         # seed 1's second step runs whitened
-        ({"schedule": "hessian"}, 0),
-        ({"schedule": "hessian"}, 1),
-        ({"schedule": "hessian", "d": 2, "max_iter": 1}, 0),
+        ({"schedule": "hessian"}, 0, None),
+        ({"schedule": "hessian"}, 1, None),
+        ({"schedule": "hessian", "d": 2}, 0, 1),
     ],
     ids=["fixed", "dynamic", "hessian", "hessian-whitened", "hessian-max-iter-1"],
 )
-def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch, solver, seed):
+def test_steps_charge_measured_circuits_and_report_the_last_gradient(
+    monkeypatch, solver, seed, max_iter
+):
     # each step charges the bundle's device circuits (its derivative states
     # are fewer), one circuit per L-BFGS cost evaluation and 2 n_p per
     # gradient; grad_norm is read from the gradient L-BFGS-B returned at the
@@ -369,6 +372,8 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(monkeypatch
     monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
     monkeypatch.setattr(controller_module, "hessian_bundle", recording_bundle)
     monkeypatch.setattr(controller_module, "minimize_cost", recording_minimize)
+    if max_iter is not None:
+        monkeypatch.setattr(controller_module, "_MAX_ITER", max_iter)
     raw = {
         "problem": {"conductivity": "noisy_constant"},
         "solver": {"n": 3, "d": 1, "T": 10, **solver},
@@ -411,7 +416,8 @@ def test_solve_adiabatic_is_deterministic():
 
 def test_run_single_passes_every_solver_setting(monkeypatch):
     # each setting changes this run where the default does not, so a setting
-    # dropped between the config and the solver fails here
+    # dropped between the config and the solver fails here; the iteration
+    # cap and the PSD slack are constants the solver reads where it runs
     calls = []
     minimize = scipy.optimize.minimize
 
@@ -437,15 +443,16 @@ def test_run_single_passes_every_solver_setting(monkeypatch):
     for call in calls:
         assert "bounds" not in call
         assert call["options"]["ftol"] == 1e-14
+        assert call["options"]["maxiter"] == 500
 
     assert all(rec.iterations == 0 for rec in run(gtol=1e3).steps)
-    assert all(rec.iterations <= 1 for rec in run(max_iter=1).steps)
-    jumped = run(eps_psd=1e3)
-    assert jumped.t == 1
-    assert jumped.steps[0].kind is StepKind.JUMP_TO_ONE
     fixed = run(schedule="fixed", T=3)
     assert fixed.t == 3
     assert all(rec.kind is StepKind.FALLBACK_SCHEDULE for rec in fixed.steps)
+    monkeypatch.setattr(controller_module, "_EPS_PSD", 1e3)
+    jumped = run()
+    assert jumped.t == 1
+    assert jumped.steps[0].kind is StepKind.JUMP_TO_ONE
 
 
 def _final_state(system, config, theta):

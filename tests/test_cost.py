@@ -245,6 +245,31 @@ def test_chunked_bundle_matches_loop_reference(monkeypatch):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
+def test_chunked_objective_matches_loop_reference(monkeypatch):
+    # a cap of 4 states splits the objective's 2 n_p + 1 = 19 points into
+    # 4, 4, 4, 4 and 3
+    model, config, theta = normalized_case(62, 3)
+    s = 0.45
+    whole_value, whole_grad = cost_and_gradient(model, config, theta, s)
+    cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
+    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 4 * config.dim)
+    batches = []
+    real_apply = cost_module.apply_ansatz
+
+    def recording_apply(config, points):
+        batches.append(len(points))
+        return real_apply(config, points)
+
+    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
+    value, grad = cost_and_gradient(model, config, theta, s)
+    assert batches == [4, 4, 4, 4, 3]
+    ea, eb, ec = loop_terms(model, config, theta)
+    want_grad, _, _, _ = loop_shift_rule(model, config, theta, s, np.pi / 2)
+    for want_value, want in ((whole_value, whole_grad), (s * s * ea + s * eb + ec, want_grad)):
+        assert abs(value - want_value) <= BATCH_TOL
+        assert np.allclose(grad, want, rtol=0, atol=BATCH_TOL)
+
+
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 2)])
 def test_bundle_equals_the_device_rule_it_is_charged_for(monkeypatch, n, d):
     # infinite unless circuit_evals is exactly the rule's circuit count

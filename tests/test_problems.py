@@ -71,7 +71,7 @@ def test_constant_profile_spectrum():
 
 
 def test_linear_profile_matches_stencil_oracle():
-    prof = ProblemConfig(conductivity="linear", slope=2.0)
+    prof = ProblemConfig(conductivity="linear")
     for n in (1, 2, 3):
         mat, lam = discretize_heat(prof, n)
         n_sites = 2 ** n
@@ -108,8 +108,6 @@ def test_profile_validation():
         ProblemConfig(conductivity="noisy_constant", sigma=0.0)
     with pytest.raises(ConfigError, match=r"^problem\.conductivity: expected one of"):
         ProblemConfig(conductivity="quadratic")
-    with pytest.raises(ConfigError, match=r"^problem\.lambda0: must be > 0\.0"):
-        ProblemConfig(conductivity="constant", lambda0=0.0)
 
 
 def test_point_source():

@@ -1,7 +1,7 @@
 """Command-line interface: solve, sweep, schedule and verify subcommands.
 
-Exit codes: 0 success, 1 configuration error, 2 solver error, 3 partial
-sweep failure.
+Exit codes: 0 success, 1 configuration error (a usage error included),
+2 solver error, 3 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import load_config
 from .errors import ConfigError
@@ -34,8 +32,15 @@ from .verify import run_battery
 log = logging.getLogger(__name__)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avqls",
         description="Adiabatic variational linear-system solver (classical emulation)",
     )
@@ -46,11 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("config", help="path to a JSON run configuration")
     solve.add_argument("--out", help="output directory (overrides config)")
     solve.add_argument("--seed", type=int, help="master seed (overrides config)")
-    solve.add_argument(
-        "--dump-system",
-        action="store_true",
-        help="also write the assembled matrix (matrix.mtx) and rhs (rhs.txt)",
-    )
 
     sweep = sub.add_parser("sweep", help="run the sweep section of a config")
     sweep.add_argument("config", help="path to a JSON run configuration")
@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched = sub.add_parser("schedule", help="print a step schedule")
     sched.add_argument("--kappa", type=float, required=True)
     sched.add_argument("--steps", type=int, default=50, metavar="T")
-    sched.add_argument("--format", choices=("csv", "json"), default="csv")
-    sched.add_argument("--out", help="write to a file instead of stdout")
 
     sub.add_parser("verify", help="run the built-in invariant battery")
     return parser
@@ -88,22 +86,12 @@ def _cmd_solve(args) -> int:
         write_trace(out_dir / "trace.json", trace_payload(config, result))
     if "csv" in config.output.formats:
         write_summary(out_dir / "summary.csv", [summary_row(config, result, config.seed)])
-    if args.dump_system:
-        _dump_system(result.system, out_dir)
     print(
         f"t={result.trace.t}/{result.trace.T} kappa={result.system.kappa:.4g} "
         f"cost={result.trace.final_cost:.3e} infidelity={result.report.infidelity:.3e} "
         f"accuracy={result.report.accuracy:.6f}"
     )
     return 0
-
-
-def _dump_system(system, out_dir: Path) -> None:
-    import scipy.io  # only --dump-system needs these, so other commands skip them
-    import scipy.sparse
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scipy.io.mmwrite(str(out_dir / "matrix.mtx"), scipy.sparse.csr_matrix(system.a_matrix))
-    np.savetxt(out_dir / "rhs.txt", system.b_vector)
 
 
 def _cmd_sweep(args) -> int:
@@ -132,22 +120,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    text = emit_schedule(args.kappa, args.steps, fmt=args.format)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(emit_schedule(args.kappa, args.steps))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s %(message)s",
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s %(message)s",
+        )
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":

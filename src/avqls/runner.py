@@ -32,7 +32,7 @@ from .metrics import (
     solve_parametric,
 )
 from .problems import PreparedSystem, heat_system, prepare, recover_solution
-from .schedule import default_sequence, v_bounds
+from .schedule import default_sequence
 
 __all__ = [
     "RunResult",
@@ -208,7 +208,7 @@ class SweepCell:
     seed: int
 
     def tag(self) -> str:
-        l_tag = f"{self.l:g}"
+        l_tag = repr(self.l).removesuffix(".0")  # exact, so no two cells share a trace file
         return f"n{self.n}_d{self.d}_T{self.T}_l{l_tag}_s{self.seed}"
 
 
@@ -355,14 +355,9 @@ def write_aggregate(path: Path, rows: list[dict]) -> None:
     _write_csv(path, _AGGREGATE_FIELDS, rows)
 
 
-def emit_schedule(kappa: float, T: int, fmt: str = "csv") -> str:
-    """The default grid as CSV rows (j, s_j), or as JSON of kappa, T and the v and s grids."""
-    grid = default_sequence(kappa, T)
-    if fmt == "json":
-        v = np.linspace(*v_bounds(kappa), T + 1)  # the evenly spaced v that grid maps
-        payload = {"kappa": float(kappa), "T": int(T), "v": v.tolist(), "s": grid.tolist()}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def emit_schedule(kappa: float, T: int) -> str:
+    """The default grid as CSV rows (j, s_j)."""
     lines = ["j,s"]
-    for j, s in enumerate(grid):
+    for j, s in enumerate(default_sequence(kappa, T)):
         lines.append(f"{j},{float(s)!r}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.io
 
 import avqls
 import avqls.runner as runner
@@ -29,7 +28,6 @@ from avqls.cli import main
 from avqls.config import OutputConfig, ProblemConfig, SolverConfig, SweepConfig
 from avqls.runner import (
     aggregate_rows,
-    build_system,
     cell_config,
     dump_trace,
     emit_schedule,
@@ -370,10 +368,6 @@ def test_emit_schedule_formats():
     assert len(lines) == 7
     assert float(lines[1].split(",")[1]) == 0.0
     assert float(lines[-1].split(",")[1]) == 1.0
-    payload = json.loads(emit_schedule(10.0, 5, fmt="json"))
-    assert set(payload) == {"kappa", "T", "v", "s"}
-    assert payload["T"] == 5
-    assert len(payload["s"]) == 6
 
 
 def write_config(tmp_path, raw):
@@ -402,30 +396,6 @@ def test_cli_solve_rerun_is_byte_identical(tmp_path):
     first = (out / "trace.json").read_bytes()
     assert main(["solve", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "trace.json").read_bytes() == first
-
-
-def test_cli_solve_dump_system(tmp_path):
-    cfg_path = write_config(tmp_path, small_heat_raw())
-    out = tmp_path / "out"
-    code = main(["solve", str(cfg_path), "--out", str(out), "--dump-system"])
-    assert code == 0
-    mat = scipy.io.mmread(str(out / "matrix.mtx")).toarray()
-    rhs = np.loadtxt(out / "rhs.txt")
-    assert mat.shape == (4, 4)
-    assert np.allclose(np.diag(mat), -32.0)
-    assert rhs[0] == 1.0
-
-
-def test_cli_dump_system_round_trips_the_system(tmp_path):
-    raw = small_heat_raw(n=3)
-    raw["problem"]["conductivity"] = "noisy_linear"
-    cfg_path = write_config(tmp_path, raw)
-    out = tmp_path / "out"
-    assert main(["solve", str(cfg_path), "--out", str(out), "--dump-system"]) == 0
-    system = build_system(load_config(cfg_path))
-    mat = scipy.io.mmread(str(out / "matrix.mtx")).toarray()
-    assert np.array_equal(mat, system.a_matrix)
-    assert np.array_equal(np.loadtxt(out / "rhs.txt"), system.b_vector)
 
 
 def test_cli_seed_override(tmp_path):
@@ -550,6 +520,21 @@ def sweep_outputs(out) -> tuple[dict, list[dict]]:
     with open(out / "sweep_details.csv", newline="") as fh:
         rows = [{k: v for k, v in row.items() if k != "wall_time_s"} for row in csv.DictReader(fh)]
     return traces, rows
+
+
+def test_cli_sweep_writes_one_trace_per_cell_for_close_l(tmp_path, capsys):
+    # l values equal to 6 digits still get a trace file each; a whole l keeps its short name
+    raw = {
+        "problem": {"conductivity": "noisy_constant", "source": "exponential"},
+        "solver": {"n": 2, "d": 1, "T": 4},
+        "sweep": {"l": [1.0, 1.0000001], "seeds": [0]},
+    }
+    out = tmp_path / "out"
+    assert main(["sweep", str(write_config(tmp_path, raw)), "--out", str(out)]) == 0
+    assert "2/2 cells ok" in capsys.readouterr().out
+    traces, rows = sweep_outputs(out)
+    assert sorted(traces) == ["trace_n2_d1_T4_l1.0000001_s0.json", "trace_n2_d1_T4_l1_s0.json"]
+    assert len(rows) == 2
 
 
 def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
@@ -767,17 +752,47 @@ def test_eight_qubit_trace_does_not_depend_on_blas_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_cli_schedule_subcommand(tmp_path, capsys):
+def test_cli_schedule_subcommand(capsys):
     assert main(["schedule", "--kappa", "10", "--steps", "4"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    assert out == emit_schedule(10.0, 4)
+    lines = out.strip().splitlines()
     assert lines[0] == "j,s"
     assert len(lines) == 6
-    out_file = tmp_path / "sched.json"
-    assert main(
-        ["schedule", "--kappa", "10", "--steps", "4", "--format", "json",
-         "--out", str(out_file)]
-    ) == 0
-    assert json.loads(out_file.read_text())["kappa"] == 10.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["schedule", "--kappa", "abc"], "argument --kappa: invalid float value: 'abc'"),
+        (["solve"], "the following arguments are required: config"),
+        (["solve", "CFG", "--dump-system"], "unrecognized arguments: --dump-system"),
+        (["schedule", "--kappa", "3", "--format", "json"], "unrecognized arguments: --format json"),
+        (["schedule", "--kappa", "3", "--out", "f"], "unrecognized arguments: --out f"),
+    ],
+    ids=["bad-kappa", "no-config", "dump-system", "format", "schedule-out"],
+)
+def test_cli_usage_error_is_a_config_error(tmp_path, argv, message):
+    cfg_path = write_config(tmp_path, small_heat_raw())
+    argv = [str(cfg_path) if arg == "CFG" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "avqls.cli", *argv],
+        cwd=tmp_path,
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"configuration error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--help"])
+    assert exc.value.code == 0
+    assert "--kappa" in capsys.readouterr().out
 
 
 def test_cli_schedule_rejects_kappa_whose_bounds_overflow():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -141,11 +140,11 @@ def test_next_increment_at_the_top():
 
 
 def test_payload_round_trip():
-    # the JSON schedule reads back as the exact v and s grids
+    # the CSV schedule reads back as the exact s grid
     T = 5
     for kappa in (1.0, 10.0, 1000.0):
-        payload = json.loads(emit_schedule(kappa, T, fmt="json"))
-        assert payload["kappa"] == kappa
-        assert payload["T"] == T
-        assert np.array_equal(payload["v"], np.linspace(*v_bounds(kappa), T + 1))
-        assert np.array_equal(payload["s"], default_sequence(kappa, T))
+        rows = [line.split(",") for line in emit_schedule(kappa, T).splitlines()]
+        assert rows[0] == ["j", "s"]
+        assert [int(j) for j, _ in rows[1:]] == list(range(T + 1))
+        s = np.array([float(value) for _, value in rows[1:]])
+        assert np.array_equal(s, default_sequence(kappa, T))

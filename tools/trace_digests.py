@@ -19,8 +19,8 @@ checkout without this file can be digested too. The inputs come from
   decide;
 - `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
   per trace and one per CSV;
-- `avqls schedule` at kappa 1, 3, 10, 1000 and 1e6, `--steps` 1, 4 and 50,
-  in both formats (30 lines).
+- `avqls schedule` at kappa 1, 3, 10, 1000 and 1e6, `--steps` 1, 4 and 50
+  (15 lines).
 
 Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
 always dropped from the CSVs. `--drop NAME` also drops the step field, the
@@ -118,13 +118,13 @@ def sweep_lines(workdir: Path, drop: set[str]):
 def schedule_lines():
     import avqls.cli
 
-    for kappa, steps, fmt in product(SCHEDULE_KAPPAS, SCHEDULE_STEPS, ("csv", "json")):
+    for kappa, steps in product(SCHEDULE_KAPPAS, SCHEDULE_STEPS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = avqls.cli.main(["schedule", "--kappa", kappa, "--steps", steps, "--format", fmt])
+            code = avqls.cli.main(["schedule", "--kappa", kappa, "--steps", steps])
         if code != 0:
             raise SystemExit(f"avqls schedule --kappa {kappa} --steps {steps} exited {code}")
-        yield f"{sha(out.getvalue())}  schedule kappa={kappa} steps={steps} {fmt}"
+        yield f"{sha(out.getvalue())}  schedule kappa={kappa} steps={steps}"
 
 
 def main(argv: list[str] | None = None) -> int:

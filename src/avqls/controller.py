@@ -268,6 +268,11 @@ class RunTrace:
         return len(self.steps)
 
     @property
+    def circuit_evals(self) -> int:
+        """Device circuits charged over all steps."""
+        return sum(rec.circuit_evals for rec in self.steps)
+
+    @property
     def final_cost(self) -> float:
         """Cost of the last step, at s = 1; every run takes at least one step."""
         return self.steps[-1].cost
@@ -291,6 +296,14 @@ def solve_adiabatic(
     In `hessian` mode the reoptimization is preconditioned with the Hessian
     of the next stop's cost at the warm start, which the bundle already
     holds.
+
+    A step charges the circuits a device must run: the bundle, unless it is
+    measured at theta = 0, and every L-BFGS-B evaluation but the first. At
+    theta = 0 every derivative state is a signed basis vector, so those
+    numbers are entries of H(s) (verify.start_rule_defect). The first
+    evaluation is at the warm start: theta = 0, or the previous optimum,
+    which a previous evaluation measured, and whose terms <a>, <b>, <c> do
+    not depend on s.
     """
     mode, T = solver.schedule, solver.T
     if system.n_qubits != ansatz.n:
@@ -311,7 +324,7 @@ def solve_adiabatic(
         if mode == "hessian":
             bundle = hessian_bundle(model, ansatz, theta, s)
             decision = propose_step(bundle, next_increment(grid, s))
-            probe_evals = bundle.circuit_evals
+            probe_evals = bundle.circuit_evals if theta.any() else 0
         else:
             decision = StepDecision(
                 StepKind.FALLBACK_SCHEDULE, next_increment(grid, s), None, None
@@ -336,7 +349,7 @@ def solve_adiabatic(
             lambda_min_at_end=decision.lambda_min_at_end,
             iterations=res.iterations,
             nfev=res.nfev,
-            circuit_evals=probe_evals + res.nfev + res.njev * 2 * n_p,
+            circuit_evals=probe_evals + (res.nfev - 1) + (res.njev - 1) * 2 * n_p,
             cost=res.cost,
             grad_norm=float(np.abs(res.grad).max()),
             theta_jump=float(np.linalg.norm(res.theta - theta)),

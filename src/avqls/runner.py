@@ -157,7 +157,7 @@ def write_trace(path: Path, payload: dict) -> None:
 
 _SUMMARY_FIELDS = [
     "n", "d", "T", "l", "seed", "mode", "kappa", "embedded", "t", "t_over_T",
-    "final_cost", "infidelity", "accuracy", "wall_time_s", "error",
+    "circuit_evals", "final_cost", "infidelity", "accuracy", "wall_time_s", "error",
 ]
 
 
@@ -178,10 +178,11 @@ def summary_row(config: RunConfig, result: RunResult | None, seed: int, error: s
             embedded=result.system.embedded,
             t=result.trace.t,
             t_over_T=repr(result.trace.t / result.trace.T),
+            circuit_evals=result.trace.circuit_evals,
             final_cost=repr(float(result.trace.final_cost)),
             infidelity=repr(float(result.report.infidelity)),
             accuracy=repr(float(result.report.accuracy)),
-            wall_time_s=f"{result.trace.wall_time_s:.3f}",
+            wall_time_s=f"{result.trace.wall_time_s:.6f}",
         )
     return row
 

@@ -9,6 +9,7 @@ from .cost import (
     assemble_hamiltonian,
     build_cost_model,
     cost,
+    cost_and_gradient,
     cost_extrapolate,
     cost_gradient,
     hessian_bundle,
@@ -26,6 +27,7 @@ __all__ = [
     "ground_state_defect",
     "gradient_defect",
     "hessian_rule_defect",
+    "start_rule_defect",
     "run_battery",
 ]
 
@@ -164,6 +166,59 @@ def hessian_rule_defect(cases) -> float:
     return _worst(defects)
 
 
+def _flipped_start(config: AnsatzConfig, flipped) -> tuple[int, int]:
+    """(sign, index) of the basis state psi(pi e_p summed over p in flipped).
+
+    Pushes basis index 0 through the circuit by bit operations: Ry(0) is the
+    identity, Ry(pi) maps |0> to |1> and |1> to -|0>, and a CNOT flips its
+    target bit when its control bit is set.
+    """
+    n = config.n
+    sign, index = 1, 0
+    for p in range(config.n_params):
+        if p and p % n == 0:
+            for control, target in config.ring:
+                index ^= (index >> (n - 1 - control) & 1) << (n - 1 - target)
+        if p in flipped:
+            bit = 1 << (n - 1 - p % n)
+            sign = -sign if index & bit else sign
+            index ^= bit
+    return sign, index
+
+
+def start_rule_defect(cases) -> float:
+    """Worst gap between the circuits at theta = 0 and entries of H(s).
+
+    Each case is (model, config, s). At theta = 0 the circuit prepares e1,
+    and each derivative state is a signed basis vector found without
+    simulating a state: chi_i = psi(pi e_i) = e_{b_i}, since every earlier
+    gate leaves index 0 alone and the flipped bit is still 0, and
+    chi_ij = psi(pi e_i + pi e_j) = sigma_ij e_{b_ij}. So C = H_00,
+    dC_i = H_{0,b_i}, H_ii = (H_{b_i,b_i} - H_00) / 2 and
+    H_ij = (H_{b_i,b_j} + sigma_ij H_{b_ij,0}) / 2 are entries of
+    assemble_hamiltonian, compared here with cost_and_gradient and
+    hessian_bundle. This is why a run charges no circuits for them.
+    """
+    defects = []
+    for model, config, s in cases:
+        n_p = config.n_params
+        ham = assemble_hamiltonian(model, s)
+        index = [_flipped_start(config, {i})[1] for i in range(n_p)]
+        rule = ham[np.ix_(index, index)] / 2.0
+        rule[np.diag_indices(n_p)] -= ham[0, 0] / 2.0
+        for i, j in zip(*np.triu_indices(n_p, k=1)):
+            sign, index_ij = _flipped_start(config, {i, j})
+            rule[i, j] = rule[j, i] = rule[i, j] + sign * ham[index_ij, 0] / 2.0
+        zero = np.zeros(n_p)
+        value, grad = cost_and_gradient(model, config, zero, s)
+        defects += [
+            abs(value - ham[0, 0]),
+            np.abs(grad - ham[0, index]).max(),
+            np.abs(hessian_bundle(model, config, zero, s).h_s - rule).max(),
+        ]
+    return _worst(defects)
+
+
 def _check_schedule_endpoints() -> tuple[bool, str]:
     worst = schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 25)
     return worst < 1e-10, f"max endpoint deviation {worst:.2e}"
@@ -222,6 +277,15 @@ def _check_hessian_rule() -> tuple[bool, str]:
     return worst < 1e-12, f"max rule defect {worst:.2e}"
 
 
+def _check_start_rule() -> tuple[bool, str]:
+    rng = np.random.default_rng(17)
+    matrix = rng.normal(size=(8, 8))
+    model = build_cost_model(matrix / np.linalg.norm(matrix, 2))
+    config = AnsatzConfig(n=3, d=2)
+    worst = start_rule_defect([(model, config, s) for s in (0.0, 0.6, 1.0)])
+    return worst < 1e-12, f"max start defect {worst:.2e}"
+
+
 _CHECKS = [
     ("schedule endpoints", _check_schedule_endpoints),
     ("householder algebra", _check_householder),
@@ -230,6 +294,7 @@ _CHECKS = [
     ("ground-state identity", _check_ground_state),
     ("shift-rule gradient", _check_gradient),
     ("Hessian device rule", _check_hessian_rule),
+    ("classical start", _check_start_rule),
 ]
 
 

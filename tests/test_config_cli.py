@@ -387,6 +387,10 @@ def test_cli_solve_writes_outputs(tmp_path, capsys):
     assert "infidelity=" in stdout and "kappa=" in stdout
     payload = json.loads((out / "trace.json").read_text())
     assert payload["report"]["infidelity"] < 1e-6
+    # the summary row carries the run's device cost, summed over its steps
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["circuit_evals"]) == sum(step["circuit_evals"] for step in payload["steps"])
 
 
 def test_cli_solve_rerun_is_byte_identical(tmp_path):
@@ -512,6 +516,10 @@ def test_cli_sweep_happy_path(tmp_path, capsys):
     assert "2/2 cells ok" in capsys.readouterr().out
     traces = sorted(out.glob("trace_*.json"))
     assert len(traces) == 2
+    with open(out / "sweep_details.csv", newline="") as fh:
+        charged = [int(row["circuit_evals"]) for row in csv.DictReader(fh)]
+    steps = [json.loads(path.read_text())["steps"] for path in traces]
+    assert sum(charged) == sum(step["circuit_evals"] for run in steps for step in run)
 
 
 def sweep_outputs(out) -> tuple[dict, list[dict]]:
@@ -812,12 +820,15 @@ def test_cli_schedule_rejects_kappa_whose_bounds_overflow():
 
 def test_cli_verify_subcommand(capsys):
     assert main(["verify"]) == 0
-    assert "[ ok ]" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("[ ok ]") for line in lines)
 
 
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "avqls.cli", "schedule", "--kappa", "3", "--steps", "4"],
+        env=cli_env(),
         capture_output=True,
         text=True,
     )

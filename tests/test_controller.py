@@ -337,10 +337,13 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
     monkeypatch, solver, seed, max_iter
 ):
     # each step charges the bundle's device circuits (its derivative states
-    # are fewer), one circuit per L-BFGS cost evaluation and 2 n_p per
-    # gradient; grad_norm is read from the gradient L-BFGS-B returned at the
-    # step's optimum, not measured again
+    # are fewer), none for a bundle at theta = 0, and one circuit per L-BFGS
+    # cost evaluation and 2 n_p per gradient after the first, which is at
+    # the warm start: theta = 0 or a point the previous step evaluated.
+    # grad_norm is read from the gradient L-BFGS-B returned at the step's
+    # optimum, not measured again
     state_rows, bundle_rows, bundles, hessians, results = [], [], [], [], []
+    bundle_thetas, solve_calls = [], []
     real_apply = cost_module.apply_ansatz
     real_bundle = controller_module.hessian_bundle
     real_minimize = controller_module.minimize_cost
@@ -354,6 +357,7 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
         bundle = real_bundle(*args, **kwargs)
         bundle_rows.append(sum(state_rows[first:]))
         bundles.append(bundle)
+        bundle_thetas.append(args[2])
         return bundle
 
     def recording_minimize(fun, theta0, solver, hessian=None):
@@ -364,6 +368,7 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
             return fun(theta)
 
         hessians.append(hessian)
+        solve_calls.append(calls)
         results.append(real_minimize(counted, theta0, solver, hessian))
         # every objective call is one the tally charges
         assert len(calls) == results[-1].nfev
@@ -392,15 +397,41 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
         # each solve is handed the Hessian of its own cost at its warm start
         for bundle, hessian, rec in zip(bundles, hessians, steps):
             assert np.array_equal(hessian, hessian_extrapolate(bundle, rec.delta_s))
+        # only the first bundle is at theta = 0
+        assert not bundle_thetas[0].any()
+        assert all(theta.any() for theta in bundle_thetas[1:])
     else:
         assert bundle_rows == bundles == []
         assert hessians == [None] * len(steps)
     model = build_cost_model(result.system)
     for k, (rec, res) in enumerate(zip(steps, results)):
-        bundle = bundles[k].circuit_evals if bundles else 0
-        assert rec.circuit_evals == bundle + res.nfev + res.njev * 2 * n_p
+        bundle = bundles[k].circuit_evals if k > 0 and bundles else 0
+        assert rec.circuit_evals == bundle + (res.nfev - 1) + (res.njev - 1) * 2 * n_p
+        # the uncharged first evaluation: theta = 0, or the previous
+        # optimum, which the previous step evaluated
+        first = solve_calls[k][0]
+        if k == 0:
+            assert not first.any()
+        else:
+            warm = results[k - 1].theta
+            assert np.array_equal(first, warm)
+            assert any(np.array_equal(warm, theta) for theta in solve_calls[k - 1])
         remeasured = np.abs(cost_gradient(model, ansatz, res.theta, rec.s)).max()
         assert rec.grad_norm == remeasured
+
+
+def test_one_fixed_solve_charges_every_evaluation_but_the_first():
+    # T = 1 is one L-BFGS solve at s = 1 from theta = 0, where the first
+    # evaluation reads entries of H(1); each later one is 1 + 2 n_p circuits
+    raw = {
+        "problem": {"conductivity": "noisy_constant"},
+        "solver": {"n": 3, "d": 2, "T": 1, "schedule": "fixed"},
+    }
+    trace = run_single(config_from_dict(raw)).trace
+    (step,) = trace.steps
+    n_p = AnsatzConfig(n=3, d=2).n_params
+    assert step.nfev > 1
+    assert trace.circuit_evals == step.circuit_evals == (step.nfev - 1) * (1 + 2 * n_p)
 
 
 def test_solve_adiabatic_is_deterministic():

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,6 +281,21 @@ def test_bundle_equals_the_device_rule_it_is_charged_for(monkeypatch, n, d):
     assert verify.hessian_rule_defect(cases) < 1e-12
     monkeypatch.setattr(verify, "cost", lambda *a, **k: np.nan)
     assert verify.hessian_rule_defect(cases) == np.inf
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 2)])
+def test_start_is_read_from_entries_of_the_hamiltonian(monkeypatch, n, d):
+    # why a run charges no circuits at theta = 0; infinite on a NaN bundle
+    model, _, _ = normalized_case(100 + n, n)
+    cases = [(model, AnsatzConfig(n=n, d=d), s) for s in (0.0, 0.25, 0.6, 1.0)]
+    assert verify.start_rule_defect(cases) < 1e-12
+
+    def nan_bundle(*args):
+        bundle = hessian_bundle(*args)
+        return replace(bundle, h_s=np.full_like(bundle.h_s, np.nan))
+
+    monkeypatch.setattr(verify, "hessian_bundle", nan_bundle)
+    assert verify.start_rule_defect(cases) == np.inf
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:

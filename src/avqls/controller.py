@@ -172,8 +172,9 @@ def minimize_cost(
 
     `hessian` is the Hessian of the cost at theta0, if the caller holds it.
     L-BFGS-B then runs in its whitened coordinates phi, with
-    theta = theta0 + V Lambda^{-1/2} phi and (Lambda, V) = eigh(hessian), so
-    its first step is a Newton step, when both hold:
+    theta = theta0 + V Lambda^{-1/2} phi and (Lambda, V) = eigh(hessian), in
+    which the quadratic model is |phi - phi*|^2 / 2 plus a constant, when
+    both hold:
     - the smallest eigenvalue exceeds _EPS_PSD;
     - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
       at or above 0, the floor of the nonnegative cost. A model that dips
@@ -181,7 +182,9 @@ def minimize_cost(
     The second test reads fun at theta0, which is L-BFGS-B's first call in
     either case, so it is answered from that reading and costs nothing.
     Otherwise, or with no `hessian`, L-BFGS-B runs on theta itself and the
-    result is the same as without one.
+    result is the same as without one. The whitened first step is not the
+    Newton step to phi*: L-BFGS-B's first trial step has unit length, so even
+    on the model itself it takes 3-4 evaluations, not 2, unless |phi*| = 1.
 
     Terminates when the projected-gradient infinity norm drops below gtol
     (for a whitened solve, that of the gradient in phi,
@@ -297,13 +300,17 @@ def solve_adiabatic(
     of the next stop's cost at the warm start, which the bundle already
     holds.
 
-    A step charges the circuits a device must run: the bundle, unless it is
-    measured at theta = 0, and every L-BFGS-B evaluation but the first. At
-    theta = 0 every derivative state is a signed basis vector, so those
-    numbers are entries of H(s) (verify.start_rule_defect). The first
-    evaluation is at the warm start: theta = 0, or the previous optimum,
-    which a previous evaluation measured, and whose terms <a>, <b>, <c> do
-    not depend on s.
+    A step charges the circuits a device must run: the bundle's pair
+    circuits, and every L-BFGS-B evaluation but the first. At theta = 0 the
+    bundle is free, since every derivative state is a signed basis vector,
+    so its numbers are entries of H(s) (verify.start_rule_defect). Otherwise
+    theta_k is the previous optimum, whose evaluation measured C(theta_k)
+    and C(theta_k +- pi/2 e_i); so the bundle's centre and its n_p single
+    shifts are known, C(theta + pi e_i) being
+    C(theta + pi/2 e_i) + C(theta - pi/2 e_i) - C(theta)
+    (verify.hessian_rule_defect). The first evaluation is at the warm start,
+    theta = 0 or that optimum. The terms <a>, <b>, <c> behind each reading
+    do not depend on s, so a reading at one s serves every other.
     """
     mode, T = solver.schedule, solver.T
     if system.n_qubits != ansatz.n:
@@ -324,7 +331,7 @@ def solve_adiabatic(
         if mode == "hessian":
             bundle = hessian_bundle(model, ansatz, theta, s)
             decision = propose_step(bundle, next_increment(grid, s))
-            probe_evals = bundle.circuit_evals if theta.any() else 0
+            probe_evals = bundle.circuit_evals - 1 - n_p if theta.any() else 0
         else:
             decision = StepDecision(
                 StepKind.FALLBACK_SCHEDULE, next_increment(grid, s), None, None

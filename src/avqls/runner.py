@@ -11,11 +11,13 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import os
+import signal
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
+from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from .ansatz import AnsatzConfig, apply_ansatz
 from .config import RunConfig
 from .controller import RunTrace, solve_adiabatic
+from .errors import ConfigError
 from .metrics import (
     SolutionReport,
     accuracy,
@@ -253,8 +256,7 @@ def cell_seed(config: RunConfig, cell: SweepCell) -> int:
     return config.seed + cell.seed
 
 
-def _run_cell(args: tuple) -> tuple:
-    config, cell = args
+def _run_cell(config: RunConfig, cell: SweepCell) -> tuple:
     try:
         result = run_single(cell_config(config, cell), seed=cell_seed(config, cell))
         return cell, result, None
@@ -262,53 +264,112 @@ def _run_cell(args: tuple) -> tuple:
         return cell, None, f"{type(exc).__name__}: {exc}"
 
 
-def _outcome(cell: SweepCell, future: Future) -> tuple:
+def _serve(config: RunConfig, conn: Connection) -> None:
+    """A worker's loop: run each cell received and send its outcome, until None."""
+    while (cell := conn.recv()) is not None:
+        outcome = _run_cell(config, cell)
+        try:
+            conn.send(outcome)
+        except Exception as exc:  # the outcome did not pickle, so nothing was sent
+            conn.send((cell, None, f"{type(exc).__name__}: {exc}"))
+
+
+def _send(conn: Connection, cell: SweepCell | None) -> None:
     try:
-        return future.result()
-    except Exception as exc:  # the worker died or the result did not pickle
-        return cell, None, f"{type(exc).__name__}: {exc}"
+        conn.send(cell)
+    except OSError:  # the worker is gone; its pipe reads as EOF at the next wait
+        pass
 
 
-def _pool_round(config: RunConfig, cells: list[SweepCell], workers: int) -> tuple[list, list]:
-    """Run cells in one fresh pool; returns their outcomes and the cells a broken pool lost."""
-    outcomes, lost = [], []
-    # a forking pool starts all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_cell, (config, cell)): cell for cell in cells}
-        for future in as_completed(futures):
-            if isinstance(future.exception(), BrokenProcessPool):
-                lost.append(futures[future])
-            else:
-                outcomes.append(_outcome(futures[future], future))
-    return outcomes, lost
+def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tuple]:
+    """Outcomes of `cells` run in min(jobs, cells) forked workers, one cell at a time each.
+
+    Each outcome is answered with the worker's next cell, or None once none
+    is left. A worker that dies loses only its in-flight cell, which is
+    retried once in a fresh worker; a cell whose second worker dies too is
+    recorded as failed. Every worker is reaped before this returns, also on
+    an exception, when the busy ones are killed first.
+    """
+    pending = deque(cells)
+    busy: dict[Connection, tuple[int, SweepCell]] = {}
+    retired, died_once, outcomes = [], set(), []
+
+    def start(cell: SweepCell) -> None:
+        ours, theirs = Pipe()
+        pid = os.fork()
+        if pid == 0:
+            # the worker inherits `config`; it holds no pipe end but its own, so
+            # its death reads as EOF in the parent, and it never returns
+            status = 1
+            try:
+                for conn in (ours, *busy):
+                    conn.close()
+                _serve(config, theirs)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+        busy[ours] = pid, cell
+        _send(ours, cell)
+
+    try:
+        for _ in range(min(jobs, len(cells))):
+            start(pending.popleft())
+        while busy:
+            for conn in wait(list(busy)):
+                pid, cell = busy[conn]
+                try:
+                    outcomes.append(conn.recv())
+                except (EOFError, OSError):  # the worker died running `cell`
+                    del busy[conn]
+                    conn.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    if cell in died_once:
+                        outcomes.append((cell, None, f"worker died twice running this cell ({how})"))
+                    else:
+                        died_once.add(cell)
+                        pending.appendleft(cell)
+                    if pending:
+                        start(pending.popleft())
+                    continue
+                if pending:
+                    busy[conn] = pid, pending.popleft()
+                    _send(conn, busy[conn][1])
+                else:
+                    del busy[conn]
+                    _send(conn, None)
+                    conn.close()
+                    retired.append(pid)
+    finally:
+        for conn, (pid, _) in busy.items():
+            conn.close()
+            os.kill(pid, signal.SIGKILL)
+            retired.append(pid)
+        for pid in retired:
+            os.waitpid(pid, 0)
+    return outcomes
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Cartesian-product sweep; failures are recorded, not fatal.
 
-    A worker that dies breaks the pool, and every cell not returned by then
-    fails with BrokenProcessPool, including cells still running in a
-    healthy worker. Those cells are rerun together in one fresh pool of
-    min(jobs, lost) workers; each cell that pool loses too is rerun once
-    more, alone in a one-worker pool, so only a cell that breaks its own
-    pool is recorded as failed. Each pool opens after the previous one has
-    closed, so no fork happens while pool threads are alive. Every cell
-    that finished keeps its result.
+    With jobs > 1 the cells run in forked workers (_run_forked), which needs
+    os.fork; a worker that dies costs only the cell it was running, and
+    every cell that finished keeps its result.
     """
     cells = _sweep_cells(config)
-    if jobs <= 1 or not cells:
-        outcomes = [_run_cell((config, cell)) for cell in cells]
+    if jobs <= 1:
+        outcomes = [_run_cell(config, cell) for cell in cells]
+    elif not hasattr(os, "fork"):
+        raise ConfigError(f"jobs {jobs}: parallel sweeps need os.fork, which this platform lacks")
     else:
-        outcomes, lost = _pool_round(config, cells, min(jobs, len(cells)))
-        if lost:
-            rerun, lost = _pool_round(config, lost, min(jobs, len(lost)))
-            outcomes += rerun
-        for cell in lost:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                outcomes.append(_outcome(cell, pool.submit(_run_cell, (config, cell))))
+        outcomes = _run_forked(config, cells, jobs)
+    found = {cell: (result, error) for cell, result, error in outcomes}
     results = {}
     errors = {}
-    for cell, result, error in outcomes:
+    for cell in cells:
+        result, error = found[cell]
         if error is None:
             results[cell] = result
         else:

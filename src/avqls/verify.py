@@ -144,6 +144,12 @@ def hessian_rule_defect(cases) -> float:
     f''(0) = f(pi/2) + f(-pi/2) - 3/2 f(0) - 1/2 f(pi) and
     H_ij = (f''(0) - H_ii - H_jj) / 2. Infinite when the rule's circuit count
     is not the bundle's `circuit_evals`.
+
+    Away from theta = 0 a run charges only the pair circuits: C(theta) and
+    C(theta +- pi/2 e_i) were read by the objective at theta, and
+    g(t) = C(theta + t e_i) has frequency <= 1, so
+    C(theta + pi e_i) = C(theta + pi/2 e_i) + C(theta - pi/2 e_i) - C(theta).
+    That identity is checked too.
     """
     defects = []
     for model, config, theta, s in cases:
@@ -157,12 +163,16 @@ def hessian_rule_defect(cases) -> float:
         bundle = hessian_bundle(model, config, theta, s)
         if len(values) != bundle.circuit_evals:
             return np.inf
-        centre, along = values[0], values[1 + n_p:].reshape(-1, 3)
-        rule = np.diag((values[1:1 + n_p] - centre) / 2.0)
+        centre, singles, along = values[0], values[1:1 + n_p], values[1 + n_p:].reshape(-1, 3)
+        up, down = (
+            np.array([cost(model, config, theta + t * e, s) for e in eye])
+            for t in (np.pi / 2, -np.pi / 2)
+        )
+        rule = np.diag((singles - centre) / 2.0)
         second = along[:, 0] + along[:, 1] - 1.5 * centre - 0.5 * along[:, 2]
         for (i, j), f2 in zip(pairs, second):
             rule[i, j] = rule[j, i] = (f2 - rule[i, i] - rule[j, j]) / 2.0
-        defects.append(np.abs(rule - bundle.h_s).max())
+        defects += [np.abs(rule - bundle.h_s).max(), np.abs(up + down - centre - singles).max()]
     return _worst(defects)
 
 

@@ -2,12 +2,11 @@ import csv
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -488,11 +487,10 @@ def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch):
 
     real_run_cell = runner._run_cell
 
-    def flaky(args):
-        config, cell = args
+    def flaky(config, cell):
         if cell.seed == 1:
             return cell, None, "RuntimeError: injected failure"
-        return real_run_cell(args)
+        return real_run_cell(config, cell)
 
     monkeypatch.setattr(runner, "_run_cell", flaky)
     out = tmp_path / "out"
@@ -565,129 +563,103 @@ def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
     assert rows_2 == rows_1
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="only forked pool workers see the patched run_single",
-)
+def crash_sweep(tmp_path, monkeypatch, seeds, act):
+    """Config path of a sweep over `seeds` whose cells first call act(seed, attempt).
+
+    act runs only in a worker, never in the test process. Each attempt
+    leaves a file named after its seed and its process, so
+    attempts_by_seed(tmp_path) reads which workers ran which cell.
+    """
+    raw = small_heat_raw()
+    raw["problem"]["conductivity"] = "noisy_constant"
+    raw["sweep"] = {"seeds": seeds}
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    real_run_single = runner.run_single
+    test_process = os.getpid()
+
+    def acting(config, seed=None):
+        attempt = len(list(runs.glob(f"seed{seed}_*")))
+        (runs / f"seed{seed}_pid{os.getpid()}").touch()
+        if os.getpid() != test_process:
+            act(seed, attempt)
+        return real_run_single(config, seed=seed)
+
+    monkeypatch.setattr(runner, "run_single", acting)
+    return write_config(tmp_path, raw)
+
+
+def attempts_by_seed(tmp_path) -> dict[int, set[str]]:
+    found: dict[int, set[str]] = {}
+    for path in (tmp_path / "runs").iterdir():
+        seed, pid = path.name.split("_")
+        found.setdefault(int(seed.removeprefix("seed")), set()).add(pid)
+    return found
+
+
 def test_cli_sweep_keeps_finished_cells_when_a_worker_dies(tmp_path, monkeypatch, capsys):
-    raw = small_heat_raw()
-    raw["problem"]["conductivity"] = "noisy_constant"
-    raw["sweep"] = {"seeds": [0, 1]}
-    cfg_path = write_config(tmp_path, raw)
-    received = tmp_path / "parent_has_a_result"
-    real_run_single = runner.run_single
-    real_as_completed = runner.as_completed
-
-    def dies_on_seed_one(config, seed=None):
-        # seed 1 blocks until the parent holds seed 0's result, then dies
+    def seed_one_dies(seed, attempt):
         if seed == 1:
-            deadline = time.monotonic() + 60.0
-            while not received.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
             os._exit(1)
-        return real_run_single(config, seed=seed)
 
-    def as_completed_then_signal(futures):
-        # runs in the parent: a future it yields already holds its outcome
-        for future in real_as_completed(futures):
-            received.touch()
-            yield future
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_one_dies)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs, code in (("1", 0), ("2", 3)):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == code
+        outputs.append(sweep_outputs(out))
+    assert "2/3 cells ok" in capsys.readouterr().out.splitlines()[-1]
+    (want_traces, want_rows), (traces, rows) = outputs
+    # the cells that finished are written exactly as the in-process sweep wrote them
+    assert sorted(traces) == ["trace_n2_d1_T10_l0_s0.json", "trace_n2_d1_T10_l0_s2.json"]
+    assert traces == {name: want_traces[name] for name in traces}
+    assert [row["error"] for row in rows] == [
+        "", "worker died twice running this cell (exit status 1)", "",
+    ]
+    assert [rows[0], rows[2]] == [want_rows[0], want_rows[2]]
 
-    monkeypatch.setattr(runner, "run_single", dies_on_seed_one)
-    monkeypatch.setattr(runner, "as_completed", as_completed_then_signal)
+
+def test_cli_sweep_records_a_cell_that_kills_two_workers(tmp_path, monkeypatch, capsys):
+    def seed_one_dies_twice(seed, attempt):
+        if seed == 1:
+            if attempt == 0:
+                os._exit(7)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1], seed_one_dies_twice)
     out = tmp_path / "out"
     code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
     assert code == 3
     assert "1/2 cells ok" in capsys.readouterr().out
-    assert [p.name for p in out.glob("trace_*.json")] == ["trace_n2_d1_T10_l0_s0.json"]
-    with open(out / "sweep_details.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["seed"] for row in rows] == ["0", "1"]
-    assert rows[0]["error"] == "" and rows[0]["infidelity"] != ""
-    assert rows[1]["error"].startswith("BrokenProcessPool")
+    traces, rows = sweep_outputs(out)
+    assert sorted(traces) == ["trace_n2_d1_T10_l0_s0.json"]
+    # the second death is the one recorded; the cell is not tried a third time
+    assert [row["error"] for row in rows] == ["", "worker died twice running this cell (signal 9)"]
+    attempts = attempts_by_seed(tmp_path)
+    assert len(attempts[1]) == 2 and not attempts[1] & attempts[0]
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        assert [row["failures"] for row in csv.DictReader(fh)] == ["1"]
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="only forked pool workers see the patched run_single",
-)
-def test_cli_sweep_reruns_cells_a_dead_worker_broke(tmp_path, monkeypatch, capsys):
-    raw = small_heat_raw()
-    raw["problem"]["conductivity"] = "noisy_constant"
-    raw["sweep"] = {"seeds": [0, 1]}
-    cfg_path = write_config(tmp_path, raw)
-    started = tmp_path / "seed_zero_started"
-    real_run_single = runner.run_single
-
-    def seed_one_breaks_the_pool(config, seed=None):
-        if seed == 1:
-            # dies, on every attempt, once seed 0 is mid-solve in the other worker
-            deadline = time.monotonic() + 60.0
-            while not started.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
+def test_cli_sweep_retries_a_cell_whose_worker_died_once(tmp_path, monkeypatch, capsys):
+    def seed_zero_dies_once(seed, attempt):
+        if seed == 0 and attempt == 0:
             os._exit(1)
-        if not started.exists():
-            # seed 0's first attempt: blocks until the broken pool terminates it
-            started.touch()
-            time.sleep(60.0)
-            raise RuntimeError("the broken pool left this worker running")
-        return real_run_single(config, seed=seed)
 
-    monkeypatch.setattr(runner, "run_single", seed_one_breaks_the_pool)
-    out = tmp_path / "out"
-    code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
-    assert code == 3
-    assert "1/2 cells ok" in capsys.readouterr().out
-    assert [p.name for p in out.glob("trace_*.json")] == ["trace_n2_d1_T10_l0_s0.json"]
-    with open(out / "sweep_details.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["seed"] for row in rows] == ["0", "1"]
-    assert rows[0]["error"] == "" and rows[0]["infidelity"] != ""
-    assert rows[1]["error"].startswith("BrokenProcessPool")
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="only forked pool workers see the patched run_single",
-)
-def test_cli_sweep_reruns_lost_cells_in_one_parallel_pool(tmp_path, monkeypatch, capsys):
-    raw = small_heat_raw()
-    raw["problem"]["conductivity"] = "noisy_constant"
-    raw["sweep"] = {"seeds": [0, 1, 2, 3]}
-    cfg_path = write_config(tmp_path, raw)
-    started = tmp_path / "seed_one_started"
-    died = tmp_path / "seed_zero_died"
-    real_run_single = runner.run_single
-    workers = []
-    real_pool = runner.ProcessPoolExecutor
-
-    def seed_zero_dies_once(config, seed=None):
-        if not died.exists():
-            if seed == 0:
-                # first attempt: dies once seed 1 is mid-solve in the other worker
-                deadline = time.monotonic() + 60.0
-                while not started.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                died.touch()
-                os._exit(1)
-            if seed == 1:
-                # first attempt: blocks until the broken pool terminates it
-                started.touch()
-                time.sleep(60.0)
-                raise RuntimeError("the broken pool left this worker running")
-        return real_run_single(config, seed=seed)
-
-    def recording_pool(max_workers=None, **kwargs):
-        workers.append(max_workers)
-        return real_pool(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(runner, "run_single", seed_zero_dies_once)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
-    out = tmp_path / "out"
-    code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
-    assert code == 0
-    assert "4/4 cells ok" in capsys.readouterr().out
-    assert workers == [2, 2]
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1, 2, 3], seed_zero_dies_once)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs in ("2", "1"):
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert "4/4 cells ok" in capsys.readouterr().out
+        if jobs == "2":
+            attempts = attempts_by_seed(tmp_path)
+        outputs.append(sweep_outputs(out))
+    # seed 0 ran in two workers; no healthy cell ran again
+    assert {seed: len(pids) for seed, pids in attempts.items()} == {0: 2, 1: 1, 2: 1, 3: 1}
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):
@@ -697,23 +669,75 @@ def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsy
         "sweep": {"seeds": [0, 1]},
     }
     cfg_path = write_config(tmp_path, raw)
-    workers = []
-    real_pool = runner.ProcessPoolExecutor
+    forks = []
+    real_fork = os.fork
 
-    def recording_pool(max_workers=None, **kwargs):
-        workers.append(max_workers)
-        return real_pool(max_workers=max_workers, **kwargs)
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     out = tmp_path / "out"  # recorded in the traces, so both runs use it
-    outputs = []
+    outputs, forked = [], []
     for jobs in ("1", "8"):
         shutil.rmtree(out, ignore_errors=True)
         assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
         assert "2/2 cells ok" in capsys.readouterr().out
         outputs.append(sweep_outputs(out))
-    assert workers == [2]
+        forked.append(len(forks))
+    assert forked == [0, 2]
     assert outputs[1] == outputs[0]
+
+
+def test_sweep_outcome_that_does_not_pickle_is_that_cells_error(monkeypatch):
+    raw = small_heat_raw()
+    raw["problem"]["conductivity"] = "noisy_constant"
+    raw["sweep"] = {"seeds": [0, 1, 2]}
+    real_run_single = runner.run_single
+
+    def unpicklable_for_seed_one(config, seed=None):
+        result = real_run_single(config, seed=seed)
+        return (lambda: result) if seed == 1 else result
+
+    monkeypatch.setattr(runner, "run_single", unpicklable_for_seed_one)
+    sweep = run_sweep(config_from_dict(raw), jobs=2)
+    cells = sweep.cells
+    assert list(sweep.results) == [cells[0], cells[2]]
+    assert list(sweep.errors) == [cells[1]]
+    assert "pickle" in sweep.errors[cells[1]]
+
+
+def test_run_sweep_leaves_no_child_process(tmp_path, monkeypatch):
+    def seed_one_dies_once(seed, attempt):
+        if seed == 1 and attempt == 0:
+            os._exit(1)
+
+    config = load_config(crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_one_dies_once))
+    assert not run_sweep(config, jobs=2).any_failed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def interrupted(conns, timeout=None):
+        raise KeyboardInterrupt  # as if Ctrl-C reached the parent mid-sweep
+
+    monkeypatch.setattr(runner, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(config, jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_sweep_jobs_needs_fork(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    cfg_path = write_config(tmp_path, TWO_CELL_SWEEP)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: jobs 2: parallel sweeps need os.fork, which this platform lacks\n"
+    )
+    assert not out.exists()
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
+    assert "2/2 cells ok" in capsys.readouterr().out
 
 
 def cli_env(**extra) -> dict:

@@ -337,7 +337,9 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
     monkeypatch, solver, seed, max_iter
 ):
     # each step charges the bundle's device circuits (its derivative states
-    # are fewer), none for a bundle at theta = 0, and one circuit per L-BFGS
+    # are fewer), none for a bundle at theta = 0 and only the pair circuits
+    # of a later one, whose other circuits the previous optimum's evaluation
+    # already read (verify.hessian_rule_defect); and one circuit per L-BFGS
     # cost evaluation and 2 n_p per gradient after the first, which is at
     # the warm start: theta = 0 or a point the previous step evaluated.
     # grad_norm is read from the gradient L-BFGS-B returned at the step's
@@ -405,7 +407,8 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
         assert hessians == [None] * len(steps)
     model = build_cost_model(result.system)
     for k, (rec, res) in enumerate(zip(steps, results)):
-        bundle = bundles[k].circuit_evals if k > 0 and bundles else 0
+        # a later bundle's centre and single shifts are the previous optimum's readings
+        bundle = bundles[k].circuit_evals - 1 - n_p if k > 0 and bundles else 0
         assert rec.circuit_evals == bundle + (res.nfev - 1) + (res.njev - 1) * 2 * n_p
         # the uncharged first evaluation: theta = 0, or the previous
         # optimum, which the previous step evaluated

@@ -33,9 +33,6 @@ from .cost import (
     HessianBundle,
     assemble_hamiltonian,
     build_cost_model,
-    cost,
-    cost_extrapolate,
-    cost_gradient,
     hessian_bundle,
     hessian_extrapolate,
 )
@@ -44,7 +41,6 @@ from .metrics import (
     SolutionReport,
     accuracy,
     classical_solve,
-    eigen_overlaps,
     infidelity,
     solve_parametric,
 )

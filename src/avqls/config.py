@@ -150,6 +150,8 @@ class ProblemConfig(_Checked):
                 "problem.sigma: must be > 0.0 for noisy conductivity kinds, "
                 f"got {self.sigma}"
             )
+        if self.l > 0.0 and self.source != "exponential":
+            raise ConfigError("problem.l: requires problem.source = 'exponential'")
 
     def resolved_sigma(self) -> float:
         if self.sigma is not None:

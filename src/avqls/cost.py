@@ -34,7 +34,6 @@ __all__ = [
     "build_cost_model",
     "assemble_hamiltonian",
     "cost",
-    "cost_extrapolate",
     "cost_gradient",
     "cost_and_gradient",
     "hessian_bundle",
@@ -155,25 +154,6 @@ def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) ->
     check_s(s)
     terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
     return float(_in_s(terms, s))
-
-
-def cost_extrapolate(
-    model: CostModel,
-    config: AnsatzConfig,
-    theta: np.ndarray,
-    s: float,
-    delta_s: float,
-) -> float:
-    """C_{s+delta_s}(theta) from expectations measured at theta only.
-
-    Exact for any step because the cost is a quadratic polynomial in s.
-    """
-    check_s(s)
-    check_s(s + delta_s)
-    terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
-    ea, eb, _ = terms
-    cost_here = _in_s(terms, s)
-    return float(delta_s * delta_s * ea + delta_s * (2.0 * s * ea + eb) + cost_here)
 
 
 def cost_and_gradient(

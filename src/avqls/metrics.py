@@ -16,7 +16,6 @@ __all__ = [
     "solve_parametric",
     "infidelity",
     "accuracy",
-    "eigen_overlaps",
 ]
 
 
@@ -74,29 +73,6 @@ def accuracy(a: np.ndarray, b: np.ndarray, x_var: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def eigen_overlaps(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared overlaps of x with the unit right eigenvectors of A.
-
-    Entries are sorted by ascending eigenvalue (real part first). For
-    non-normal matrices the eigenvectors are not orthogonal and the
-    overlaps need not sum to one.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if x.shape != (a.shape[0],):
-        raise ValueError(f"state shape {x.shape} does not match matrix {a.shape}")
-    evals, vecs = np.linalg.eig(a)
-    order = np.lexsort((evals.imag, evals.real))
-    overlaps = np.empty(a.shape[0])
-    for out, k in enumerate(order):
-        vec = vecs[:, k]
-        vec = vec / np.linalg.norm(vec)
-        overlaps[out] = float(np.abs(np.vdot(vec, x)) ** 2)
-    return overlaps
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionReport:
     """Final solution quality of one run, in the original problem basis."""
@@ -105,7 +81,6 @@ class SolutionReport:
     x_exact: np.ndarray
     infidelity: float
     accuracy: float
-    overlaps: np.ndarray | None = None
 
 
 def _checked_unit(x: np.ndarray, name: str) -> np.ndarray:

@@ -30,7 +30,6 @@ from .metrics import (
     SolutionReport,
     accuracy,
     classical_solve,
-    eigen_overlaps,
     infidelity,
     solve_parametric,
 )
@@ -52,9 +51,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-TRACE_SCHEMA = "avqls-trace/1"
-
-_OVERLAP_LIMIT_QUBITS = 8
+TRACE_SCHEMA = "avqls-trace/2"
 
 
 def build_system(config: RunConfig, seed: int | None = None) -> PreparedSystem:
@@ -79,16 +76,7 @@ def evaluate_run(
     if float(x_var @ x_exact) < 0.0:
         x_var = -x_var
     acc = accuracy(system.a_matrix, system.b_vector, x_var)
-    overlaps = None
-    if system.a_matrix.shape[0] <= 2 ** _OVERLAP_LIMIT_QUBITS:
-        overlaps = eigen_overlaps(system.a_matrix, x_var)
-    return SolutionReport(
-        x_variational=x_var,
-        x_exact=x_exact,
-        infidelity=infid,
-        accuracy=acc,
-        overlaps=overlaps,
-    )
+    return SolutionReport(x_variational=x_var, x_exact=x_exact, infidelity=infid, accuracy=acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +124,8 @@ def trace_payload(config: RunConfig, result: RunResult, seed: int | None = None)
         "report": {
             "infidelity": report.infidelity,
             "accuracy": report.accuracy,
-            "cost_final": trace.final_cost,
             "x_variational": report.x_variational.tolist(),
             "x_exact": report.x_exact.tolist(),
-            "overlaps": None if report.overlaps is None else report.overlaps.tolist(),
         },
     }
 

@@ -16,8 +16,6 @@ from avqls import (
     ProblemConfig,
     condition_number,
     config_from_dict,
-    cost,
-    cost_gradient,
     discretize_heat,
     heat_system,
     hessian_bundle,
@@ -26,7 +24,7 @@ from avqls import (
     run_single,
     s_of_v,
 )
-from avqls.cost import assemble_hamiltonian, build_cost_model
+from avqls.cost import assemble_hamiltonian, build_cost_model, cost, cost_gradient
 from avqls.runner import dump_trace, trace_payload
 from avqls.verify import (
     extrapolation_defect,
@@ -299,7 +297,7 @@ def test_smoke_eight_qubit_run():
     )
     result = run_single(cfg)
     payload = json.loads(dump_trace(trace_payload(cfg, result)))
-    assert payload["schema"] == "avqls-trace/1"
+    assert payload["schema"] == "avqls-trace/2"
     assert payload["run"]["t"] == len(payload["steps"]) >= 1
     assert payload["steps"][-1]["s"] == 1.0
     assert 0.0 <= payload["report"]["infidelity"] <= 1.0

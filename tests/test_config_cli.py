@@ -174,6 +174,7 @@ FIELD_ERRORS = [
     ({"problem": {"l": float("inf")}}, "problem.l: expected a finite number, got inf"),
     ({"solver": {"gtol": float("nan")}}, "solver.gtol: expected a finite number, got nan"),
     ({"sweep": {"l": [0.0, float("inf")]}}, "sweep.l[1]: expected a finite number, got inf"),
+    ({"problem": {"l": 5.0}}, "problem.l: requires problem.source = 'exponential'"),
 ]
 
 
@@ -264,6 +265,16 @@ def test_noisy_conductivity_needs_positive_sigma(tmp_path, capsys):
     assert "problem.sigma" in capsys.readouterr().err
 
 
+def test_source_exponent_needs_exponential_source(tmp_path, capsys):
+    # a point source has no exponent, so l > 0 would be echoed into the trace and ignored
+    raw = small_heat_raw()
+    raw["problem"]["l"] = 5.0
+    assert main(["solve", str(write_config(tmp_path, raw))]) == 1
+    assert "problem.l: requires problem.source = 'exponential'" in capsys.readouterr().err
+    raw["problem"]["source"] = "exponential"
+    assert config_from_dict(raw).problem.l == 5.0
+
+
 def test_payload_round_trip():
     raw = {
         "problem": {
@@ -320,8 +331,14 @@ def test_trace_payload_is_deterministic_and_timing_free():
     assert first == second
     assert "wall_time" not in first
     payload = json.loads(first)
-    assert payload["schema"] == "avqls-trace/1"
+    assert payload["schema"] == "avqls-trace/2"
     assert payload["run"]["t"] == len(payload["steps"])
+
+
+def test_trace_report_holds_the_solution_and_its_quality_only():
+    cfg = config_from_dict(small_heat_raw())
+    report = trace_payload(cfg, run_single(cfg))["report"]
+    assert set(report) == {"infidelity", "accuracy", "x_variational", "x_exact"}
 
 
 def test_sweep_cell_matches_single_run():

@@ -1,9 +1,9 @@
-import importlib
-
 import numpy as np
 import pytest
 import scipy.optimize
 
+import avqls.controller as controller_module
+import avqls.cost as cost_module
 from avqls import (
     AnsatzConfig,
     ProblemConfig,
@@ -21,9 +21,6 @@ from avqls import (
     solve_adiabatic,
 )
 from avqls.cost import HessianBundle, build_cost_model, cost_gradient, hessian_extrapolate
-
-cost_module = importlib.import_module("avqls.cost")  # avqls.cost is also a function
-controller_module = importlib.import_module("avqls.controller")
 
 
 def make_bundle(h_s, k_a, k_b, s):

@@ -6,7 +6,6 @@ from avqls import (
     SingularMatrixError,
     accuracy,
     classical_solve,
-    eigen_overlaps,
     heat_system,
     infidelity,
     solve_parametric,
@@ -69,13 +68,10 @@ def test_solve_parametric_endpoints():
         solve_parametric(a, b, 1.5)
 
 
-def test_eigen_overlaps_diagonal():
-    a = np.diag([3.0, 1.0, 2.0])
-    # eigenvalues sorted ascending: 1 (e2), 2 (e3), 3 (e1)
-    overlaps = eigen_overlaps(a, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(overlaps, [0.0, 0.0, 1.0])
-    mixed = eigen_overlaps(a, np.array([0.6, 0.8, 0.0]))
-    assert np.allclose(mixed, [0.64, 0.0, 0.36])
+def mode_weights(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared overlaps of x with the eigenvectors of the symmetric -A, by ascending eigenvalue."""
+    _, vecs = np.linalg.eigh(-a)
+    return (vecs.T @ x) ** 2
 
 
 def test_uniform_source_favors_smallest_mode():
@@ -84,7 +80,7 @@ def test_uniform_source_favors_smallest_mode():
     prof = ProblemConfig(conductivity="constant", source="exponential", l=0.0)
     a, b = heat_system(prof, 5)
     x = classical_solve(a, b)
-    overlaps = eigen_overlaps(-a, x)
+    overlaps = mode_weights(a, x)
     # -A is positive definite; the smallest eigenvalue is the slowest mode
     assert overlaps[0] > 0.99
     assert overlaps[0] > 50.0 * overlaps[1:].max()
@@ -96,5 +92,5 @@ def test_sharper_sources_spread_over_modes():
         prof = ProblemConfig(conductivity="constant", source="exponential", l=l)
         a, b = heat_system(prof, 5)
         x = classical_solve(a, b)
-        weights.append(eigen_overlaps(-a, x)[0])
+        weights.append(mode_weights(a, x)[0])
     assert weights[0] > weights[1] > weights[2]

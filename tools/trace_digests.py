@@ -23,11 +23,11 @@ checkout without this file can be digested too. The inputs come from
   (15 lines).
 
 Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
-always dropped from the CSVs. `--drop NAME` also drops the step field, the
-key of each section of the trace's config echo and the CSV column of that
-name: for a change meant to move that field only, or to delete that config
-field, the digests then show that every other byte is unchanged. The
-schedule lines digest the printed bytes whole.
+always dropped from the CSVs. `--drop NAME` also drops the trace's
+top-level key, step field, `report` key and key of each section of the
+config echo, and the CSV column, of that name: for a change meant to move
+that field only, or to delete it, the digests then show that every other
+byte is unchanged. The schedule lines digest the printed bytes whole.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def sha(text: str) -> str:
 
 def trace_digest(payload: dict, drop: set[str]) -> str:
     sections = [value for value in payload["config"].values() if isinstance(value, dict)]
-    for record in payload["steps"] + sections:
+    for record in [payload, payload["report"], *payload["steps"], *sections]:
         for name in drop:
             record.pop(name, None)
     return sha(json.dumps(payload, sort_keys=True, indent=2))
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT, help="checkout to import")
     parser.add_argument(
         "--drop", action="append", default=[], metavar="NAME",
-        help="step field, config key or CSV column left out of the digests (repeatable)",
+        help="trace key, step field, report or config key, or CSV column left out (repeatable)",
     )
     args = parser.parse_args(argv)
     root = args.root.resolve()

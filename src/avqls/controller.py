@@ -156,6 +156,10 @@ def _answer_first_call(fun, theta0: np.ndarray, first):
     return answered
 
 
+def _gtol_met(grad: np.ndarray, solver: SolverConfig) -> bool:
+    return float(np.abs(grad).max()) <= solver.gtol
+
+
 def minimize_cost(
     fun,
     theta0: np.ndarray,
@@ -171,29 +175,31 @@ def minimize_cost(
     each.
 
     `hessian` is the Hessian of the cost at theta0, if the caller holds it.
-    L-BFGS-B then runs in its whitened coordinates phi, with
-    theta = theta0 + V Lambda^{-1/2} phi and (Lambda, V) = eigh(hessian), in
-    which the quadratic model is |phi - phi*|^2 / 2 plus a constant, when
-    both hold:
+    L-BFGS-B then runs in its scaled whitened coordinates phi, with
+    theta = theta0 + c V Lambda^{-1/2} phi, (Lambda, V) = eigh(hessian) and
+    c = |(V Lambda^{-1/2})^T grad C(theta0)|_2, when all three hold:
     - the smallest eigenvalue exceeds _EPS_PSD;
+    - grad C(theta0) does not already meet gtol, so the solve has a step
+      to take;
     - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
       at or above 0, the floor of the nonnegative cost. A model that dips
       below it fails before its own minimizer, so its metric is not used.
-    The second test reads fun at theta0, which is L-BFGS-B's first call in
-    either case, so it is answered from that reading and costs nothing.
-    Otherwise, or with no `hessian`, L-BFGS-B runs on theta itself and the
-    result is the same as without one. The whitened first step is not the
-    Newton step to phi*: L-BFGS-B's first trial step has unit length, so even
-    on the model itself it takes 3-4 evaluations, not 2, unless |phi*| = 1.
+    The last two read fun at theta0, which is L-BFGS-B's first call in either
+    case, so it is answered from that reading and costs nothing. In phi the
+    model's minimizer lies at unit distance along -grad, where L-BFGS-B puts
+    its first trial point: the first step is the Newton step, and on the
+    model itself the solve takes 2 evaluations. Otherwise, or with no
+    `hessian`, L-BFGS-B runs on theta itself and the result is the same as
+    without one.
 
-    Terminates when the projected-gradient infinity norm drops below gtol
-    (for a whitened solve, that of the gradient in phi,
-    (V Lambda^{-1/2})^T grad C), when the relative cost decrease drops below
-    _FTOL, or after _MAX_ITER iterations. On a line-search failure the best
-    point found so far is returned with converged=False.
+    Terminates when the gradient in theta meets gtol, max |grad C| <= gtol,
+    at an accepted point (a whitened solve tests it there through L-BFGS-B's
+    callback, not on the gradient in phi), when the relative cost decrease
+    drops below _FTOL, or after _MAX_ITER iterations. On a line-search
+    failure the best point found so far is returned with converged=False.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    objective, start, seen = fun, theta0, None
+    objective, start, seen, callback, gtol = fun, theta0, None, None, solver.gtol
     if hessian is not None:
         lam, vec = np.linalg.eigh(hessian)
         if lam[0] > _EPS_PSD:
@@ -201,7 +207,8 @@ def minimize_cost(
             cost0, grad0 = first = fun(theta0)
             measured = objective = _answer_first_call(fun, theta0, first)
             white = basis.T @ grad0
-            if cost0 - 0.5 * float(white @ white) >= 0.0:
+            if not _gtol_met(grad0, solver) and cost0 - 0.5 * float(white @ white) >= 0.0:
+                basis = basis * np.linalg.norm(white)
                 seen = {}
 
                 def objective(phi):
@@ -210,15 +217,20 @@ def minimize_cost(
                     seen[phi.tobytes()] = (theta, value, grad)
                     return value, basis.T @ grad
 
-                start = np.zeros_like(theta0)
+                def callback(intermediate_result):
+                    if _gtol_met(seen[intermediate_result.x.tobytes()][2], solver):
+                        raise StopIteration
+
+                start, gtol = np.zeros_like(theta0), 0.0
     res = scipy.optimize.minimize(
         objective,
         start,
         jac=True,
         method="L-BFGS-B",
+        callback=callback,
         options={
             "maxiter": _MAX_ITER,
-            "gtol": solver.gtol,
+            "gtol": gtol,
             "ftol": _FTOL,
         },
     )
@@ -233,7 +245,7 @@ def minimize_cost(
         iterations=int(res.nit),
         nfev=int(res.nfev),
         njev=int(res.njev),
-        converged=bool(res.success),
+        converged=bool(res.success) or (seen is not None and _gtol_met(grad, solver)),
         message=str(res.message),
     )
 
@@ -289,8 +301,9 @@ def solve_adiabatic(
     """Sweep s from 0 to 1 with warm starts; the trace holds theta_star.
 
     Reads solver.T and solver.schedule; minimize_cost reads solver.gtol,
-    and the ansatz fixes the circuit that solver.n and solver.d describe.
-    A step's note is L-BFGS-B's message when its solve did not converge.
+    which every step tests on the gradient in theta, and the ansatz fixes
+    the circuit that solver.n and solver.d describe. A step's note is
+    L-BFGS-B's message when its solve did not converge.
 
     At s = 0 the zero parameter vector is the exact minimum (the circuit
     prepares e1, the working right-hand side), so the loop decides the
@@ -298,7 +311,7 @@ def solve_adiabatic(
     the current converged point, advances s and reoptimizes warm-started.
     In `hessian` mode the reoptimization is preconditioned with the Hessian
     of the next stop's cost at the warm start, which the bundle already
-    holds.
+    holds, so its first step is the Newton step of that quadratic model.
 
     A step charges the circuits a device must run: the bundle's pair
     circuits, and every L-BFGS-B evaluation but the first. At theta = 0 the

@@ -245,6 +245,50 @@ def test_minimize_cost_ignores_a_hessian_that_is_not_positive_definite():
         assert_same_result(minimize_cost(fun, np.zeros(6), solver, hessian), plain)
 
 
+def test_minimize_cost_takes_the_newton_step_first():
+    # the whitened solve's first trial point is the quadratic model's
+    # minimizer, so on its own model it reads the start and then the minimum
+    fun, hessian, target, calls = ill_conditioned_quadratic(1.0)
+    res = minimize_cost(fun, np.zeros(6), SolverConfig(), hessian)
+    assert len(calls) == res.nfev == 2
+    assert res.converged
+    assert np.allclose(res.theta, target, atol=1e-10)
+
+
+def test_minimize_cost_stops_at_the_first_point_whose_theta_gradient_meets_gtol():
+    # a quartic term makes the start's Hessian a metric, not the model; the
+    # whitened solve stops on max |grad_theta C| <= gtol, as a plain one does,
+    # at the first accepted point that meets it
+    quadratic, hessian, target, _ = ill_conditioned_quadratic(1.0)
+    grad_norms = []
+
+    def fun(x):
+        value, grad = quadratic(x)
+        r = x - target
+        grad = grad + r**3
+        grad_norms.append(float(np.abs(grad).max()))
+        return value + 0.25 * float(np.sum(r**4)), grad
+
+    hessian_at_start = hessian + np.diag(3.0 * target**2)
+    for gtol in (1e-6, 1e-8):
+        grad_norms.clear()
+        res = minimize_cost(fun, np.zeros(6), SolverConfig(gtol=gtol), hessian_at_start)
+        assert res.converged
+        assert np.abs(res.grad).max() <= gtol
+        assert len(grad_norms) == res.nfev
+        assert min(grad_norms[:-1]) > gtol
+
+
+def test_minimize_cost_does_not_whiten_at_a_converged_start():
+    # the start is off the minimum along the flattest direction only: its
+    # theta-gradient meets gtol while the whitened one, 100x larger, does not
+    fun, hessian, target, _ = ill_conditioned_quadratic(1.0)
+    start = target + 5e-5 * np.linalg.eigh(hessian)[1][:, 0]
+    plain = minimize_cost(fun, start)
+    assert (plain.converged, plain.iterations, plain.nfev) == (True, 0, 1)
+    assert_same_result(minimize_cost(fun, start, SolverConfig(), hessian), plain)
+
+
 def test_minimize_cost_ignores_a_model_whose_minimum_is_below_zero():
     # exact Hessian, but the quadratic model's minimum, -1, is below the
     # floor of a nonnegative cost; the start is read once and counted once

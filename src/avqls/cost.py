@@ -94,7 +94,6 @@ def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.
 
     States are simulated in chunks of at most _MAX_BATCH_AMPLITUDES amplitudes.
     """
-    _check_dims(model, config)
     chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
     if len(points) <= chunk:
         return _terms_of_states(model, apply_ansatz(config, points))
@@ -152,17 +151,23 @@ def _shift_rule(terms: np.ndarray) -> np.ndarray:
 def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) -> float:
     """C_s(theta) = <theta| H(s) |theta>."""
     check_s(s)
-    terms = _terms_at(model, config, _check_theta(config, theta)[None])[0]
+    terms = _terms_at(model, config, _check_inputs(model, config, theta)[None])[0]
     return float(_in_s(terms, s))
 
 
 def cost_and_gradient(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> tuple[float, np.ndarray]:
-    """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits."""
+    """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits.
+
+    At theta = 0 these states are simulated once per circuit shape and process.
+    """
     check_s(s)
-    theta = _check_theta(config, theta)
-    terms = _terms_at(model, config, theta + _objective_offsets(config.n_params))
+    theta = _check_inputs(model, config, theta)
+    if _at_start(config, theta):
+        terms = _terms_of_states(model, _start_objective(config))
+    else:
+        terms = _terms_at(model, config, theta + _objective_offsets(config.n_params))
     return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:]), s)
 
 
@@ -217,30 +222,60 @@ def hessian_bundle(
     batch, the chi_ij chunks of at most _MAX_BATCH_AMPLITUDES amplitudes,
     each reduced at once to its forms with psi. The forms equal the pi/2
     shift rule's second differences, without simulating its 2 n_p^2 + 1
-    points.
+    points. At theta = 0 its states are simulated once per circuit shape and process.
     """
     check_s(s)
-    theta = _check_theta(config, theta)
-    _check_dims(model, config)
+    theta = _check_inputs(model, config, theta)
+    start = _start_bundle(config) if _at_start(config, theta) else None
     n_p = config.n_params
-    eye = np.eye(n_p, dtype=bool)
     iu, ju = np.triu_indices(n_p, k=1)
-    # shifting only the chosen entries leaves every other one bitwise theta
-    singles = np.vstack([theta, np.where(eye, theta + np.pi, theta)])
-    first = _projected(model, apply_ansatz(config, singles))
+    singles, pairs = _bundle_points(theta)
+    first = _projected(model, start[0] if start else apply_ansatz(config, singles))
     gram = _forms(first, first)
     hess3 = 0.5 * gram[:, 1:, 1:]
     diag = np.arange(n_p)
     hess3[:, diag, diag] -= 0.5 * gram[:, :1, 0]
-    pairs = np.where(eye[iu] | eye[ju], theta + np.pi, theta)
     chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
     for k in range(0, len(pairs), chunk):
-        states = _projected(model, apply_ansatz(config, pairs[k:k + chunk]))
+        states = _projected(model, start[1] if start else apply_ansatz(config, pairs[k:k + chunk]))
         hess3[:, iu[k:k + chunk], ju[k:k + chunk]] += 0.5 * _forms(states, first[:, :1])[..., 0]
     hess3[:, ju, iu] = hess3[:, iu, ju]
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
     return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, s=s)
+
+
+def _bundle_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A bundle's singles theta, theta + pi e_i and pairs theta + pi (e_i + e_j), i < j."""
+    # shifting only the chosen entries leaves every other one bitwise theta
+    eye = np.eye(len(theta), dtype=bool)
+    iu, ju = np.triu_indices(len(theta), k=1)
+    singles = np.vstack([theta, np.where(eye, theta + np.pi, theta)])
+    return singles, np.where(eye[iu] | eye[ju], theta + np.pi, theta)
+
+
+def _at_start(config: AnsatzConfig, theta: np.ndarray) -> bool:
+    """Whether theta is all +0.0 and the objective's and bundle's states there fit a batch."""
+    if theta.any() or np.signbit(theta).any():
+        return False
+    n_p = config.n_params
+    return (3 * n_p + 2 + n_p * (n_p - 1) // 2) * config.dim <= _MAX_BATCH_AMPLITUDES
+
+
+@functools.lru_cache(maxsize=1)
+def _start_objective(config: AnsatzConfig) -> np.ndarray:
+    """Read-only states at the objective's points about theta = +0.0."""
+    states = apply_ansatz(config, np.zeros(config.n_params) + _objective_offsets(config.n_params))
+    states.flags.writeable = False
+    return states
+
+
+@functools.lru_cache(maxsize=1)
+def _start_bundle(config: AnsatzConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only states at the bundle's singles and pairs about theta = +0.0."""
+    singles, pairs = (apply_ansatz(config, p) for p in _bundle_points(np.zeros(config.n_params)))
+    singles.flags.writeable = pairs.flags.writeable = False
+    return singles, pairs
 
 
 def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:
@@ -253,17 +288,14 @@ def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:
     return ds * ds * bundle.k_a + ds * (2.0 * bundle.s * bundle.k_a + bundle.k_b) + bundle.h_s
 
 
-def _check_theta(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+def _check_inputs(model: CostModel, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (config.n_params,):
         raise ValueError(
             f"expected {config.n_params} parameters, got shape {theta.shape}"
         )
-    return theta
-
-
-def _check_dims(model: CostModel, config: AnsatzConfig) -> None:
     if model.dim != config.dim:
         raise ValueError(
             f"model dimension {model.dim} does not match ansatz dimension {config.dim}"
         )
+    return theta

@@ -14,6 +14,7 @@ import functools
 import math
 
 from avqls import AnsatzConfig  # before numpy: one BLAS thread, as in the CLI
+import avqls.cost
 import numpy as np
 
 
@@ -207,3 +208,9 @@ def random_system_matrix(rng: np.random.Generator, n_sites: int, kind: str) -> n
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def clear_start_states() -> None:
+    """Forget the cached theta = 0 states, so the next run of a shape simulates them."""
+    avqls.cost._start_objective.cache_clear()
+    avqls.cost._start_bundle.cache_clear()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import avqls
+import avqls.cost as cost_module
 import avqls.runner as runner
 from avqls import (
     ConfigError,
@@ -32,6 +33,8 @@ from avqls.runner import (
     emit_schedule,
     trace_payload,
 )
+
+from conftest import clear_start_states
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -578,6 +581,59 @@ def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
     assert len(traces_1) == 2 and len(rows_1) == 2
     assert traces_2 == traces_1
     assert rows_2 == rows_1
+
+
+def output_files(out) -> dict:
+    """Every file of an output directory by name; CSV rows without wall time."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                files[path.name] = [
+                    {k: v for k, v in row.items() if k != "wall_time_s"}
+                    for row in csv.DictReader(fh)
+                ]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_cached_start_states_change_no_output_byte(tmp_path, monkeypatch, capsys):
+    # the theta = 0 states read from the per-shape cache, cold or warm, and
+    # in forked sweep workers, give the bytes of the simulated states
+    solvers = [("fixed", 0), ("dynamic", 0), ("hessian", 1)]  # hessian seed 1 whitens step 2
+    sweep = {**TWO_CELL_SWEEP, "solver": {"n": 3, "d": 1, "T": 4, "schedule": "hessian"}}
+    cfg_path = write_config(tmp_path, sweep)
+    out = tmp_path / "out"  # recorded in the traces, so every run uses it
+
+    def outputs():
+        # the sweep first, so its workers fork from a cold cache on the first call
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
+        assert "2/2 cells ok" in capsys.readouterr().out
+        traces = []
+        for schedule, seed in solvers:
+            raw = {
+                "problem": {"conductivity": "noisy_constant"},
+                "solver": {"n": 3, "d": 1, "T": 10, "schedule": schedule},
+                "seed": seed,
+            }
+            config = config_from_dict(raw)
+            traces.append(dump_trace(trace_payload(config, run_single(config))).encode())
+        return traces, output_files(out)
+
+    clear_start_states()
+    cold = outputs()
+    hits = cost_module._start_objective.cache_info().hits, cost_module._start_bundle.cache_info().hits
+    warm = outputs()
+    # every run after the first of its shape read its start states from the cache
+    assert cost_module._start_objective.cache_info().hits >= hits[0] + len(solvers)
+    assert cost_module._start_bundle.cache_info().hits >= hits[1] + 1
+    monkeypatch.setattr(cost_module, "_at_start", lambda config, theta: False)
+    simulated = outputs()
+    assert len(simulated[1]) == 4  # two traces, sweep_details.csv, sweep_summary.csv
+    assert cold == simulated
+    assert warm == simulated
 
 
 def crash_sweep(tmp_path, monkeypatch, seeds, act):

@@ -22,6 +22,8 @@ from avqls import (
 )
 from avqls.cost import HessianBundle, build_cost_model, cost_gradient, hessian_extrapolate
 
+from conftest import clear_start_states
+
 
 def make_bundle(h_s, k_a, k_b, s):
     return HessianBundle(
@@ -384,7 +386,10 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
     # cost evaluation and 2 n_p per gradient after the first, which is at
     # the warm start: theta = 0 or a point the previous step evaluated.
     # grad_norm is read from the gradient L-BFGS-B returned at the step's
-    # optimum, not measured again
+    # optimum, not measured again. The emulator simulates a shape's theta = 0
+    # states once per process, so only a run of a new shape simulates its
+    # first bundle's rows
+    clear_start_states()
     state_rows, bundle_rows, bundles, hessians, results = [], [], [], [], []
     bundle_thetas, solve_calls = [], []
     real_apply = cost_module.apply_ansatz
@@ -462,6 +467,14 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
             assert any(np.array_equal(warm, theta) for theta in solve_calls[k - 1])
         remeasured = np.abs(cost_gradient(model, ansatz, res.theta, rec.s)).max()
         assert rec.grad_norm == remeasured
+    # a second run of the shape reads its theta = 0 bundle from the cached states
+    bundle_rows.clear()
+    again = run_single(config).trace
+    assert again.circuit_evals == result.trace.circuit_evals
+    if config.solver.schedule == "hessian":
+        assert bundle_rows == [0] + [1 + n_p + pairs] * (len(steps) - 1)
+    else:
+        assert bundle_rows == []
 
 
 def test_one_fixed_solve_charges_every_evaluation_but_the_first():

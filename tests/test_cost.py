@@ -24,7 +24,7 @@ from avqls.cost import (
     hessian_extrapolate,
 )
 
-from conftest import fd_hessian, loop_shift_rule, loop_terms
+from conftest import clear_start_states, fd_hessian, loop_shift_rule, loop_terms
 
 # Batched results against the per-point loop reference; fixed in advance,
 # about 1e4 ulps of the O(1) costs of a spectrally normalized matrix.
@@ -300,21 +300,9 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_cached_offsets_give_the_explicit_points(monkeypatch):
-    model, config, theta = normalized_case(70, 2)
-    theta[0], theta[2] = -0.0, 0.0
-    n_p = config.n_params
-    seen = []
-    real_apply = cost_module.apply_ansatz
-
-    def recording_apply(config, points):
-        seen.append(points)
-        return real_apply(config, points)
-
-    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
-    cost_gradient(model, config, theta, 0.4)
-    cost_and_gradient(model, config, theta, 0.4)
-    hessian_bundle(model, config, theta, 0.4)
+def explicit_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The objective's points, and the bundle's singles and pairs, one by one."""
+    n_p = len(theta)
     eye = np.eye(n_p)
     shift = np.pi / 2
     objective = np.concatenate([theta[None], theta + shift * eye, theta - shift * eye])
@@ -327,12 +315,104 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch):
 
     singles = np.array([theta] + [shifted(i) for i in range(n_p)])
     pairs = np.array([shifted(i, j) for i, j in zip(*np.triu_indices(n_p, k=1))])
+    return objective, singles, pairs.reshape(-1, n_p)
+
+
+def recorded_apply(monkeypatch) -> list:
+    """Points of every apply_ansatz call the cost layer makes from now on."""
+    seen = []
+    real_apply = cost_module.apply_ansatz
+
+    def recording_apply(config, points):
+        seen.append(points)
+        return real_apply(config, points)
+
+    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
+    return seen
+
+
+def test_cached_offsets_give_the_explicit_points(monkeypatch):
+    model, config, theta = normalized_case(70, 2)
+    theta[0], theta[2] = -0.0, 0.0
+    seen = recorded_apply(monkeypatch)
+    cost_gradient(model, config, theta, 0.4)
+    cost_and_gradient(model, config, theta, 0.4)
+    hessian_bundle(model, config, theta, 0.4)
+    objective, singles, pairs = explicit_points(theta)
     assert len(seen) == 4
     # cost_gradient reads the objective's points
     for got, want in zip(seen, (objective, objective, singles, pairs)):
         assert bitwise_equal(got, want)
     with pytest.raises(ValueError, match="read-only"):
-        cost_module._objective_offsets(n_p)[0, 0] = 1.0
+        cost_module._objective_offsets(config.n_params)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (2, 1), (3, 2), (5, 2), (8, 2)])
+def test_start_states_are_what_apply_ansatz_returns(n, d):
+    config = AnsatzConfig(n=n, d=d)
+    zero = np.zeros(config.n_params)
+    assert cost_module._at_start(config, zero)
+    clear_start_states()
+    cached = (cost_module._start_objective(config), *cost_module._start_bundle(config))
+    for states, points in zip(cached, explicit_points(zero)):
+        assert bitwise_equal(states, apply_ansatz(config, points))
+        assert not states.flags.writeable
+    # filled once: later reads return the same arrays
+    assert cost_module._start_objective(config) is cached[0]
+    assert cost_module._start_bundle(config)[1] is cached[2]
+
+
+def start_results(model, config, s):
+    zero = np.zeros(config.n_params)
+    value, grad = cost_and_gradient(model, config, zero, s)
+    bundle = hessian_bundle(model, config, zero, s)
+    return [np.float64(value), grad, bundle.h_s, bundle.k_a, bundle.k_b]
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+def test_start_path_gives_the_simulated_results(monkeypatch, n, d):
+    # every reading at theta = 0 is bitwise the same whether its states are
+    # simulated, simulated to fill the cache, or read from the filled cache
+    model, _, _ = normalized_case(110 + n, n)
+    config = AnsatzConfig(n=n, d=d)
+    for s in (0.0, 0.6, 1.0):
+        with monkeypatch.context() as patch:
+            patch.setattr(cost_module, "_at_start", lambda config, theta: False)
+            simulated = start_results(model, config, s)
+        clear_start_states()
+        filled = start_results(model, config, s)
+        seen = recorded_apply(monkeypatch)
+        warm = start_results(model, config, s)
+        monkeypatch.undo()
+        assert seen == []
+        for got in (filled, warm):
+            assert all(bitwise_equal(a, b) for a, b in zip(got, simulated))
+
+
+def test_negative_zero_and_a_shape_over_the_budget_are_simulated(monkeypatch):
+    model, config, _ = normalized_case(120, 3)
+    n_p = config.n_params
+    zero = np.zeros(n_p)
+    start_results(model, config, 0.5)  # fills the cache for this shape
+    seen = recorded_apply(monkeypatch)
+    start_results(model, config, 0.5)
+    assert seen == []
+    # -0.0 is not the cached start: cos(-0/2) = 1 but sin(-0/2) = -0.0
+    signed = zero.copy()
+    signed[4] = -0.0
+    cost_and_gradient(model, config, signed, 0.5)
+    hessian_bundle(model, config, signed, 0.5)
+    objective, singles, pairs = explicit_points(signed)
+    assert len(seen) == 3
+    for got, want in zip(seen, (objective, singles, pairs)):
+        assert bitwise_equal(got, want)
+    # one amplitude short of the 3 n_p + 2 + n_p (n_p - 1) / 2 start states
+    seen.clear()
+    rows = 3 * n_p + 2 + n_p * (n_p - 1) // 2
+    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", rows * config.dim - 1)
+    assert not cost_module._at_start(config, zero)
+    start_results(model, config, 0.5)
+    assert sum(map(len, seen)) == rows
 
 
 def test_invalid_inputs_rejected():

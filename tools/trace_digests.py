@@ -7,10 +7,13 @@ Run from the root of a checkout:
     diff before.txt after.txt
 
 Two checkouts print the same lines exactly when their results are
-byte-identical. `--root` names the checkout whose `src/` and `perfbench/`
-are imported; the default is the one this file sits in, so an older
-checkout without this file can be digested too. The inputs come from
-`perfbench/workloads.py`:
+byte-identical. The first line, a `#` comment, names the Python, numpy
+and scipy versions, the BLAS each was built with and the machine: digests
+from hosts whose first lines differ are not comparable, since their
+round-off may differ. `--root` names the checkout whose `src/` and
+`perfbench/` are imported; the default is the one this file sits in, so
+an older checkout without this file can be digested too. The inputs come
+from `perfbench/workloads.py`:
 
 - hessian-warmstart, workload seeds 1-3 (16 inputs each);
 - dynamic-wide, workload seed 3 (3 inputs);
@@ -39,6 +42,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from itertools import product
@@ -115,6 +119,23 @@ def sweep_lines(workdir: Path, drop: set[str]):
             yield f"{digest}  sweep-pool master={master} {path.name}"
 
 
+def versions_line() -> str:
+    import numpy
+    import scipy
+
+    def blas(module) -> str:
+        try:
+            info = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+            return "BLAS unknown"
+        return f"{info.get('name')} {info.get('version')}"
+
+    return (
+        f"# python {platform.python_version()}, numpy {numpy.__version__} ({blas(numpy)}), "
+        f"scipy {scipy.__version__} ({blas(scipy)}), {platform.machine()}"
+    )
+
+
 def schedule_lines():
     import avqls.cli
 
@@ -141,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     import avqls  # sets BLAS to one thread before numpy loads
     import workloads
 
+    print(versions_line(), flush=True)
     drop = set(args.drop)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

@@ -8,12 +8,12 @@ from exact Hessian extrapolation of the cost.
 
 import os
 
-# One BLAS thread per process. Every matrix here is at most 256 wide, where
-# BLAS helper threads only spin, and they take CPUs from the other `sweep
-# --jobs` workers; at n=8 a threaded gemm also rounds differently, so a trace
-# would depend on the host's core count. BLAS reads these variables when it
-# loads, so this must run before numpy or scipy is first imported; a value
-# already exported wins.
+# One BLAS thread per process. The runs here reach n=8, whose matrices are 256
+# wide, or 512 when the system is embedded; there BLAS helper threads only
+# spin, and they take CPUs from the other `sweep --jobs` workers. At n=8 a
+# threaded gemm also rounds differently, so a trace would depend on the host's
+# core count. BLAS reads these variables when it loads, so this must run
+# before numpy or scipy is first imported; a value already exported wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 

@@ -21,6 +21,7 @@ states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,20 +90,6 @@ def _terms_of_states(model: CostModel, states: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _terms_at(model: CostModel, config: AnsatzConfig, points: np.ndarray) -> np.ndarray:
-    """(B, 3) expectations (<a_op>, <b_op>, <c_op>) at a (B, n_p) batch of points.
-
-    States are simulated in chunks of at most _MAX_BATCH_AMPLITUDES amplitudes.
-    """
-    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
-    if len(points) <= chunk:
-        return _terms_of_states(model, apply_ansatz(config, points))
-    return np.concatenate([
-        _terms_of_states(model, apply_ansatz(config, points[k:k + chunk]))
-        for k in range(0, len(points), chunk)
-    ])
-
-
 def _projected(model: CostModel, states: np.ndarray) -> np.ndarray:
     """(2, B, dim) rows P x and P D x of a (B, dim) batch of states x."""
     pair = np.stack([states, states @ model.d_op.T])
@@ -151,8 +138,8 @@ def _shift_rule(terms: np.ndarray) -> np.ndarray:
 def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) -> float:
     """C_s(theta) = <theta| H(s) |theta>."""
     check_s(s)
-    terms = _terms_at(model, config, _check_inputs(model, config, theta)[None])[0]
-    return float(_in_s(terms, s))
+    point = _check_inputs(model, config, theta)[None]
+    return float(_in_s(_terms_of_states(model, apply_ansatz(config, point))[0], s))
 
 
 def cost_and_gradient(
@@ -160,14 +147,13 @@ def cost_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits.
 
-    At theta = 0 these states are simulated once per circuit shape and process.
+    At theta = 0 they are simulated once per circuit shape and process
+    when they fit one chunk of _MAX_BATCH_AMPLITUDES amplitudes.
     """
     check_s(s)
     theta = _check_inputs(model, config, theta)
-    if _at_start(config, theta):
-        terms = _terms_of_states(model, _start_objective(config))
-    else:
-        terms = _terms_at(model, config, theta + _objective_offsets(config.n_params))
+    states = _block_states(config, theta, _objective_points)
+    terms = np.concatenate([_terms_of_states(model, chunk) for chunk in states])
     return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:]), s)
 
 
@@ -218,64 +204,73 @@ def hessian_bundle(
     With psi = psi(theta), chi_i = psi(theta + pi e_i) and
     chi_ij = psi(theta + pi e_i + pi e_j), each operator O gives
     H_ii = (chi_i^T O chi_i - psi^T O psi) / 2 and
-    H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. psi and the chi_i are one
-    batch, the chi_ij chunks of at most _MAX_BATCH_AMPLITUDES amplitudes,
-    each reduced at once to its forms with psi. The forms equal the pi/2
-    shift rule's second differences, without simulating its 2 n_p^2 + 1
-    points. At theta = 0 its states are simulated once per circuit shape and process.
+    H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. The chi_ij come in chunks
+    (_block_states), each reduced at once to its forms with psi. The forms
+    equal the pi/2 shift rule's second differences, without simulating its
+    2 n_p^2 + 1 points. At theta = 0 each of the two blocks, psi with the
+    chi_i and the chi_ij, is simulated once per circuit shape and process
+    when it fits one chunk.
     """
     check_s(s)
     theta = _check_inputs(model, config, theta)
-    start = _start_bundle(config) if _at_start(config, theta) else None
     n_p = config.n_params
     iu, ju = np.triu_indices(n_p, k=1)
-    singles, pairs = _bundle_points(theta)
-    first = _projected(model, start[0] if start else apply_ansatz(config, singles))
+    first = _projected(model, np.concatenate(list(_block_states(config, theta, _singles))))
     gram = _forms(first, first)
     hess3 = 0.5 * gram[:, 1:, 1:]
     diag = np.arange(n_p)
     hess3[:, diag, diag] -= 0.5 * gram[:, :1, 0]
-    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
-    for k in range(0, len(pairs), chunk):
-        states = _projected(model, start[1] if start else apply_ansatz(config, pairs[k:k + chunk]))
-        hess3[:, iu[k:k + chunk], ju[k:k + chunk]] += 0.5 * _forms(states, first[:, :1])[..., 0]
+    done = 0
+    for states in _block_states(config, theta, _pairs):
+        rows = slice(done, done + len(states))
+        done = rows.stop
+        hess3[:, iu[rows], ju[rows]] += 0.5 * _forms(_projected(model, states), first[:, :1])[..., 0]
     hess3[:, ju, iu] = hess3[:, iu, ju]
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
     return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, s=s)
 
 
-def _bundle_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A bundle's singles theta, theta + pi e_i and pairs theta + pi (e_i + e_j), i < j."""
+def _objective_points(theta: np.ndarray) -> np.ndarray:
+    """The objective's 2 n_p + 1 points theta + _objective_offsets."""
+    return theta + _objective_offsets(len(theta))
+
+
+def _singles(theta: np.ndarray) -> np.ndarray:
+    """A bundle's singles theta, theta + pi e_i."""
     # shifting only the chosen entries leaves every other one bitwise theta
     eye = np.eye(len(theta), dtype=bool)
+    return np.vstack([theta, np.where(eye, theta + np.pi, theta)])
+
+
+def _pairs(theta: np.ndarray) -> np.ndarray:
+    """A bundle's pairs theta + pi (e_i + e_j), i < j, in np.triu_indices order."""
+    eye = np.eye(len(theta), dtype=bool)
     iu, ju = np.triu_indices(len(theta), k=1)
-    singles = np.vstack([theta, np.where(eye, theta + np.pi, theta)])
-    return singles, np.where(eye[iu] | eye[ju], theta + np.pi, theta)
+    return np.where(eye[iu] | eye[ju], theta + np.pi, theta)
 
 
-def _at_start(config: AnsatzConfig, theta: np.ndarray) -> bool:
-    """Whether theta is all +0.0 and the objective's and bundle's states there fit a batch."""
-    if theta.any() or np.signbit(theta).any():
-        return False
-    n_p = config.n_params
-    return (3 * n_p + 2 + n_p * (n_p - 1) // 2) * config.dim <= _MAX_BATCH_AMPLITUDES
+def _block_states(config: AnsatzConfig, theta: np.ndarray, block) -> Iterator[np.ndarray]:
+    """States at the points block(theta), in chunks of at most _MAX_BATCH_AMPLITUDES amplitudes.
+
+    At theta = +0.0 a block that fits one chunk is read from _start_states.
+    A -0.0 entry is simulated: sin(-0/2) = -0.0 gives other sign bits.
+    """
+    points = block(theta)
+    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
+    if len(points) <= chunk and not theta.any() and not np.signbit(theta).any():
+        yield _start_states(config, block)
+        return
+    for k in range(0, len(points), chunk):
+        yield apply_ansatz(config, points[k:k + chunk])
 
 
-@functools.lru_cache(maxsize=1)
-def _start_objective(config: AnsatzConfig) -> np.ndarray:
-    """Read-only states at the objective's points about theta = +0.0."""
-    states = apply_ansatz(config, np.zeros(config.n_params) + _objective_offsets(config.n_params))
+@functools.lru_cache(maxsize=3)
+def _start_states(config: AnsatzConfig, block) -> np.ndarray:
+    """Read-only states at block(theta = +0.0): the objective, singles and pairs of one shape."""
+    states = apply_ansatz(config, block(np.zeros(config.n_params)))
     states.flags.writeable = False
     return states
-
-
-@functools.lru_cache(maxsize=1)
-def _start_bundle(config: AnsatzConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only states at the bundle's singles and pairs about theta = +0.0."""
-    singles, pairs = (apply_ansatz(config, p) for p in _bundle_points(np.zeros(config.n_params)))
-    singles.flags.writeable = pairs.flags.writeable = False
-    return singles, pairs
 
 
 def hessian_extrapolate(bundle: HessianBundle, delta_s: float) -> np.ndarray:

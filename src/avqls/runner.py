@@ -272,17 +272,30 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
 
     Each outcome is answered with the worker's next cell, or None once none
     is left. A worker that dies loses only its in-flight cell, which is
-    retried once in a fresh worker; a cell whose second worker dies too is
-    recorded as failed. Every worker is reaped before this returns, also on
-    an exception, when the busy ones are killed first.
+    retried once in another worker; a cell whose second worker dies too is
+    recorded as failed. A worker that cannot be forked is one worker fewer:
+    its cell waits for a running worker, and only the cells left when none
+    is running are recorded as failed, with the fork's error. Every worker
+    is reaped before this returns, also on an exception, when the busy ones
+    are killed first.
     """
     pending = deque(cells)
     busy: dict[Connection, tuple[int, SweepCell]] = {}
     retired, died_once, outcomes = [], set(), []
+    fork_error = None
 
-    def start(cell: SweepCell) -> None:
+    def start() -> None:
+        """Fork a worker for the next pending cell, which stays pending if the fork fails."""
+        nonlocal fork_error
         ours, theirs = Pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            ours.close()
+            theirs.close()
+            fork_error = f"{type(exc).__name__}: {exc}"
+            return
+        cell = pending.popleft()
         if pid == 0:
             # the worker inherits `config`; it holds no pipe end but its own, so
             # its death reads as EOF in the parent, and it never returns
@@ -300,7 +313,7 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
 
     try:
         for _ in range(min(jobs, len(cells))):
-            start(pending.popleft())
+            start()
         while busy:
             for conn in wait(list(busy)):
                 pid, cell = busy[conn]
@@ -317,7 +330,7 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
                         died_once.add(cell)
                         pending.appendleft(cell)
                     if pending:
-                        start(pending.popleft())
+                        start()
                     continue
                 if pending:
                     busy[conn] = pid, pending.popleft()
@@ -327,6 +340,8 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
                     _send(conn, None)
                     conn.close()
                     retired.append(pid)
+        for cell in pending:  # no worker is running, and none could be forked
+            outcomes.append((cell, None, f"no worker could be forked ({fork_error})"))
     finally:
         for conn, (pid, _) in busy.items():
             conn.close()

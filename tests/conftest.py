@@ -212,5 +212,4 @@ def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def clear_start_states() -> None:
     """Forget the cached theta = 0 states, so the next run of a shape simulates them."""
-    avqls.cost._start_objective.cache_clear()
-    avqls.cost._start_bundle.cache_clear()
+    avqls.cost._start_states.cache_clear()

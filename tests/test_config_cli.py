@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -624,12 +625,12 @@ def test_cached_start_states_change_no_output_byte(tmp_path, monkeypatch, capsys
 
     clear_start_states()
     cold = outputs()
-    hits = cost_module._start_objective.cache_info().hits, cost_module._start_bundle.cache_info().hits
+    hits = cost_module._start_states.cache_info().hits
     warm = outputs()
-    # every run after the first of its shape read its start states from the cache
-    assert cost_module._start_objective.cache_info().hits >= hits[0] + len(solvers)
-    assert cost_module._start_bundle.cache_info().hits >= hits[1] + 1
-    monkeypatch.setattr(cost_module, "_at_start", lambda config, theta: False)
+    # every run after the first of its shape read its start states from the
+    # cache: each run its objective, the hessian run its singles and pairs
+    assert cost_module._start_states.cache_info().hits >= hits + len(solvers) + 2
+    monkeypatch.setattr(cost_module, "_start_states", cost_module._start_states.__wrapped__)
     simulated = outputs()
     assert len(simulated[1]) == 4  # two traces, sweep_details.csv, sweep_summary.csv
     assert cold == simulated
@@ -760,6 +761,67 @@ def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsy
         forked.append(len(forks))
     assert forked == [0, 2]
     assert outputs[1] == outputs[0]
+
+
+def failing_fork(monkeypatch, fails) -> list:
+    """Patch os.fork to raise BlockingIOError at each call k (from 1) where fails(k).
+
+    Returns the list of calls, one entry each; no process is started for a failing call.
+    """
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        if fails(len(calls)):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+FOUR_CELL_SWEEP = {
+    "problem": {"conductivity": "noisy_constant"},
+    "solver": {"n": 3, "d": 1, "T": 4, "schedule": "hessian"},
+    "sweep": {"seeds": [0, 1, 2, 3]},
+}
+
+
+def test_cli_sweep_runs_on_when_a_worker_cannot_be_forked(tmp_path, monkeypatch, capsys):
+    # the third of four forks fails: its cell waits for one of the three
+    # running workers, and every output is what --jobs 1 writes
+    cfg_path = write_config(tmp_path, FOUR_CELL_SWEEP)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs in ("1", "4"):
+        if jobs == "4":
+            calls = failing_fork(monkeypatch, lambda k: k == 3)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert "4/4 cells ok" in capsys.readouterr().out
+        outputs.append(output_files(out))
+    assert len(calls) == 4
+    assert len(outputs[0]) == 6  # four traces, sweep_details.csv, sweep_summary.csv
+    assert outputs[1] == outputs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_sweep_records_every_cell_when_no_worker_can_be_forked(tmp_path, monkeypatch, capsys):
+    calls = failing_fork(monkeypatch, lambda k: True)
+    cfg_path = write_config(tmp_path, FOUR_CELL_SWEEP)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "4"]) == 3
+    assert "0/4 cells ok" in capsys.readouterr().out
+    assert len(calls) == 4
+    traces, rows = sweep_outputs(out)
+    assert traces == {}
+    assert [row["error"] for row in rows] == [
+        "no worker could be forked (BlockingIOError: [Errno 11] Resource temporarily unavailable)"
+    ] * 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_outcome_that_does_not_pickle_is_that_cells_error(monkeypatch):

@@ -347,19 +347,28 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch):
         cost_module._objective_offsets(config.n_params)[0, 0] = 1.0
 
 
+# the objective's points, and the bundle's singles and pairs, as the cost layer builds them
+BLOCKS = (cost_module._objective_points, cost_module._singles, cost_module._pairs)
+
+
+def without_start_cache(patch) -> None:
+    """Simulate the theta = 0 states at every reading instead of caching them."""
+    patch.setattr(cost_module, "_start_states", cost_module._start_states.__wrapped__)
+
+
 @pytest.mark.parametrize("n,d", [(1, 0), (2, 1), (3, 2), (5, 2), (8, 2)])
 def test_start_states_are_what_apply_ansatz_returns(n, d):
     config = AnsatzConfig(n=n, d=d)
     zero = np.zeros(config.n_params)
-    assert cost_module._at_start(config, zero)
+    assert all(len(block(zero)) * config.dim <= cost_module._MAX_BATCH_AMPLITUDES for block in BLOCKS)
     clear_start_states()
-    cached = (cost_module._start_objective(config), *cost_module._start_bundle(config))
+    cached = [cost_module._start_states(config, block) for block in BLOCKS]
     for states, points in zip(cached, explicit_points(zero)):
         assert bitwise_equal(states, apply_ansatz(config, points))
         assert not states.flags.writeable
     # filled once: later reads return the same arrays
-    assert cost_module._start_objective(config) is cached[0]
-    assert cost_module._start_bundle(config)[1] is cached[2]
+    assert cost_module._start_states(config, BLOCKS[0]) is cached[0]
+    assert cost_module._start_states(config, BLOCKS[2]) is cached[2]
 
 
 def start_results(model, config, s):
@@ -377,7 +386,7 @@ def test_start_path_gives_the_simulated_results(monkeypatch, n, d):
     config = AnsatzConfig(n=n, d=d)
     for s in (0.0, 0.6, 1.0):
         with monkeypatch.context() as patch:
-            patch.setattr(cost_module, "_at_start", lambda config, theta: False)
+            without_start_cache(patch)
             simulated = start_results(model, config, s)
         clear_start_states()
         filled = start_results(model, config, s)
@@ -406,13 +415,21 @@ def test_negative_zero_and_a_shape_over_the_budget_are_simulated(monkeypatch):
     assert len(seen) == 3
     for got, want in zip(seen, (objective, singles, pairs)):
         assert bitwise_equal(got, want)
-    # one amplitude short of the 3 n_p + 2 + n_p (n_p - 1) / 2 start states
+    # each block is cached when it fits one batch: with room for the
+    # objective's 2 n_p + 1 = 19 states and the 10 singles, the 36 pairs are
+    # simulated at every reading, as 19 and 17
+    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", (2 * n_p + 1) * config.dim)
+    with monkeypatch.context() as patch:
+        without_start_cache(patch)
+        simulated = start_results(model, config, 0.5)
+    clear_start_states()
+    filled = start_results(model, config, 0.5)
     seen.clear()
-    rows = 3 * n_p + 2 + n_p * (n_p - 1) // 2
-    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", rows * config.dim - 1)
-    assert not cost_module._at_start(config, zero)
-    start_results(model, config, 0.5)
-    assert sum(map(len, seen)) == rows
+    warm = start_results(model, config, 0.5)
+    assert [len(points) for points in seen] == [19, 17]
+    assert bitwise_equal(np.concatenate(seen), explicit_points(zero)[2])
+    for got in (filled, warm):
+        assert all(bitwise_equal(a, b) for a, b in zip(got, simulated))
 
 
 def test_invalid_inputs_rejected():

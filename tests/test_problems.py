@@ -270,8 +270,7 @@ def test_recover_solution_plain_round_trip():
     a = np.diag([2.0, 1.0, 0.5, 0.25]) + 0.05 * rng.normal(size=(4, 4))
     b = rng.normal(size=4)
     system = prepare(a, b)
-    if system.embedded:
-        pytest.skip("random perturbation flipped an eigenvalue sign")
+    assert not system.embedded  # a plain system, so no embedding to undo
     x_work = np.linalg.solve(system.matrix, np.eye(4)[0])
     recovered = recover_solution(system, x_work / np.linalg.norm(x_work))
     exact = np.linalg.solve(a, b)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+from scipy.optimize._lbfgsb import setulb
 
 from .ansatz import AnsatzConfig
 from .config import SolverConfig
@@ -52,6 +52,15 @@ log = logging.getLogger(__name__)
 _FTOL = 1e-14
 _MAX_ITER = 500
 _EPS_PSD = 1e-8
+_M, _MAXLS = 10, 20  # scipy's L-BFGS-B memory and line-search steps per iteration
+# setulb's (task, code) at the end of an unbounded solve, with scipy's messages
+_TASKS = {
+    (4, 401): "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
+    (4, 402): "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    (5, 504): "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    (5, 505): "STOP: CALLBACK REQUESTED HALT",
+    (8, 0): "ABNORMAL: ",
+}
 
 
 class StepKind(str, Enum):
@@ -139,25 +148,47 @@ class MinimizeResult:
     grad: np.ndarray
     iterations: int
     nfev: int
-    njev: int
     converged: bool
     message: str
 
 
-def _answer_first_call(fun, theta0: np.ndarray, first):
-    """fun, except that its first call at theta0 returns `first`, already measured there."""
-    pending = [first]
-
-    def answered(theta):
-        if pending and np.array_equal(theta, theta0):
-            return pending.pop()
-        return fun(theta)
-
-    return answered
+def _gtol_met(grad: np.ndarray, gtol: float) -> bool:
+    return float(np.abs(grad).max()) <= gtol
 
 
-def _gtol_met(grad: np.ndarray, solver: SolverConfig) -> bool:
-    return float(np.abs(grad).max()) <= solver.gtol
+def _lbfgsb(fun, x0: np.ndarray, first: tuple, pgtol: float, gtol: float | None = None):
+    """scipy.optimize.minimize(method="L-BFGS-B", jac=True)'s loop over setulb, unbounded.
+
+    fun(x) returns a reading (cost, gradient, ...); `first` is the one at x0.
+    At each FG task fun gets a copy of x, and only if x differs from the last
+    point it read (scipy's memo). Each NEW_X task is an iteration; it stops
+    the solve if the reading's last entry, a gradient, meets `gtol` (code
+    505), or at _MAX_ITER (504). Returns scipy's result, from setulb's final
+    x, cost and gradient, and the reading of the last accepted point.
+    """
+    n = x0.size
+    x, last, reading, accepted, iterations, nfev = x0.copy(), x0, first, first, 0, 1
+    free, nbd, iwa = np.zeros(n), np.zeros(n, np.int32), np.zeros(3 * n, np.int32)
+    wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
+    task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
+    dsave, factr = np.zeros(29), _FTOL / np.finfo(float).eps
+    while True:
+        f, g = reading[0], np.array(reading[1], dtype=float)  # setulb may write g
+        setulb(_M, x, free, free, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               _MAXLS, ln_task)
+        if task[0] == 1:  # NEW_X: x, the last point read, is accepted
+            accepted, iterations = reading, iterations + 1
+            if gtol is not None and _gtol_met(reading[-1], gtol):
+                task[:] = 5, 505
+            if iterations >= _MAX_ITER:
+                task[:] = 5, 504
+        elif task[0] != 3:  # not FG either: the solve has ended
+            code = tuple(task.tolist())
+            res = MinimizeResult(x, float(f), g, iterations, nfev, code[0] == 4, _TASKS[code])
+            return res, accepted
+        elif not np.array_equal(x, last):  # FG at a point fun has not just read
+            last = x.copy()
+            reading, nfev = fun(last), nfev + 1
 
 
 def minimize_cost(
@@ -169,85 +200,52 @@ def minimize_cost(
     """Quasi-Newton line-search minimization with an analytic gradient.
 
     fun(theta) returns (cost, gradient) together, so one batch of circuits
-    serves both; the result keeps the theta, cost and gradient of the fun
-    call L-BFGS-B stopped at, and nfev counts every fun call. Reads
-    solver.gtol. The angles are unbounded: the cost is 2pi-periodic in
-    each.
+    serves both. _lbfgsb drives L-BFGS-B with scipy.optimize.minimize's
+    settings and memo, so the iterates, nfev and result are scipy's. Reads
+    solver.gtol. The angles are unbounded: the cost is 2pi-periodic in each.
 
     `hessian` is the Hessian of the cost at theta0, if the caller holds it.
     L-BFGS-B then runs in its scaled whitened coordinates phi, with
     theta = theta0 + c V Lambda^{-1/2} phi, (Lambda, V) = eigh(hessian) and
     c = |(V Lambda^{-1/2})^T grad C(theta0)|_2, when all three hold:
+    - grad C(theta0), the solve's first reading, does not meet gtol;
     - the smallest eigenvalue exceeds _EPS_PSD;
-    - grad C(theta0) does not already meet gtol, so the solve has a step
-      to take;
     - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
       at or above 0, the floor of the nonnegative cost. A model that dips
       below it fails before its own minimizer, so its metric is not used.
-    The last two read fun at theta0, which is L-BFGS-B's first call in either
-    case, so it is answered from that reading and costs nothing. In phi the
-    model's minimizer lies at unit distance along -grad, where L-BFGS-B puts
-    its first trial point: the first step is the Newton step, and on the
-    model itself the solve takes 2 evaluations. Otherwise, or with no
-    `hessian`, L-BFGS-B runs on theta itself and the result is the same as
-    without one.
+    In phi the model's minimizer lies at unit distance along -grad,
+    L-BFGS-B's first trial point: the first step is the Newton step, and on
+    the model itself the solve takes 2 evaluations. The result is then the
+    theta, cost and grad C(theta) of the last accepted point.
 
-    Terminates when the gradient in theta meets gtol, max |grad C| <= gtol,
-    at an accepted point (a whitened solve tests it there through L-BFGS-B's
-    callback, not on the gradient in phi), when the relative cost decrease
-    drops below _FTOL, or after _MAX_ITER iterations. On a line-search
-    failure the best point found so far is returned with converged=False.
+    Terminates when max |grad C(theta)| <= gtol at an accepted point, when
+    the relative cost decrease drops below _FTOL, after _MAX_ITER
+    iterations, or with converged=False when a line search fails; theta is
+    then the last accepted point, and an unwhitened cost the last one read.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    objective, start, seen, callback, gtol = fun, theta0, None, None, solver.gtol
-    if hessian is not None:
+    first = cost0, grad0 = fun(theta0)
+    objective, start, pgtol, gtol = fun, theta0, solver.gtol, None
+    if hessian is not None and not _gtol_met(grad0, solver.gtol):
         lam, vec = np.linalg.eigh(hessian)
         if lam[0] > _EPS_PSD:
             basis = vec / np.sqrt(lam)
-            cost0, grad0 = first = fun(theta0)
-            measured = objective = _answer_first_call(fun, theta0, first)
             white = basis.T @ grad0
-            if not _gtol_met(grad0, solver) and cost0 - 0.5 * float(white @ white) >= 0.0:
+            if cost0 - 0.5 * float(white @ white) >= 0.0:
                 basis = basis * np.linalg.norm(white)
-                seen = {}
 
                 def objective(phi):
                     theta = theta0 + basis @ phi
-                    value, grad = measured(theta)
-                    seen[phi.tobytes()] = (theta, value, grad)
-                    return value, basis.T @ grad
-
-                def callback(intermediate_result):
-                    if _gtol_met(seen[intermediate_result.x.tobytes()][2], solver):
-                        raise StopIteration
-
-                start, gtol = np.zeros_like(theta0), 0.0
-    res = scipy.optimize.minimize(
-        objective,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={
-            "maxiter": _MAX_ITER,
-            "gtol": gtol,
-            "ftol": _FTOL,
-        },
-    )
-    if seen is None:
-        theta, value, grad = res.x, res.fun, res.jac
-    else:
-        theta, value, grad = seen[np.asarray(res.x, dtype=float).tobytes()]
-    return MinimizeResult(
-        theta=np.asarray(theta, dtype=float),
-        cost=float(value),
-        grad=np.asarray(grad, dtype=float),
-        iterations=int(res.nit),
-        nfev=int(res.nfev),
-        njev=int(res.njev),
-        converged=bool(res.success) or (seen is not None and _gtol_met(grad, solver)),
-        message=str(res.message),
-    )
+                    value, grad = fun(theta)
+                    return value, basis.T @ grad, theta, grad
+                start, pgtol, gtol = np.zeros_like(theta0), 0.0, solver.gtol
+                first = cost0, basis.T @ grad0, theta0 + basis @ start, grad0
+    res, accepted = _lbfgsb(objective, start, first, pgtol, gtol)
+    if gtol is None:  # not whitened: setulb's own result stands
+        return res
+    value, _, theta, grad = accepted
+    converged = res.converged or _gtol_met(grad, gtol)
+    return replace(res, theta=theta, cost=float(value), grad=grad, converged=converged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +301,7 @@ def solve_adiabatic(
     Reads solver.T and solver.schedule; minimize_cost reads solver.gtol,
     which every step tests on the gradient in theta, and the ansatz fixes
     the circuit that solver.n and solver.d describe. A step's note is
-    L-BFGS-B's message when its solve did not converge.
+    L-BFGS-B's message (scipy's) when its solve did not converge.
 
     At s = 0 the zero parameter vector is the exact minimum (the circuit
     prepares e1, the working right-hand side), so the loop decides the
@@ -314,17 +312,18 @@ def solve_adiabatic(
     holds, so its first step is the Newton step of that quadratic model.
 
     A step charges the circuits a device must run: the bundle's pair
-    circuits, and every L-BFGS-B evaluation but the first. At theta = 0 the
+    circuits, and 1 + 2 n_p for each L-BFGS-B evaluation but the first, at
+    the warm start, theta = 0 or the previous optimum. At theta = 0 the
     bundle is free, since every derivative state is a signed basis vector,
     so its numbers are entries of H(s) (verify.start_rule_defect); the
-    emulator simulates each block of start states once per circuit shape and
-    process when it fits one batch, changing no count or trace. Otherwise theta_k is the previous
-    optimum, whose evaluation measured C(theta_k) and C(theta_k +- pi/2 e_i);
-    so the bundle's centre and its n_p single shifts are known,
-    C(theta + pi e_i) being C(theta + pi/2 e_i) + C(theta - pi/2 e_i) - C(theta)
-    (verify.hessian_rule_defect). The first evaluation is at the warm start,
-    theta = 0 or that optimum. The terms <a>, <b>, <c> behind each reading
-    do not depend on s, so a reading at one s serves every other.
+    emulator simulates each block of start states once per circuit shape
+    and process when it fits one batch, changing no count or trace.
+    Otherwise theta_k is the previous optimum, whose evaluation measured
+    C(theta_k) and C(theta_k +- pi/2 e_i); so the bundle's centre and its
+    n_p single shifts are known, C(theta + pi e_i) being
+    C(theta + pi/2 e_i) + C(theta - pi/2 e_i) - C(theta)
+    (verify.hessian_rule_defect). The terms <a>, <b>, <c> behind each
+    reading do not depend on s, so a reading at one s serves every other.
     """
     mode, T = solver.schedule, solver.T
     if system.n_qubits != ansatz.n:
@@ -370,7 +369,7 @@ def solve_adiabatic(
             lambda_min_at_end=decision.lambda_min_at_end,
             iterations=res.iterations,
             nfev=res.nfev,
-            circuit_evals=probe_evals + (res.nfev - 1) + (res.njev - 1) * 2 * n_p,
+            circuit_evals=probe_evals + (res.nfev - 1) * (1 + 2 * n_p),
             cost=res.cost,
             grad_norm=float(np.abs(res.grad).max()),
             theta_jump=float(np.linalg.norm(res.theta - theta)),

@@ -273,11 +273,11 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
     Each outcome is answered with the worker's next cell, or None once none
     is left. A worker that dies loses only its in-flight cell, which is
     retried once in another worker; a cell whose second worker dies too is
-    recorded as failed. A worker that cannot be forked is one worker fewer:
-    its cell waits for a running worker, and only the cells left when none
-    is running are recorded as failed, with the fork's error. Every worker
-    is reaped before this returns, also on an exception, when the busy ones
-    are killed first.
+    recorded as failed. A worker whose pipe or fork fails (OSError) is one
+    worker fewer: its cell waits for a running worker, and only the cells
+    left when none is running are recorded as failed, with that error.
+    Every worker is reaped before this returns, also on an exception, when
+    the busy ones are killed first.
     """
     pending = deque(cells)
     busy: dict[Connection, tuple[int, SweepCell]] = {}
@@ -285,14 +285,15 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
     fork_error = None
 
     def start() -> None:
-        """Fork a worker for the next pending cell, which stays pending if the fork fails."""
+        """Fork a worker for the next pending cell, which stays pending on an OSError."""
         nonlocal fork_error
-        ours, theirs = Pipe()
+        ends = ()
         try:
+            ends = ours, theirs = Pipe()
             pid = os.fork()
         except OSError as exc:
-            ours.close()
-            theirs.close()
+            for end in ends:
+                end.close()
             fork_error = f"{type(exc).__name__}: {exc}"
             return
         cell = pending.popleft()

@@ -824,6 +824,34 @@ def test_cli_sweep_records_every_cell_when_no_worker_can_be_forked(tmp_path, mon
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_run_sweep_runs_on_when_a_worker_pipe_cannot_be_made(monkeypatch):
+    # the third of four pipes fails as if the process ran out of file
+    # descriptors: no fork is tried for it, and its cell waits for a running worker
+    pipes, forks = [], []
+    real_pipe, real_fork = runner.Pipe, os.fork
+
+    def pipe():
+        pipes.append(None)
+        if len(pipes) == 3:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(runner, "Pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    config = config_from_dict(FOUR_CELL_SWEEP)
+    sweep = run_sweep(config, jobs=4)
+    assert (len(pipes), len(forks)) == (4, 3)
+    assert len(sweep.cells) == 4
+    assert sweep.errors == {}
+    assert list(sweep.results) == sweep.cells
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_outcome_that_does_not_pickle_is_that_cells_error(monkeypatch):
     raw = small_heat_raw()
     raw["problem"]["conductivity"] = "noisy_constant"

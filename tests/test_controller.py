@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -220,11 +222,71 @@ def test_minimize_cost_preconditions_with_a_positive_definite_hessian():
     assert np.array_equal(whitened.grad, grad)
 
 
+def rosenbrock(x):
+    return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
+
+
+N3_D2 = AnsatzConfig(n=3, d=2)
+
+
+@functools.cache
+def n3_model():
+    return build_cost_model(prepare(*heat_system(ProblemConfig(conductivity="noisy_constant"), 3)))
+
+
+def cost_at_n3_d2(x):
+    return cost_module.cost_and_gradient(n3_model(), N3_D2, x, 0.75)
+
+
+@pytest.mark.parametrize(
+    "fun, x0, gtol, max_iter",
+    [
+        (rosenbrock, np.array([-1.2, 1.0]), 1e-8, 500),
+        (rosenbrock, np.array([0.3, -0.8, 1.7]), 1e-10, 500),
+        (rosenbrock, np.array([-1.2, 1.0]), 1e-8, 2),
+        (ill_conditioned_quadratic(1.0)[0], np.zeros(6), 1e-12, 500),
+        # a gradient that is not the cost's: the line search fails, and scipy
+        # returns the last accepted x and gradient with the last cost it read
+        (lambda x: (float(x @ x), 0.001 * x + 1.0), np.ones(3), 1e-8, 500),
+        (cost_at_n3_d2, np.full(N3_D2.n_params, 0.1), 1e-8, 500),
+    ],
+    ids=["rosenbrock", "rosenbrock-3d", "iteration-cap", "ill-conditioned", "abnormal", "cost"],
+)
+def test_minimize_cost_is_scipys_lbfgsb(monkeypatch, fun, x0, gtol, max_iter):
+    # minimize_cost drives scipy's private setulb from its own loop; this
+    # guards that loop against a scipy whose wrapper or routine has moved.
+    # Each message is one of controller._TASKS, or the lookup would raise
+    monkeypatch.setattr(controller_module, "_MAX_ITER", max_iter)
+    res = minimize_cost(fun, x0, SolverConfig(gtol=gtol))
+    ref = scipy.optimize.minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"gtol": gtol, "ftol": 1e-14, "maxiter": max_iter},
+    )
+    assert np.array_equal(res.theta, ref.x)
+    assert np.array_equal(res.grad, ref.jac)
+    assert res.cost == ref.fun
+    assert (res.iterations, res.nfev) == (ref.nit, ref.nfev)
+    assert res.message.encode() == ref.message.encode()
+    assert res.converged is bool(ref.success)
+    if max_iter == 2:
+        assert res.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+
+def test_task_messages_are_scipys():
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    for (task, code), message in controller_module._TASKS.items():
+        assert message == f"{status_messages[task]}: {task_messages[code]}"
+
+
 def assert_same_result(res, plain):
     assert np.array_equal(res.theta, plain.theta)
     assert np.array_equal(res.grad, plain.grad)
-    assert (res.cost, res.iterations, res.nfev, res.njev, res.converged, res.message) == (
-        plain.cost, plain.iterations, plain.nfev, plain.njev, plain.converged, plain.message
+    assert (res.cost, res.iterations, res.nfev, res.converged, res.message) == (
+        plain.cost, plain.iterations, plain.nfev, plain.converged, plain.message
     )
 
 
@@ -455,7 +517,7 @@ def test_steps_charge_measured_circuits_and_report_the_last_gradient(
     for k, (rec, res) in enumerate(zip(steps, results)):
         # a later bundle's centre and single shifts are the previous optimum's readings
         bundle = bundles[k].circuit_evals - 1 - n_p if k > 0 and bundles else 0
-        assert rec.circuit_evals == bundle + (res.nfev - 1) + (res.njev - 1) * 2 * n_p
+        assert rec.circuit_evals == bundle + (res.nfev - 1) * (1 + 2 * n_p)
         # the uncharged first evaluation: theta = 0, or the previous
         # optimum, which the previous step evaluated
         first = solve_calls[k][0]
@@ -505,18 +567,20 @@ def test_solve_adiabatic_is_deterministic():
 def test_run_single_passes_every_solver_setting(monkeypatch):
     # each setting changes this run where the default does not, so a setting
     # dropped between the config and the solver fails here; the iteration
-    # cap and the PSD slack are constants the solver reads where it runs
-    calls = []
-    minimize = scipy.optimize.minimize
+    # cap and the PSD slack are constants the solver reads where it runs.
+    # Each solve's first setulb call (task START) records its inputs
+    starts = []
+    setulb = controller_module.setulb
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return minimize(*args, **kwargs)
+    def recording(m, x, low, up, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+        if task[0] == 0:
+            starts.append((m, nbd.copy(), factr, pgtol, rest[-2]))
+        return setulb(m, x, low, up, nbd, f, g, factr, pgtol, wa, iwa, task, *rest)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(controller_module, "setulb", recording)
 
     def run(**solver):
-        calls.clear()
+        starts.clear()
         raw = {
             "problem": {"conductivity": "noisy_constant"},
             "solver": {"n": 3, "d": 2, "T": 20, **solver},
@@ -527,11 +591,13 @@ def test_run_single_passes_every_solver_setting(monkeypatch):
     assert default.t == 20
     assert default.steps[0].kind is not StepKind.JUMP_TO_ONE
     assert max(rec.iterations for rec in default.steps) > 1
-    assert len(calls) == 20
-    for call in calls:
-        assert "bounds" not in call
-        assert call["options"]["ftol"] == 1e-14
-        assert call["options"]["maxiter"] == 500
+    assert len(starts) == 20
+    assert controller_module._MAX_ITER == 500
+    for m, nbd, factr, pgtol, maxls in starts:
+        assert not nbd.any()  # unbounded
+        assert factr == 1e-14 / np.finfo(float).eps
+        assert (m, maxls) == (10, 20)
+        assert pgtol in (1e-8, 0.0)  # gtol, or 0 in a whitened solve, which stops on theta
 
     assert all(rec.iterations == 0 for rec in run(gtol=1e3).steps)
     fixed = run(schedule="fixed", T=3)

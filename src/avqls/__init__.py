@@ -12,8 +12,10 @@ import os
 # wide, or 512 when the system is embedded; there BLAS helper threads only
 # spin, and they take CPUs from the other `sweep --jobs` workers. At n=8 a
 # threaded gemm also rounds differently, so a trace would depend on the host's
-# core count. BLAS reads these variables when it loads, so this must run
-# before numpy or scipy is first imported; a value already exported wins.
+# core count. The LAPACK calls go through numpy's BLAS; scipy's serves only
+# L-BFGS-B's setulb. Each BLAS reads these variables when it loads, so this
+# must run before numpy or scipy is first imported; a value already exported
+# wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 

@@ -12,13 +12,14 @@ uniform grid.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize._lbfgsb import setulb
 
 from .ansatz import AnsatzConfig
 from .config import SolverConfig
@@ -46,6 +47,23 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+
+def _load_setulb():
+    """L-BFGS-B's compiled setulb, without the scipy.optimize package, which
+    would load scipy.linalg, sparse, special and fft. The extension module is
+    shared through sys.modules with scipy.optimize, whichever loads it first."""
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        scipy_dirs = find_spec("scipy").submodule_search_locations
+        package = PathFinder.find_spec("scipy.optimize", scipy_dirs)
+        spec = PathFinder.find_spec(name, package.submodule_search_locations)
+        sys.modules[name] = module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].setulb
+
+
+setulb = _load_setulb()
 
 # Every run uses these, so none is a setting: L-BFGS-B's stops on the relative cost
 # decrease and the iteration count, and the slack on lambda_min of a PSD Hessian.
@@ -85,25 +103,25 @@ def _lambda_min(matrix: np.ndarray) -> float:
 def _first_psd_crossing(bundle: HessianBundle, remaining: float) -> float | None:
     """First step in (0, remaining] where the extrapolated Hessian stops being PSD.
 
-    M(ds) = ds^2 K_a + ds K_1 + (H_s + _EPS_PSD I), with K_1 = 2 s K_a + K_b,
-    is singular exactly at the eigenvalues of the companion pencil
-    [[0, I], [-M(0), -K_1]] z = ds [[I, 0], [0, K_a]] z. The caller has
-    checked that M(0) is PSD, so the first crossing is the smallest real
-    eigenvalue in (0, remaining]; None means there is none. LAPACK returns
-    each real eigenvalue as a 1x1 block with an imaginary part of exactly
-    zero, and a singular K_a only adds infinite ones, so no tolerance is
-    needed to filter them. A root that round-off put on the indefinite side
-    is backed off by 1, 2, 4, ... ulps until M is PSD there again, which at
-    worst ends at ds = 0.
-    """
+    M(ds) = ds^2 K_a + ds K_1 + H_eps, with K_1 = 2 s K_a + K_b and
+    H_eps = H_s + _EPS_PSD I, is singular exactly where mu = 1/ds is an
+    eigenvalue of the companion matrix [[0, I], [-H_eps^-1 K_a, -H_eps^-1 K_1]]
+    of det(mu^2 H_eps + mu K_1 + K_a) = 0. The caller has checked that H_eps
+    is PSD, so the first crossing is 1/mu for the largest real mu with 1/mu in
+    (0, remaining]; None means there is none. LAPACK gives each real eigenvalue
+    an imaginary part of exactly zero, so no tolerance filters them. A singular
+    H_eps, at the edge lambda_min(H_s) = -_EPS_PSD, leaves M(0) no PSD margin:
+    the crossing is then ds = 0. A root that round-off put on the indefinite
+    side is backed off by 1, 2, 4, ... ulps until M is PSD there again."""
     n = bundle.n_params
-    eye, zero = np.eye(n), np.zeros((n, n))
     k_1 = 2.0 * bundle.s * bundle.k_a + bundle.k_b
-    left = np.block([[zero, eye], [-(bundle.h_s + _EPS_PSD * eye), -k_1]])
-    right = np.block([[eye, zero], [zero, bundle.k_a]])
-    ds = scipy.linalg.eigvals(left, right)
-    ds = ds.real[np.isfinite(ds) & (ds.imag == 0.0)]
-    roots = ds[(ds > 0.0) & (ds <= remaining)]
+    try:
+        lower = np.linalg.solve(bundle.h_s + _EPS_PSD * np.eye(n), -np.hstack([bundle.k_a, k_1]))
+    except np.linalg.LinAlgError:  # H_eps is singular
+        return 0.0
+    mu = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [lower]]))
+    ds = 1.0 / mu.real[(mu.imag == 0.0) & (mu.real > 0.0)]
+    roots = ds[ds <= remaining]
     if roots.size == 0:
         return None
     root = step = float(roots.min())

@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import SingularMatrixError
-from .schedule import check_s
+from .schedule import check_s, condition_number
 
 __all__ = [
     "SolutionReport",
@@ -20,18 +18,21 @@ __all__ = [
 
 
 def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Normalized dense solution of A x = b via pivoted LU factorization."""
+    """Normalized solution of A x = b; condition_number raises if A is singular."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    lu, piv = scipy.linalg.lu_factor(a)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-        raise SingularMatrixError("matrix is singular to working precision")
-    x = scipy.linalg.lu_solve((lu, piv), b)
+    condition_number(a)
+    return unit_solution(a, b)
+
+
+def unit_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normalized numpy.linalg.solve(a, b), which fails only on a zero pivot:
+    for a matrix whose condition number has been checked."""
+    x = np.linalg.solve(a, b)
     return x / np.linalg.norm(x)
 
 

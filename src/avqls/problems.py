@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded here, not in a forked worker's first cell
 
 from .config import ProblemConfig
 from .errors import SingularMatrixError
@@ -59,7 +60,7 @@ def sample_conductivity(problem: ProblemConfig, n_sites: int, seed: int = 0) -> 
     if problem.conductivity in ("constant", "linear"):
         return base
     sigma = problem.resolved_sigma()
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lam = base + rng.normal(0.0, sigma, n_sites)
     floor = _FLOOR_FRACTION * float(base.mean())
     for _ in range(_RESAMPLE_BUDGET):

@@ -26,13 +26,7 @@ from .ansatz import AnsatzConfig, apply_ansatz
 from .config import RunConfig
 from .controller import RunTrace, solve_adiabatic
 from .errors import ConfigError
-from .metrics import (
-    SolutionReport,
-    accuracy,
-    classical_solve,
-    infidelity,
-    solve_parametric,
-)
+from .metrics import SolutionReport, accuracy, infidelity, unit_solution
 from .problems import PreparedSystem, heat_system, prepare, recover_solution
 from .schedule import default_sequence
 
@@ -69,10 +63,11 @@ def evaluate_run(
     e1 = np.zeros(system.dim)
     e1[0] = 1.0
     x_var_work = apply_ansatz(ansatz, theta_star)
-    x_exact_work = solve_parametric(system.matrix, e1, 1.0)
+    # prepare has checked the condition number, which system.matrix and A share
+    x_exact_work = unit_solution(system.matrix, e1)
     infid = infidelity(x_var_work, x_exact_work)
     x_var = recover_solution(system, x_var_work)
-    x_exact = classical_solve(system.a_matrix, system.b_vector)
+    x_exact = unit_solution(system.a_matrix, system.b_vector)
     if float(x_var @ x_exact) < 0.0:
         x_var = -x_var
     acc = accuracy(system.a_matrix, system.b_vector, x_var)

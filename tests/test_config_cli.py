@@ -925,6 +925,47 @@ def test_import_sets_one_blas_thread_unless_exported():
         assert proc.stdout.strip() == expected
 
 
+def run_probe(*lines: str) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], env=cli_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_loads_numpy_random_with_avqls_and_no_scipy_package():
+    # numpy.random comes with avqls, so a forked sweep worker does not import
+    # it in its first cell; of scipy only L-BFGS-B's extension module loads
+    run_probe(
+        "import sys, avqls",
+        "assert 'numpy.random' in sys.modules",
+        "raw = {'solver': {'n': 3, 'd': 1, 'T': 5, 'schedule': 'hessian'}}",
+        "avqls.run_single(avqls.config_from_dict(raw))",
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
+        "assert loaded == ['scipy.optimize._lbfgsb'], loaded",
+    )
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "avqls-first"])
+def test_setulb_is_scipys_whichever_is_imported_first(scipy_first):
+    imports = ["import scipy.optimize", "import avqls"]
+    run_probe(
+        "import sys",
+        *(imports if scipy_first else imports[::-1]),
+        "import numpy as np",
+        "from scipy.optimize import minimize, rosen, rosen_der",
+        "from avqls import SolverConfig, controller, minimize_cost",
+        "module = sys.modules['scipy.optimize._lbfgsb']",
+        "assert scipy.optimize._lbfgsb_py._lbfgsb is module",
+        "assert controller.setulb is module.setulb",
+        "fun, x0 = (lambda x: (rosen(x), rosen_der(x))), np.array([-1.2, 1.0])",
+        "res = minimize_cost(fun, x0, SolverConfig(gtol=1e-8))",
+        "options = {'gtol': 1e-8, 'ftol': 1e-14, 'maxiter': 500}",
+        "ref = minimize(fun, x0, jac=True, method='L-BFGS-B', options=options)",
+        "assert np.array_equal(res.theta, ref.x) and np.array_equal(res.grad, ref.jac)",
+        "assert (res.cost, res.iterations, res.nfev) == (ref.fun, ref.nit, ref.nfev)",
+    )
+
+
 def test_eight_qubit_trace_does_not_depend_on_blas_threads(tmp_path):
     raw = {
         "problem": {"conductivity": "noisy_constant", "source": "point"},

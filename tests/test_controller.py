@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import avqls.controller as controller_module
@@ -150,6 +151,90 @@ def test_propose_step_is_psd_up_to_the_step():
             # a crossing: no PSD margin is left at the step
             assert np.linalg.eigvalsh(hessian_extrapolate(bundle, ds_star))[0] + eps < 1e-10
     assert kinds == {StepKind.HESSIAN_STEP, StepKind.JUMP_TO_ONE}
+
+
+def pencil_crossing(bundle, remaining):
+    """First crossing from the generalized eigenvalues ds of the companion pencil
+    [[0, I], [-H_eps, -K_1]] z = ds [[I, 0], [0, K_a]] z, without back-off."""
+    n = bundle.n_params
+    eye, zero = np.eye(n), np.zeros((n, n))
+    k_1 = 2.0 * bundle.s * bundle.k_a + bundle.k_b
+    left = np.block([[zero, eye], [-(bundle.h_s + controller_module._EPS_PSD * eye), -k_1]])
+    right = np.block([[eye, zero], [zero, bundle.k_a]])
+    ds = scipy.linalg.eigvals(left, right)
+    ds = ds.real[np.isfinite(ds) & (ds.imag == 0.0)]
+    roots = ds[(ds > 0.0) & (ds <= remaining)]
+    return float(roots.min()) if roots.size else None
+
+
+PANEL_SHAPES = [(3, 1), (4, 2), (5, 2), (6, 2), (7, 2)]
+
+
+@functools.cache
+def path_bundles(n, d):
+    """Each bundle whose first crossing propose_step seeks on two hessian
+    runs (noisy_constant sigma=0.2, point source, T=50, seeds 0 and 1)."""
+    raw = {
+        "problem": {"conductivity": "noisy_constant", "sigma": 0.2, "source": "point"},
+        "solver": {"n": n, "d": d, "T": 50, "schedule": "hessian"},
+    }
+    seen = []
+    real = controller_module.propose_step
+
+    def record(bundle, delta_s_min):
+        seen.append(bundle)
+        return real(bundle, delta_s_min)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller_module, "propose_step", record)
+        for seed in (0, 1):
+            run_single(config_from_dict(raw), seed=seed)
+    eps = controller_module._EPS_PSD
+    return [b for b in seen if np.linalg.eigvalsh(b.h_s)[0] >= -eps]
+
+
+@pytest.mark.parametrize("n, d", PANEL_SHAPES)
+def test_first_psd_crossing_is_the_pencil_root(n, d):
+    crossings = 0
+    for bundle in path_bundles(n, d):
+        remaining = 1.0 - bundle.s
+        got = controller_module._first_psd_crossing(bundle, remaining)
+        ref = pencil_crossing(bundle, remaining)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert abs(got - ref) <= 1e-9 * ref
+            crossings += 1
+    assert crossings > 0
+
+
+@pytest.mark.parametrize("n, d", PANEL_SHAPES)
+def test_first_psd_crossing_is_where_the_extrapolated_hessian_stops_being_psd(n, d):
+    eps = controller_module._EPS_PSD
+    crossings = 0
+    for bundle in path_bundles(n, d):
+        root = controller_module._first_psd_crossing(bundle, 1.0 - bundle.s)
+        if root is None:
+            continue
+        crossings += 1
+        assert np.linalg.eigvalsh(hessian_extrapolate(bundle, root))[0] + eps >= 0.0
+        past = root * (1.0 + 1e-9)
+        assert np.linalg.eigvalsh(hessian_extrapolate(bundle, past))[0] + eps < 0.0
+    assert crossings > 0
+
+
+@pytest.mark.parametrize("k_b", [-1.0, 1.0], ids=["falling", "rising"])
+def test_propose_step_takes_the_minimum_step_when_h_s_is_at_the_psd_edge(k_b):
+    # lambda_min(H_s) = -_EPS_PSD exactly, so H_s + _EPS_PSD I is singular and
+    # M(0) has no PSD margin left: the crossing is ds = 0. That is exact when
+    # K_b lowers the zero eigenvalue, and safe when it raises it.
+    eps = controller_module._EPS_PSD
+    z = np.zeros((2, 2))
+    bundle = make_bundle(np.diag([-eps, 1.0]), z, k_b * np.eye(2), s=0.25)
+    assert controller_module._first_psd_crossing(bundle, 0.75) == 0.0
+    decision = propose_step(bundle, 0.05)
+    assert decision.kind is StepKind.MINIMUM_STEP
+    assert decision.delta_s == 0.05
+    assert decision.lambda_min_start == -eps
 
 
 def test_minimize_cost_quadratic():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from avqls import (
     ProblemConfig,
@@ -50,10 +51,25 @@ def test_classical_solve_normalizes():
     assert np.allclose(x, np.ones(2) / np.sqrt(2.0))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_classical_solve_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        classical_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+    exact = np.array([[1.0, 1.0], [1.0, 1.0]])
+    # sigma_min / sigma_max is 2.5e-15 here, yet no pivot is zero
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    for a in (exact, near):
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert sv[-1] < 1e-14 * sv[0]
+        with pytest.raises(SingularMatrixError):
+            classical_solve(a, np.array([1.0, 0.0]))
+
+
+def test_classical_solve_is_the_lu_solution():
+    rng = np.random.default_rng(5)
+    cases = [heat_system(ProblemConfig(conductivity=kind), n, seed)
+             for kind in ("noisy_constant", "noisy_linear") for n in (2, 4, 6) for seed in (0, 1)]
+    cases += [(rng.normal(size=(16, 16)), rng.normal(size=16)) for _ in range(4)]
+    for a, b in cases:
+        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+        assert np.abs(classical_solve(a, b) - x / np.linalg.norm(x)).max() <= 1e-12
 
 
 def test_solve_parametric_endpoints():

@@ -17,8 +17,11 @@ shapes and seeds 0-3 (140 cases):
 - noisy_constant sigma=1, point source.
 
 One line per case gives, for the path and the direct solve, the final
-infidelity, the modelled circuits summed over the steps and the step
-count, and the largest theta_jump of the path's steps. The summary gives,
+infidelity, the modelled circuits summed over the steps, the step count
+and the step kinds, one letter per step (F fallback_schedule, J
+jump_to_one, M minimum_step, H hessian_step), and the largest theta_jump
+of the path's steps. Two checkouts take the same kinds of steps exactly
+when the `kinds=` fields of their printouts agree. The summary gives,
 per family and over the panel, the median and total of the path's and
 the direct solve's circuits and the number of cases where the path
 charged fewer circuits. `--root` names the checkout whose `src/` is
@@ -50,7 +53,7 @@ DIRECT = {"schedule": "fixed", "T": 1}
 
 
 def run(problem: dict, n: int, d: int, schedule: dict, seed: int):
-    """(infidelity, circuits, steps, largest theta_jump) of one run."""
+    """(infidelity, circuits, steps, largest theta_jump, step kinds) of one run."""
     from avqls import config_from_dict, run_single
 
     config = config_from_dict({"problem": problem, "solver": {"n": n, "d": d, **schedule}})
@@ -61,6 +64,7 @@ def run(problem: dict, n: int, d: int, schedule: dict, seed: int):
         sum(rec.circuit_evals for rec in steps),
         len(steps),
         max(rec.theta_jump for rec in steps),
+        "".join(rec.kind.value[0].upper() for rec in steps),
     )
 
 
@@ -91,8 +95,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{family:<18} n={n} d={d} seed={seed} "
                 f"path I={path[0]:.10f} circuits={path[1]} steps={path[2]} "
-                f"jump={path[3]:.4f} direct I={direct[0]:.10f} circuits={direct[1]} "
-                f"steps={direct[2]}",
+                f"kinds={path[4]} jump={path[3]:.4f} direct I={direct[0]:.10f} "
+                f"circuits={direct[1]} steps={direct[2]} kinds={direct[4]}",
                 flush=True,
             )
     for family, cases in by_family.items():

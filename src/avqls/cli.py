@@ -98,8 +98,6 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     config = _apply_overrides(load_config(args.config), args)
-    if config.sweep is None:
-        raise ConfigError("sweep: section missing from config")
     out_dir = Path(config.output.dir)
     sweep = run_sweep(config, jobs=args.jobs)
     rows = []

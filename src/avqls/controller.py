@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
@@ -76,7 +76,6 @@ _TASKS = {
     (4, 401): "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
     (4, 402): "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
     (5, 504): "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
-    (5, 505): "STOP: CALLBACK REQUESTED HALT",
     (8, 0): "ABNORMAL: ",
 }
 
@@ -174,15 +173,15 @@ def _gtol_met(grad: np.ndarray, gtol: float) -> bool:
     return float(np.abs(grad).max()) <= gtol
 
 
-def _lbfgsb(fun, x0: np.ndarray, first: tuple, pgtol: float, gtol: float | None = None):
+def _lbfgsb(fun, x0: np.ndarray, first: tuple, gtol: float) -> MinimizeResult:
     """scipy.optimize.minimize(method="L-BFGS-B", jac=True)'s loop over setulb, unbounded.
 
-    fun(x) returns a reading (cost, gradient, ...); `first` is the one at x0.
-    At each FG task fun gets a copy of x, and only if x differs from the last
-    point it read (scipy's memo). Each NEW_X task is an iteration; it stops
-    the solve if the reading's last entry, a gradient, meets `gtol` (code
-    505), or at _MAX_ITER (504). Returns scipy's result, from setulb's final
-    x, cost and gradient, and the reading of the last accepted point.
+    fun(x) returns a reading (cost, gradient in x, theta, grad C(theta));
+    `first` is the one at x0. At each FG task fun gets a copy of x, and only
+    if x differs from the last point it read (scipy's memo). setulb's own
+    gradient test is off (pgtol = 0): the solve stops when grad C(theta)
+    meets `gtol` at the start or at a NEW_X task, an iteration (401), else at
+    _MAX_ITER (504). Returns the last accepted reading's theta, cost and grad.
     """
     n = x0.size
     x, last, reading, accepted, iterations, nfev = x0.copy(), x0, first, first, 0, 1
@@ -190,23 +189,24 @@ def _lbfgsb(fun, x0: np.ndarray, first: tuple, pgtol: float, gtol: float | None 
     wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
     task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
     dsave, factr = np.zeros(29), _FTOL / np.finfo(float).eps
-    while True:
+    code = (4, 401) if _gtol_met(first[-1], gtol) else None
+    while code is None:
         f, g = reading[0], np.array(reading[1], dtype=float)  # setulb may write g
-        setulb(_M, x, free, free, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+        setulb(_M, x, free, free, nbd, f, g, factr, 0.0, wa, iwa, task, lsave, isave, dsave,
                _MAXLS, ln_task)
         if task[0] == 1:  # NEW_X: x, the last point read, is accepted
             accepted, iterations = reading, iterations + 1
-            if gtol is not None and _gtol_met(reading[-1], gtol):
-                task[:] = 5, 505
-            if iterations >= _MAX_ITER:
-                task[:] = 5, 504
+            if _gtol_met(reading[-1], gtol):
+                code = 4, 401
+            elif iterations >= _MAX_ITER:
+                code = 5, 504
         elif task[0] != 3:  # not FG either: the solve has ended
             code = tuple(task.tolist())
-            res = MinimizeResult(x, float(f), g, iterations, nfev, code[0] == 4, _TASKS[code])
-            return res, accepted
         elif not np.array_equal(x, last):  # FG at a point fun has not just read
             last = x.copy()
             reading, nfev = fun(last), nfev + 1
+    value, _, theta, grad = accepted
+    return MinimizeResult(theta, float(value), grad, iterations, nfev, code[0] == 4, _TASKS[code])
 
 
 def minimize_cost(
@@ -219,32 +219,35 @@ def minimize_cost(
 
     fun(theta) returns (cost, gradient) together, so one batch of circuits
     serves both. _lbfgsb drives L-BFGS-B with scipy.optimize.minimize's
-    settings and memo, so the iterates, nfev and result are scipy's. Reads
+    settings and memo, so the iterates and nfev are scipy's. Reads
     solver.gtol. The angles are unbounded: the cost is 2pi-periodic in each.
 
     `hessian` is the Hessian of the cost at theta0, if the caller holds it.
     L-BFGS-B then runs in its scaled whitened coordinates phi, with
     theta = theta0 + c V Lambda^{-1/2} phi, (Lambda, V) = eigh(hessian) and
-    c = |(V Lambda^{-1/2})^T grad C(theta0)|_2, when all three hold:
-    - grad C(theta0), the solve's first reading, does not meet gtol;
+    c = |(V Lambda^{-1/2})^T grad C(theta0)|_2, when both hold:
     - the smallest eigenvalue exceeds _EPS_PSD;
     - the quadratic model at theta0 keeps its minimum, C - g^T H^{-1} g / 2,
       at or above 0, the floor of the nonnegative cost. A model that dips
       below it fails before its own minimizer, so its metric is not used.
     In phi the model's minimizer lies at unit distance along -grad,
     L-BFGS-B's first trial point: the first step is the Newton step, and on
-    the model itself the solve takes 2 evaluations. The result is then the
-    theta, cost and grad C(theta) of the last accepted point.
+    the model itself the solve takes 2 evaluations.
 
-    Terminates when max |grad C(theta)| <= gtol at an accepted point, when
-    the relative cost decrease drops below _FTOL, after _MAX_ITER
-    iterations, or with converged=False when a line search fails; theta is
-    then the last accepted point, and an unwhitened cost the last one read.
+    Every solve, whitened or not, terminates when max |grad C(theta)| <= gtol
+    at the start or an accepted point, when the relative cost decrease drops
+    below _FTOL, after _MAX_ITER iterations, or with converged=False when a
+    line search fails. It returns the theta, cost and grad C(theta) of its
+    last accepted point.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    first = cost0, grad0 = fun(theta0)
-    objective, start, pgtol, gtol = fun, theta0, solver.gtol, None
-    if hessian is not None and not _gtol_met(grad0, solver.gtol):
+    theta0 = np.array(theta0, dtype=float)
+    cost0, grad0 = fun(theta0)
+
+    def objective(theta):
+        value, grad = fun(theta)
+        return value, grad, theta, grad
+    start, first = theta0, (cost0, grad0, theta0, grad0)
+    if hessian is not None:
         lam, vec = np.linalg.eigh(hessian)
         if lam[0] > _EPS_PSD:
             basis = vec / np.sqrt(lam)
@@ -256,14 +259,9 @@ def minimize_cost(
                     theta = theta0 + basis @ phi
                     value, grad = fun(theta)
                     return value, basis.T @ grad, theta, grad
-                start, pgtol, gtol = np.zeros_like(theta0), 0.0, solver.gtol
+                start = np.zeros_like(theta0)
                 first = cost0, basis.T @ grad0, theta0 + basis @ start, grad0
-    res, accepted = _lbfgsb(objective, start, first, pgtol, gtol)
-    if gtol is None:  # not whitened: setulb's own result stands
-        return res
-    value, _, theta, grad = accepted
-    converged = res.converged or _gtol_met(grad, gtol)
-    return replace(res, theta=theta, cost=float(value), grad=grad, converged=converged)
+    return _lbfgsb(objective, start, first, solver.gtol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,9 +315,10 @@ def solve_adiabatic(
     """Sweep s from 0 to 1 with warm starts; the trace holds theta_star.
 
     Reads solver.T and solver.schedule; minimize_cost reads solver.gtol,
-    which every step tests on the gradient in theta, and the ansatz fixes
-    the circuit that solver.n and solver.d describe. A step's note is
-    L-BFGS-B's message (scipy's) when its solve did not converge.
+    which every solve tests on the gradient in theta, and the ansatz fixes
+    the circuit that solver.n and solver.d describe. A step records the
+    theta, cost and gradient of its solve's last accepted point, and as its
+    note L-BFGS-B's message (scipy's) when the solve did not converge.
 
     At s = 0 the zero parameter vector is the exact minimum (the circuit
     prepares e1, the working right-hand side), so the loop decides the

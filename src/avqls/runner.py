@@ -211,7 +211,7 @@ class SweepResult:
 def _sweep_cells(config: RunConfig) -> list[SweepCell]:
     sweep = config.sweep
     if sweep is None:
-        raise ValueError("config has no sweep section")
+        raise ConfigError("sweep: section missing from config")
     ns = sweep.n or (config.solver.n,)
     ds = sweep.d or (config.solver.d,)
     ts = sweep.T or (config.solver.T,)

@@ -467,8 +467,12 @@ TWO_CELL_SWEEP = {
         ("sweep", TWO_CELL_SWEEP, ["--jobs", "0"], "--jobs: must be >= 1, got 0"),
         ("sweep", TWO_CELL_SWEEP, ["--jobs", "-3"], "--jobs: must be >= 1, got -3"),
         ("solve", {"problem": {"q0": 1.0}}, [], "problem.q0: unknown key"),
+        ("sweep", small_heat_raw(), [], "sweep: section missing from config"),
     ],
-    ids=["solve", "sweep", "seed-override", "jobs-zero", "jobs-negative", "removed-key"],
+    ids=[
+        "solve", "sweep", "seed-override", "jobs-zero", "jobs-negative", "removed-key",
+        "no-sweep-section",
+    ],
 )
 def test_cli_config_error_is_one_stderr_line(tmp_path, command, raw, extra, message):
     cfg_path = write_config(tmp_path, raw)

@@ -330,8 +330,9 @@ def cost_at_n3_d2(x):
         (rosenbrock, np.array([0.3, -0.8, 1.7]), 1e-10, 500),
         (rosenbrock, np.array([-1.2, 1.0]), 1e-8, 2),
         (ill_conditioned_quadratic(1.0)[0], np.zeros(6), 1e-12, 500),
-        # a gradient that is not the cost's: the line search fails, and scipy
-        # returns the last accepted x and gradient with the last cost it read
+        # a gradient that is not the cost's: the line search fails, and both
+        # return the last accepted x and gradient; scipy's cost is the last one
+        # it read, a rejected trial point's, and minimize_cost's the one at x
         (lambda x: (float(x @ x), 0.001 * x + 1.0), np.ones(3), 1e-8, 500),
         (cost_at_n3_d2, np.full(N3_D2.n_params, 0.1), 1e-8, 500),
     ],
@@ -352,7 +353,7 @@ def test_minimize_cost_is_scipys_lbfgsb(monkeypatch, fun, x0, gtol, max_iter):
     )
     assert np.array_equal(res.theta, ref.x)
     assert np.array_equal(res.grad, ref.jac)
-    assert res.cost == ref.fun
+    assert res.cost == fun(res.theta)[0]
     assert (res.iterations, res.nfev) == (ref.nit, ref.nfev)
     assert res.message.encode() == ref.message.encode()
     assert res.converged is bool(ref.success)
@@ -430,12 +431,26 @@ def test_minimize_cost_stops_at_the_first_point_whose_theta_gradient_meets_gtol(
 
 def test_minimize_cost_does_not_whiten_at_a_converged_start():
     # the start is off the minimum along the flattest direction only: its
-    # theta-gradient meets gtol while the whitened one, 100x larger, does not
+    # theta-gradient meets gtol while the whitened one, 100x larger, does not,
+    # so the solve stops there before any step, whitened or not
     fun, hessian, target, _ = ill_conditioned_quadratic(1.0)
     start = target + 5e-5 * np.linalg.eigh(hessian)[1][:, 0]
     plain = minimize_cost(fun, start)
     assert (plain.converged, plain.iterations, plain.nfev) == (True, 0, 1)
     assert_same_result(minimize_cost(fun, start, SolverConfig(), hessian), plain)
+
+
+@pytest.mark.parametrize("whitened", [False, True], ids=["plain", "whitened"])
+def test_minimize_cost_meets_gtol_ahead_of_the_iteration_cap(monkeypatch, whitened):
+    # gtol is tested at each accepted point before the _MAX_ITER cap, so a
+    # solve capped at the iteration where it first meets gtol still converges
+    fun, hessian, _, _ = ill_conditioned_quadratic(1.0)
+    hessian = hessian if whitened else None
+    free = minimize_cost(fun, np.zeros(6), SolverConfig(), hessian)
+    assert free.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    monkeypatch.setattr(controller_module, "_MAX_ITER", free.iterations)
+    assert_same_result(minimize_cost(fun, np.zeros(6), SolverConfig(), hessian), free)
+    assert free.converged
 
 
 def test_minimize_cost_ignores_a_model_whose_minimum_is_below_zero():
@@ -682,7 +697,7 @@ def test_run_single_passes_every_solver_setting(monkeypatch):
         assert not nbd.any()  # unbounded
         assert factr == 1e-14 / np.finfo(float).eps
         assert (m, maxls) == (10, 20)
-        assert pgtol in (1e-8, 0.0)  # gtol, or 0 in a whitened solve, which stops on theta
+        assert pgtol == 0.0  # the loop tests gtol on grad C(theta) itself
 
     assert all(rec.iterations == 0 for rec in run(gtol=1e3).steps)
     fixed = run(schedule="fixed", T=3)

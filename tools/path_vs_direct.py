@@ -23,10 +23,11 @@ jump_to_one, M minimum_step, H hessian_step), and the largest theta_jump
 of the path's steps. Two checkouts take the same kinds of steps exactly
 when the `kinds=` fields of their printouts agree. The summary gives,
 per family and over the panel, the median and total of the path's and
-the direct solve's circuits and the number of cases where the path
-charged fewer circuits. `--root` names the checkout whose `src/` is
-imported; the default is the one this file sits in. The tool is not part
-of the test suite.
+the direct solve's circuits, the number of cases where the path charged
+fewer circuits, and the number of cases where the path's final infidelity
+is within 1e-4 of the direct solve's, lower by more, or higher by more.
+`--root` names the checkout whose `src/` is imported; the default is the
+one this file sits in. The tool is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ SHAPES = ((3, 1), (4, 2), (5, 2), (5, 3), (6, 1), (6, 2), (7, 2))
 SEEDS = range(4)
 PATH = {"schedule": "hessian", "T": 50}
 DIRECT = {"schedule": "fixed", "T": 1}
+AGREE = 1e-4  # infidelity gap within which the path and the direct solve agree
 
 
 def run(problem: dict, n: int, d: int, schedule: dict, seed: int):
@@ -72,10 +74,15 @@ def summary(label: str, cases: list) -> str:
     path = [case[0][1] for case in cases]
     direct = [case[1][1] for case in cases]
     cheaper = sum(p < q for p, q in zip(path, direct))
+    gaps = [case[0][0] - case[1][0] for case in cases]
+    within = sum(abs(gap) <= AGREE for gap in gaps)
+    lower = sum(gap < -AGREE for gap in gaps)
+    higher = len(cases) - within - lower
     return (
         f"{label:<18} median path={statistics.median(path):g} "
         f"direct={statistics.median(direct):g} total path={sum(path)} "
-        f"direct={sum(direct)} path cheaper {cheaper}/{len(cases)}"
+        f"direct={sum(direct)} path cheaper {cheaper}/{len(cases)}; infidelity within "
+        f"{AGREE:.0e} {within}/{len(cases)}, path lower {lower}, higher {higher}"
     )
 
 

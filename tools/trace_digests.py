@@ -28,9 +28,11 @@ from `perfbench/workloads.py`:
 Each CONFIG argument is also solved at seeds 0, 1 and 2. `wall_time_s` is
 always dropped from the CSVs. `--drop NAME` also drops the trace's
 top-level key, step field, `report` key and key of each section of the
-config echo, and the CSV column, of that name: for a change meant to move
-that field only, or to delete it, the digests then show that every other
-byte is unchanged. The schedule lines digest the printed bytes whole.
+config echo, and the CSV column, of that name, with the `NAME_mean`,
+`NAME_min` and `NAME_max` columns of `sweep_summary.csv`: for a change
+meant to move that field only, or to delete it, the digests then show
+that every other byte is unchanged. The schedule lines digest the
+printed bytes whole.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def trace_digest(payload: dict, drop: set[str]) -> str:
 
 def csv_digest(text: str, drop: set[str]) -> str:
     rows = list(csv.DictReader(io.StringIO(text)))
-    kept = [name for name in rows[0] if name not in drop] if rows else []
+    dropped = drop | {f"{name}_{stat}" for name in drop for stat in ("mean", "min", "max")}
+    kept = [name for name in rows[0] if name not in dropped] if rows else []
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=kept, extrasaction="ignore")
     writer.writeheader()
@@ -154,7 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT, help="checkout to import")
     parser.add_argument(
         "--drop", action="append", default=[], metavar="NAME",
-        help="trace key, step field, report or config key, or CSV column left out (repeatable)",
+        help="trace key, step field, report or config key, or CSV column and its aggregates "
+        "left out (repeatable)",
     )
     args = parser.parse_args(argv)
     root = args.root.resolve()

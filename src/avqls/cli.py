@@ -27,7 +27,6 @@ from .runner import (
     write_summary,
     write_trace,
 )
-from .verify import run_battery
 
 log = logging.getLogger(__name__)
 
@@ -74,9 +73,20 @@ def _apply_overrides(config, args):
     return config
 
 
+def _out_dir(config) -> Path:
+    """`output.dir`, refused before any run when it cannot be a directory; creates nothing."""
+    out_dir = Path(config.output.dir)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output.dir: {str(path)!r} is not a directory")
+            break
+    return out_dir
+
+
 def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    out_dir = Path(config.output.dir)
+    out_dir = _out_dir(config)
     try:
         result = run_single(config)
     except Exception as exc:
@@ -98,7 +108,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     config = _apply_overrides(load_config(args.config), args)
-    out_dir = Path(config.output.dir)
+    out_dir = _out_dir(config)
     sweep = run_sweep(config, jobs=args.jobs)
     rows = []
     for cell in sweep.cells:
@@ -136,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "schedule":
             return _cmd_schedule(args)
         if args.command == "verify":
+            from .verify import run_battery  # loaded only by the command that runs it
+
             return 0 if run_battery() else 2
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)

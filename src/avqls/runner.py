@@ -12,13 +12,12 @@ import io
 import json
 import logging
 import os
-import signal
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
-from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +28,9 @@ from .errors import ConfigError
 from .metrics import SolutionReport, accuracy, infidelity, unit_solution
 from .problems import PreparedSystem, heat_system, prepare, recover_solution
 from .schedule import default_sequence
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "RunResult",
@@ -274,6 +276,11 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
     Every worker is reaped before this returns, also on an exception, when
     the busy ones are killed first.
     """
+    # imported here, so that only a forking sweep loads multiprocessing; its
+    # workers inherit the modules
+    from multiprocessing.connection import Pipe, wait
+    from signal import SIGKILL
+
     pending = deque(cells)
     busy: dict[Connection, tuple[int, SweepCell]] = {}
     retired, died_once, outcomes = [], set(), []
@@ -341,7 +348,7 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
     finally:
         for conn, (pid, _) in busy.items():
             conn.close()
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, SIGKILL)
             retired.append(pid)
         for pid in retired:
             os.waitpid(pid, 0)

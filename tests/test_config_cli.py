@@ -3,6 +3,7 @@ import errno
 import hashlib
 import itertools
 import json
+import multiprocessing.connection
 import os
 import shutil
 import signal
@@ -494,6 +495,31 @@ def test_cli_sweep_requires_section(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize(
+    "command, raw, extra",
+    [("solve", small_heat_raw(), []), ("sweep", TWO_CELL_SWEEP, ["--jobs", "2"])],
+    ids=["solve", "sweep-jobs-2"],
+)
+def test_cli_refuses_an_output_dir_that_cannot_be_one_before_any_run(
+    tmp_path, monkeypatch, capsys, command, raw, extra, under
+):
+    def never(config, seed=None):
+        raise AssertionError("run before the output directory was checked")
+
+    monkeypatch.setattr("avqls.cli.run_single", never)
+    monkeypatch.setattr(runner, "run_single", never)
+    cfg_path = write_config(tmp_path, raw)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep me\n")
+    assert main([command, str(cfg_path), "--out", str(blocker / under), *extra]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: output.dir: {str(blocker)!r} is not a directory\n"
+    )
+    assert blocker.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "config.json"]
+
+
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, small_heat_raw())
 
@@ -832,7 +858,7 @@ def test_run_sweep_runs_on_when_a_worker_pipe_cannot_be_made(monkeypatch):
     # the third of four pipes fails as if the process ran out of file
     # descriptors: no fork is tried for it, and its cell waits for a running worker
     pipes, forks = [], []
-    real_pipe, real_fork = runner.Pipe, os.fork
+    real_pipe, real_fork = multiprocessing.connection.Pipe, os.fork
 
     def pipe():
         pipes.append(None)
@@ -844,7 +870,7 @@ def test_run_sweep_runs_on_when_a_worker_pipe_cannot_be_made(monkeypatch):
         forks.append(None)
         return real_fork()
 
-    monkeypatch.setattr(runner, "Pipe", pipe)
+    monkeypatch.setattr(multiprocessing.connection, "Pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     config = config_from_dict(FOUR_CELL_SWEEP)
     sweep = run_sweep(config, jobs=4)
@@ -887,7 +913,7 @@ def test_run_sweep_leaves_no_child_process(tmp_path, monkeypatch):
     def interrupted(conns, timeout=None):
         raise KeyboardInterrupt  # as if Ctrl-C reached the parent mid-sweep
 
-    monkeypatch.setattr(runner, "wait", interrupted)
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(config, jobs=2)
     with pytest.raises(ChildProcessError):
@@ -938,14 +964,22 @@ def run_probe(*lines: str) -> None:
 
 def test_a_run_loads_numpy_random_with_avqls_and_no_scipy_package():
     # numpy.random comes with avqls, so a forked sweep worker does not import
-    # it in its first cell; of scipy only L-BFGS-B's extension module loads
+    # it in its first cell; of scipy only L-BFGS-B's extension module loads.
+    # multiprocessing loads only when a sweep forks its first worker, and the
+    # verify battery only for `avqls verify`.
     run_probe(
         "import sys, avqls",
         "assert 'numpy.random' in sys.modules",
+        "import avqls.cli",
         "raw = {'solver': {'n': 3, 'd': 1, 'T': 5, 'schedule': 'hessian'}}",
         "avqls.run_single(avqls.config_from_dict(raw))",
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
         "assert loaded == ['scipy.optimize._lbfgsb'], loaded",
+        "roots = {'multiprocessing', '_multiprocessing', 'socket', '_socket', '__mp_main__'}",
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] in roots)",
+        "assert loaded == [] and 'avqls.verify' not in sys.modules, loaded",
+        f"avqls.run_sweep(avqls.config_from_dict({TWO_CELL_SWEEP!r}), jobs=2)",
+        "assert 'multiprocessing.connection' in sys.modules",
     )
 
 
@@ -1055,6 +1089,27 @@ def test_cli_verify_subcommand(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     assert all(line.startswith("[ ok ]") for line in lines)
+
+
+def test_cli_verbose_logs_one_line_per_step(tmp_path):
+    # in a subprocess: pytest's log handlers make logging.basicConfig a no-op here
+    cfg_path = write_config(tmp_path, small_heat_raw())
+    stderr = {}
+    for flags in (["-v"], []):
+        out = tmp_path / f"out{len(flags)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "avqls.cli", *flags, "solve", str(cfg_path), "--out", str(out)],
+            env=cli_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        stderr[bool(flags)] = proc.stderr.splitlines()
+    steps = json.loads((tmp_path / "out1" / "trace.json").read_text())["steps"]
+    assert len(steps) > 1
+    assert all(line.startswith("INFO avqls.controller step,") for line in stderr[True])
+    assert [line.split(",")[1] for line in stderr[True]] == [str(s["index"]) for s in steps]
+    assert stderr[False] == []
 
 
 def test_console_entry_point():

@@ -10,6 +10,7 @@ simulated in one pass: each gate updates every state of the batch at once.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,37 @@ def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     cos = cs[n:, 0]
     signed = cs[n:, None, 1:] * np.array([-1.0, 1.0])[:, None, None]
     perm = _ring_permutation(config)
+    workspace = _kept_workspace if batch * config.dim <= _KEPT_AMPLITUDES else _workspace
+    buffers, rys = workspace(config, batch, threading.get_ident())
+    w = 0  # the buffer the next gate writes
     for layer in range(config.d):
-        psi = psi[perm]
-        for q in range(n):
-            k = layer * n + q
-            view = psi.reshape(2 ** q, 2, -1, batch)
-            out = view * cos[k]
-            out += view[:, ::-1] * signed[k]
-            psi = out.reshape(-1, batch)
+        np.take(psi, perm, axis=0, out=buffers[w], mode="clip")
+        for k, (top, flipped, out, product) in enumerate(rys[w], layer * n):
+            np.multiply(top, cos[k], out=out)
+            np.multiply(flipped, signed[k], out=product)
+            np.add(out, product, out=out)
+        w ^= n & 1  # the buffer holding the layer's result
+        psi, w = buffers[w], 1 - w
+    psi = psi.copy()  # out of the workspace
     return psi.T if theta.ndim == 2 else psi[:, 0]
 
+
+def _workspace(config: AnsatzConfig, batch: int, thread: int) -> tuple[np.ndarray, tuple]:
+    """State buffers 0 and 1, product buffer 2 and each Ry's views; `thread` keys _kept_workspace.
+
+    rys[w] is a layer's Rys on states in buffer w: qubit q's (2**q, 2, rest, batch)
+    pairs as read, flipped, as written in the other state buffer, and in buffer 2.
+    """
+    buffers, rys = np.empty((3, config.dim, batch)), ([], [])
+    for q in range(config.n):
+        pairs = [b.reshape(2 ** q, 2, config.dim >> (q + 1), batch) for b in buffers]
+        for w in (0, 1):
+            read = pairs[(w + q) % 2]
+            rys[w].append((read, read[:, ::-1], pairs[(w + q + 1) % 2], pairs[2]))
+    return buffers, rys
+
+
+# Each thread keeps its workspaces of up to _KEPT_AMPLITUDES amplitudes per
+# buffer, so no two threads write one buffer; a larger batch builds its own.
+_KEPT_AMPLITUDES = 2 ** 15
+_kept_workspace = functools.lru_cache(maxsize=8)(_workspace)

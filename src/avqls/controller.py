@@ -25,8 +25,8 @@ from .ansatz import AnsatzConfig
 from .config import SolverConfig
 from .cost import (
     HessianBundle,
+    bind_objective,
     build_cost_model,
-    cost_and_gradient,
     hessian_bundle,
     hessian_extrapolate,
 )
@@ -371,7 +371,7 @@ def solve_adiabatic(
         if s_next > 1.0 - S_TOL:
             s_next = 1.0
         res = minimize_cost(
-            lambda th: cost_and_gradient(model, ansatz, th, s_next),
+            bind_objective(model, ansatz, theta, s_next),
             theta,
             solver,
             hessian_extrapolate(bundle, s_next - s) if mode == "hessian" else None,

@@ -21,7 +21,7 @@ states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "build_cost_model",
     "assemble_hamiltonian",
     "cost",
+    "bind_objective",
     "cost_gradient",
     "cost_and_gradient",
     "hessian_bundle",
@@ -142,29 +143,43 @@ def cost(model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float) ->
     return float(_in_s(_terms_of_states(model, apply_ansatz(config, point))[0], s))
 
 
+def bind_objective(
+    model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """A stop's L-BFGS objective: theta -> (C_s(theta), its pi/2 shift-rule gradient).
+
+    s, the dimensions and the shape of theta are checked here, once; each
+    call reads one batch of 2 n_p + 1 circuits at a float theta of that shape.
+    """
+    check_s(s)
+    offsets = _objective_offsets(len(_check_inputs(model, config, theta)))
+    whole = len(offsets) * config.dim <= _MAX_BATCH_AMPLITUDES
+    s2 = s * s
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        if whole and theta.any():
+            terms = _terms_of_states(model, apply_ansatz(config, theta + offsets))
+        else:  # theta = +-0.0, which the start rule reads, or more than one chunk
+            states = _block_states(config, theta, _objective_points)
+            terms = np.concatenate([_terms_of_states(model, chunk) for chunk in states])
+        a, b, c = terms[0].tolist()
+        return float(s2 * a + s * b + c), _in_s(_shift_rule(terms[1:]), s)
+
+    return objective
+
+
 def cost_and_gradient(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> tuple[float, np.ndarray]:
-    """(C_s(theta), its pi/2 shift-rule gradient) from one batch of 2 n_p + 1 circuits.
-
-    At theta = 0 they are simulated once per circuit shape and process
-    when they fit one chunk of _MAX_BATCH_AMPLITUDES amplitudes.
-    """
-    check_s(s)
-    theta = _check_inputs(model, config, theta)
-    states = _block_states(config, theta, _objective_points)
-    terms = np.concatenate([_terms_of_states(model, chunk) for chunk in states])
-    return float(_in_s(terms[0], s)), _in_s(_shift_rule(terms[1:]), s)
+    """(C_s(theta), its pi/2 shift-rule gradient): bind_objective's objective, read once."""
+    theta = np.asarray(theta, dtype=float)
+    return bind_objective(model, config, theta, s)(theta)
 
 
 def cost_gradient(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> np.ndarray:
-    """Exact gradient of C_s: the gradient half of cost_and_gradient.
-
-    It simulates the objective's 2 n_p + 1 points, the shift at pi/2, so it
-    reads the same numbers as the L-BFGS objective.
-    """
+    """Exact gradient of C_s: the L-BFGS objective's gradient, from its 2 n_p + 1 points."""
     return cost_and_gradient(model, config, theta, s)[1]
 
 

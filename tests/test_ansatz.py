@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import avqls.cost as cost_module
 from avqls import AnsatzConfig, apply_ansatz
 from avqls.verify import norm_defect
 
-from conftest import dense_ansatz_state, loop_ansatz_state, product_loop_state
+from conftest import clear_start_states, dense_ansatz_state, loop_ansatz_state, product_loop_state
 
 
 def test_zero_angles_fix_first_basis_vector():
@@ -129,3 +133,77 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnsatzConfig(n=2, d=-1)
 
+
+def random_batches(config: AnsatzConfig, seed: int, *shape: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-np.pi, np.pi, (*shape, config.n_params))
+
+
+def test_a_result_is_unchanged_by_later_calls():
+    # the layers run in a reused workspace; a result is copied out of it
+    config = AnsatzConfig(n=5, d=2)
+    first_thetas, *later = random_batches(config, 7, 4, 31)
+    first = apply_ansatz(config, first_thetas)
+    kept = first.copy()
+    for thetas in later:
+        assert not np.shares_memory(apply_ansatz(config, thetas), first)
+        apply_ansatz(config, thetas[0])
+    assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize(
+    "n,d,batch", [(1, 0, 3), (3, 0, 5), (1, 2, 4), (3, 2, 1), (5, 2, 31), (8, 2, 200)]
+)
+def test_results_keep_their_memory_layout(n, d, batch):
+    # a batch is the (B, dim) transpose of a C-ordered (dim, B) array, and one
+    # state is contiguous: matmul and einsum downstream round by layout. 200
+    # states at n=8 exceed the amplitudes whose workspace is kept
+    config = AnsatzConfig(n=n, d=d)
+    thetas = random_batches(config, n + d, batch)
+    states = apply_ansatz(config, thetas)
+    assert states.shape == (batch, config.dim)
+    assert states.strides == (8, 8 * batch)
+    assert states.T.flags.c_contiguous
+    assert apply_ansatz(config, thetas[0]).strides == (8,)
+
+
+def test_cached_start_states_stay_what_apply_ansatz_returns():
+    # calls of the cached blocks' batch sizes reuse their workspaces
+    config = AnsatzConfig(n=3, d=2)
+    zero = np.zeros(config.n_params)
+    blocks = (cost_module._objective_points, cost_module._singles, cost_module._pairs)
+    clear_start_states()
+    cached = [cost_module._start_states(config, block) for block in blocks]
+    for seed, block in enumerate(blocks):
+        apply_ansatz(config, random_batches(config, seed, len(block(zero))))
+    for states, block in zip(cached, blocks):
+        fresh = apply_ansatz(config, block(zero))
+        assert np.array_equal(states, fresh)
+        assert np.array_equal(np.signbit(states), np.signbit(fresh))
+
+
+def test_threads_simulating_at_once_get_the_single_thread_results():
+    # each thread keeps its own workspace; three threads on a short switch
+    # interval interleave within calls
+    config = AnsatzConfig(n=8, d=2)
+    work = random_batches(config, 11, 3, 200, 9)
+    alone = [[apply_ansatz(config, thetas) for thetas in batches] for batches in work]
+    results = [None] * len(work)
+    start = threading.Barrier(len(work))
+
+    def simulate(i):
+        start.wait()
+        results[i] = [apply_ansatz(config, thetas) for thetas in work[i]]
+
+    threads = [threading.Thread(target=simulate, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, alone):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

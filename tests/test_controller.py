@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,3 +715,31 @@ def _final_state(system, config, theta):
     from avqls import apply_ansatz
 
     return apply_ansatz(config, theta)
+
+
+def load_tool(name: str):
+    """A script of tools/, imported by path: the tools are not a package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gate_margins_scales_every_objective_evaluation():
+    # tools/gate_margins.py perturbs the acceptance gate's criteria through
+    # this hook; one that missed the objective would print the baseline as
+    # a perturbed line
+    gate_margins = load_tool("gate_margins")
+    config = config_from_dict({
+        "problem": {"conductivity": "noisy_constant"},
+        "solver": {"n": 3, "d": 1, "T": 10, "schedule": "hessian"},
+    })
+    with gate_margins.scaled_objective(1.0 + 2.0**-52) as tally:
+        result = run_single(config)
+    nfev = sum(step.nfev for step in result.trace.steps)
+    assert nfev > len(result.trace.steps)
+    assert tally["evaluations"] == nfev
+    with pytest.raises(RuntimeError, match="no objective evaluation"):
+        with gate_margins.scaled_objective(2.0):
+            pass

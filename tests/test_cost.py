@@ -16,6 +16,7 @@ from avqls import (
 )
 from avqls.cost import (
     assemble_hamiltonian,
+    bind_objective,
     build_cost_model,
     cost,
     cost_and_gradient,
@@ -430,6 +431,62 @@ def test_negative_zero_and_a_shape_over_the_budget_are_simulated(monkeypatch):
     assert bitwise_equal(np.concatenate(seen), explicit_points(zero)[2])
     for got in (filled, warm):
         assert all(bitwise_equal(a, b) for a, b in zip(got, simulated))
+
+
+def composed_objective(model, config, theta, s, chunk):
+    """(C_s, its gradient) composed step by step: the explicit points, apply_ansatz
+    on chunks of at most `chunk` of them, _terms_of_states, _shift_rule and _in_s."""
+    points = explicit_points(theta)[0]
+    terms = np.concatenate([
+        cost_module._terms_of_states(model, apply_ansatz(config, points[k:k + chunk]))
+        for k in range(0, len(points), chunk)
+    ])
+    gradient = cost_module._in_s(cost_module._shift_rule(terms[1:]), s)
+    return float(cost_module._in_s(terms[0], s)), gradient
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_bound_objective_is_the_composition_bitwise(monkeypatch, chunk):
+    # a random theta is simulated, +0.0 is read from the start cache once it
+    # is filled, and a -0.0 entry is simulated; under a cap of 5 states the
+    # 19 points come as 5, 5, 5 and 4, theta = +0.0 included
+    model, config, theta = normalized_case(130, 3)
+    n_p, s = config.n_params, 0.55
+    if chunk is not None:
+        monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", chunk * config.dim)
+    zero, signed = np.zeros(n_p), np.zeros(n_p)
+    signed[3] = -0.0
+    clear_start_states()
+    objective = bind_objective(model, config, theta, s)
+    seen = recorded_apply(monkeypatch)
+    for point, calls in ((theta, 1), (zero, 1), (zero, 0), (signed, 1), (theta + 0.25, 1)):
+        seen.clear()
+        value, grad = objective(point)
+        batches = [5, 5, 5, 4] if chunk else [2 * n_p + 1] * calls
+        assert [len(points) for points in seen] == batches
+        want = composed_objective(model, config, point, s, chunk or 2 * n_p + 1)
+        # cost_and_gradient binds at the point itself and reads it once
+        for got in ((value, grad), cost_and_gradient(model, config, point, s)):
+            assert type(got[0]) is float
+            assert bitwise_equal(np.float64(got[0]), np.float64(want[0]))
+            assert bitwise_equal(got[1], want[1])
+
+
+def test_binding_checks_its_inputs_when_made(monkeypatch):
+    model = build_cost_model(np.eye(4))
+    config = AnsatzConfig(n=2, d=1)
+    theta = np.zeros(config.n_params)
+    seen = recorded_apply(monkeypatch)
+    with pytest.raises(ValueError, match=r"adiabatic parameter must lie in \[0, 1\], got 1.5"):
+        bind_objective(model, config, theta, 1.5)
+    with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(3,\)"):
+        bind_objective(model, config, np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="model dimension 8 does not match ansatz dimension 4"):
+        bind_objective(build_cost_model(np.eye(8)), config, theta, 0.5)
+    # and cost_and_gradient, the binding read once, raises the same
+    with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(2, 4\)"):
+        cost_and_gradient(model, config, np.zeros((2, 4)), 0.5)
+    assert seen == []
 
 
 def test_invalid_inputs_rejected():

@@ -17,7 +17,8 @@ perturbations are:
 
 - `baseline`: the configs as the gate runs them;
 - `scale k=K`: the L-BFGS objective, cost and gradient, multiplied by
-  (1 + K * 2**-52), by wrapping `avqls.controller.cost_and_gradient`;
+  (1 + K * 2**-52), by wrapping each objective that
+  `avqls.controller.bind_objective` binds (`scaled_objective`);
 - `gtol=G` (criterion 09 only): the solver's gradient tolerance.
 
 Two runs that reach the same minimum stop at points that differ by the
@@ -60,20 +61,37 @@ def c11_raw(l: float) -> dict:
 
 @contextlib.contextmanager
 def scaled_objective(factor: float):
-    """Within the block, the controller's L-BFGS objective returns factor * (cost, gradient)."""
+    """Within the block, the controller's L-BFGS objective returns factor * (cost, gradient).
+
+    The hook wraps the objective `avqls.controller.bind_objective` binds at
+    each stop (in a checkout from before that binding, the controller's
+    `cost_and_gradient`). It yields a dict whose "evaluations" counts the
+    scaled objective calls, and raises RuntimeError at the end of a block
+    that made none: the hook no longer reaches the objective, and a line
+    would print the baseline under the name of a perturbation.
+    """
     import avqls.controller as controller
 
-    original = controller.cost_and_gradient
+    tally = {"evaluations": 0}
 
-    def scaled(*args):
-        cost, grad = original(*args)
-        return cost * factor, grad * factor
+    def scaled(fun):
+        def objective(*args):
+            tally["evaluations"] += 1
+            cost, grad = fun(*args)
+            return cost * factor, grad * factor
 
-    controller.cost_and_gradient = scaled
+        return objective
+
+    name = "bind_objective" if hasattr(controller, "bind_objective") else "cost_and_gradient"
+    original = getattr(controller, name)
+    hook = scaled(original) if name == "cost_and_gradient" else lambda *a: scaled(original(*a))
+    setattr(controller, name, hook)
     try:
-        yield
+        yield tally
     finally:
-        controller.cost_and_gradient = original
+        setattr(controller, name, original)
+    if not tally["evaluations"]:
+        raise RuntimeError(f"no objective evaluation went through the hook on {name}")
 
 
 def mean_run(raw: dict, seeds) -> tuple[float, float]:

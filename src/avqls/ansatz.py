@@ -98,7 +98,7 @@ def apply_ansatz(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     # of (cos, sin) pairs, qubit 0 as the most significant bit.
     psi = cs[0]
     for q in range(1, n):
-        psi = (psi[:, None] * cs[q]).reshape(-1, batch)
+        psi = (psi[:, None] * cs[q]).reshape(2 ** (q + 1), batch)
     # Every later Ry maps the pair (top, bot) of its qubit to
     # c * (top, bot) + (bot, top) * (-s, s). Negation is exact and the sums
     # differ only in operand order, so this equals c*top - s*bot and

@@ -333,8 +333,9 @@ def solve_adiabatic(
     the warm start, theta = 0 or the previous optimum. At theta = 0 the
     bundle is free, since every derivative state is a signed basis vector,
     so its numbers are entries of H(s) (verify.start_rule_defect); the
-    emulator simulates each block of start states once per circuit shape
-    and process when it fits one batch, changing no count or trace.
+    emulator simulates a shape's two blocks of start states, the
+    objective's and the bundle's, once per process, changing no count or
+    trace.
     Otherwise theta_k is the previous optimum, whose evaluation measured
     C(theta_k) and C(theta_k +- pi/2 e_i); so the bundle's centre and its
     n_p single shifts are known, C(theta + pi e_i) being

@@ -21,7 +21,7 @@ states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +41,6 @@ __all__ = [
     "hessian_bundle",
     "hessian_extrapolate",
 ]
-
-# Largest state batch simulated at once, in amplitudes (8 MiB of float64).
-_MAX_BATCH_AMPLITUDES = 2 ** 20
-
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
@@ -153,15 +149,14 @@ def bind_objective(
     """
     check_s(s)
     offsets = _objective_offsets(len(_check_inputs(model, config, theta)))
-    whole = len(offsets) * config.dim <= _MAX_BATCH_AMPLITUDES
     s2 = s * s
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        if whole and theta.any():
-            terms = _terms_of_states(model, apply_ansatz(config, theta + offsets))
-        else:  # theta = +-0.0, which the start rule reads, or more than one chunk
+        if theta.any():
+            states = apply_ansatz(config, theta + offsets)
+        else:  # theta = +-0.0, which the start rule reads
             states = _block_states(config, theta, _objective_points)
-            terms = np.concatenate([_terms_of_states(model, chunk) for chunk in states])
+        terms = _terms_of_states(model, states)
         a, b, c = terms[0].tolist()
         return float(s2 * a + s * b + c), _in_s(_shift_rule(terms[1:]), s)
 
@@ -219,27 +214,24 @@ def hessian_bundle(
     With psi = psi(theta), chi_i = psi(theta + pi e_i) and
     chi_ij = psi(theta + pi e_i + pi e_j), each operator O gives
     H_ii = (chi_i^T O chi_i - psi^T O psi) / 2 and
-    H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. The chi_ij come in chunks
-    (_block_states), each reduced at once to its forms with psi. The forms
-    equal the pi/2 shift rule's second differences, without simulating its
-    2 n_p^2 + 1 points. At theta = 0 each of the two blocks, psi with the
-    chi_i and the chi_ij, is simulated once per circuit shape and process
-    when it fits one chunk.
+    H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. All of them are simulated
+    as one block (_derivative_points), projected once and reduced to the
+    forms of psi with the chi_i among themselves and of the chi_ij with psi.
+    The forms equal the pi/2 shift rule's second differences, without
+    simulating its 2 n_p^2 + 1 points. At theta = 0 the block is simulated
+    once per circuit shape and process.
     """
     check_s(s)
     theta = _check_inputs(model, config, theta)
     n_p = config.n_params
     iu, ju = np.triu_indices(n_p, k=1)
-    first = _projected(model, np.concatenate(list(_block_states(config, theta, _singles))))
+    rows = _projected(model, _block_states(config, theta, _derivative_points))
+    first = rows[:, :n_p + 1]
     gram = _forms(first, first)
     hess3 = 0.5 * gram[:, 1:, 1:]
     diag = np.arange(n_p)
     hess3[:, diag, diag] -= 0.5 * gram[:, :1, 0]
-    done = 0
-    for states in _block_states(config, theta, _pairs):
-        rows = slice(done, done + len(states))
-        done = rows.stop
-        hess3[:, iu[rows], ju[rows]] += 0.5 * _forms(_projected(model, states), first[:, :1])[..., 0]
+    hess3[:, iu, ju] += 0.5 * _forms(rows[:, n_p + 1:], rows[:, :1])[..., 0]
     hess3[:, ju, iu] = hess3[:, iu, ju]
     k_a, k_b, h_c = hess3
     h_s = s * s * k_a + s * k_b + h_c
@@ -251,38 +243,34 @@ def _objective_points(theta: np.ndarray) -> np.ndarray:
     return theta + _objective_offsets(len(theta))
 
 
-def _singles(theta: np.ndarray) -> np.ndarray:
-    """A bundle's singles theta, theta + pi e_i."""
+def _derivative_points(theta: np.ndarray) -> np.ndarray:
+    """A bundle's points theta, theta + pi e_i and theta + pi (e_i + e_j), i < j.
+
+    The pairs follow in np.triu_indices order.
+    """
     # shifting only the chosen entries leaves every other one bitwise theta
     eye = np.eye(len(theta), dtype=bool)
-    return np.vstack([theta, np.where(eye, theta + np.pi, theta)])
-
-
-def _pairs(theta: np.ndarray) -> np.ndarray:
-    """A bundle's pairs theta + pi (e_i + e_j), i < j, in np.triu_indices order."""
-    eye = np.eye(len(theta), dtype=bool)
     iu, ju = np.triu_indices(len(theta), k=1)
-    return np.where(eye[iu] | eye[ju], theta + np.pi, theta)
+    shifted = np.vstack([np.zeros_like(eye[:1]), eye, eye[iu] | eye[ju]])
+    return np.where(shifted, theta + np.pi, theta)
 
 
-def _block_states(config: AnsatzConfig, theta: np.ndarray, block) -> Iterator[np.ndarray]:
-    """States at the points block(theta), in chunks of at most _MAX_BATCH_AMPLITUDES amplitudes.
+def _block_states(config: AnsatzConfig, theta: np.ndarray, block) -> np.ndarray:
+    """States at the points block(theta), read from _start_states at theta = +0.0.
 
-    At theta = +0.0 a block that fits one chunk is read from _start_states.
     A -0.0 entry is simulated: sin(-0/2) = -0.0 gives other sign bits.
     """
-    points = block(theta)
-    chunk = max(1, _MAX_BATCH_AMPLITUDES // config.dim)
-    if len(points) <= chunk and not theta.any() and not np.signbit(theta).any():
-        yield _start_states(config, block)
-        return
-    for k in range(0, len(points), chunk):
-        yield apply_ansatz(config, points[k:k + chunk])
+    if theta.any() or np.signbit(theta).any():
+        return apply_ansatz(config, block(theta))
+    return _start_states(config, block)
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=16)
 def _start_states(config: AnsatzConfig, block) -> np.ndarray:
-    """Read-only states at block(theta = +0.0): the objective, singles and pairs of one shape."""
+    """Read-only states at block(theta = +0.0): the objective's and the bundle's.
+
+    A shape has these two start blocks, so the cache holds those of 8 shapes.
+    """
     states = apply_ansatz(config, block(np.zeros(config.n_params)))
     states.flags.writeable = False
     return states

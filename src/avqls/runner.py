@@ -14,7 +14,6 @@ import logging
 import os
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -116,7 +115,7 @@ def trace_payload(config: RunConfig, result: RunResult, seed: int | None = None)
             "theta_star": trace.theta_star.tolist(),
         },
         "steps": [
-            {f.name: _plain(getattr(rec, f.name)) for f in fields(rec)} for rec in trace.steps
+            {f.name: getattr(rec, f.name) for f in fields(rec)} for rec in trace.steps
         ],
         "report": {
             "infidelity": report.infidelity,
@@ -125,11 +124,6 @@ def trace_payload(config: RunConfig, result: RunResult, seed: int | None = None)
             "x_exact": report.x_exact.tolist(),
         },
     }
-
-
-def _plain(value):
-    """JSON form of a record field: an enum member as its value."""
-    return value.value if isinstance(value, Enum) else value
 
 
 def dump_trace(payload: dict) -> str:

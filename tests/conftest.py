@@ -115,13 +115,17 @@ def product_loop_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
     return _loop_layers(functools.reduce(np.kron, pairs), config, theta)
 
 
-def loop_terms(model, config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
-    """(<a_op>, <b_op>, <c_op>) at one point, from dense operators built from D."""
+def loop_operators(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (a_op, b_op, c_op) built from D."""
     d_op = model.d_op
     proj = np.eye(model.dim)
     proj[0, 0] = 0.0
-    a_op = d_op.T @ proj @ d_op
-    b_op = d_op.T @ proj + proj @ d_op
+    return d_op.T @ proj @ d_op, d_op.T @ proj + proj @ d_op, proj
+
+
+def loop_terms(model, config: AnsatzConfig, theta: np.ndarray, operators=None) -> np.ndarray:
+    """(<a_op>, <b_op>, <c_op>) at one point, from loop_operators(model) unless given."""
+    a_op, b_op, proj = loop_operators(model) if operators is None else operators
     x = loop_ansatz_state(config, theta)
     return np.array([x @ a_op @ x, x @ b_op @ x, x @ proj @ x])
 
@@ -131,9 +135,10 @@ def loop_shift_rule(model, config: AnsatzConfig, theta: np.ndarray, s: float, be
     theta = np.asarray(theta, dtype=float)
     n_p = config.n_params
     denom = 2.0 * math.sin(beta)
+    operators = loop_operators(model)
 
     def terms_at(offset: np.ndarray) -> np.ndarray:
-        return loop_terms(model, config, theta + offset)
+        return loop_terms(model, config, theta + offset, operators)
 
     eye = np.eye(n_p)
     center = terms_at(np.zeros(n_p))

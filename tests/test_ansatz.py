@@ -170,7 +170,7 @@ def test_cached_start_states_stay_what_apply_ansatz_returns():
     # calls of the cached blocks' batch sizes reuse their workspaces
     config = AnsatzConfig(n=3, d=2)
     zero = np.zeros(config.n_params)
-    blocks = (cost_module._objective_points, cost_module._singles, cost_module._pairs)
+    blocks = (cost_module._objective_points, cost_module._derivative_points)
     clear_start_states()
     cached = [cost_module._start_states(config, block) for block in blocks]
     for seed, block in enumerate(blocks):
@@ -179,6 +179,14 @@ def test_cached_start_states_stay_what_apply_ansatz_returns():
         fresh = apply_ansatz(config, block(zero))
         assert np.array_equal(states, fresh)
         assert np.array_equal(np.signbit(states), np.signbit(fresh))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_empty_batch_gives_no_states(n, d):
+    config = AnsatzConfig(n=n, d=d)
+    states = apply_ansatz(config, np.zeros((0, config.n_params)))
+    assert states.shape == (0, config.dim)
 
 
 def test_threads_simulating_at_once_get_the_single_thread_results():

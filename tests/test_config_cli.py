@@ -658,8 +658,8 @@ def test_cached_start_states_change_no_output_byte(tmp_path, monkeypatch, capsys
     hits = cost_module._start_states.cache_info().hits
     warm = outputs()
     # every run after the first of its shape read its start states from the
-    # cache: each run its objective, the hessian run its singles and pairs
-    assert cost_module._start_states.cache_info().hits >= hits + len(solvers) + 2
+    # cache: each run its objective, the hessian run its bundle's block
+    assert cost_module._start_states.cache_info().hits >= hits + len(solvers) + 1
     monkeypatch.setattr(cost_module, "_start_states", cost_module._start_states.__wrapped__)
     simulated = outputs()
     assert len(simulated[1]) == 4  # two traces, sweep_details.csv, sweep_summary.csv

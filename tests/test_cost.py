@@ -225,49 +225,17 @@ def test_batched_derivatives_match_loop_reference(n):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
 
 
-def test_chunked_bundle_matches_loop_reference(monkeypatch):
-    # a cap of 16 states splits the bundle's 46 states into 4 batches:
-    # psi with the 9 chi_i, then the 36 chi_ij as 16, 16 and 4
-    model, config, theta = normalized_case(61, 3)
-    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 16 * config.dim)
-    batches = []
-    real_apply = cost_module.apply_ansatz
-
-    def recording_apply(config, points):
-        batches.append(len(points))
-        return real_apply(config, points)
-
-    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
+def test_large_bundle_block_matches_loop_reference():
+    # 1 + 16 + 120 = 137 states of 256 amplitudes, a block above the
+    # workspace the ansatz keeps
+    model, _, _ = normalized_case(61, 8)
+    config = AnsatzConfig(n=8, d=1)
+    theta = np.random.default_rng(63).uniform(-np.pi, np.pi, config.n_params)
+    assert len(cost_module._derivative_points(theta)) * config.dim > 2 ** 15
     _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, np.pi / 2)
     bundle = hessian_bundle(model, config, theta, 0.3)
-    assert batches == [10, 16, 16, 4]
-    assert max(batches) <= 16
     for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
-
-
-def test_chunked_objective_matches_loop_reference(monkeypatch):
-    # a cap of 4 states splits the objective's 2 n_p + 1 = 19 points into
-    # 4, 4, 4, 4 and 3
-    model, config, theta = normalized_case(62, 3)
-    s = 0.45
-    whole_value, whole_grad = cost_and_gradient(model, config, theta, s)
-    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", 4 * config.dim)
-    batches = []
-    real_apply = cost_module.apply_ansatz
-
-    def recording_apply(config, points):
-        batches.append(len(points))
-        return real_apply(config, points)
-
-    monkeypatch.setattr(cost_module, "apply_ansatz", recording_apply)
-    value, grad = cost_and_gradient(model, config, theta, s)
-    assert batches == [4, 4, 4, 4, 3]
-    ea, eb, ec = loop_terms(model, config, theta)
-    want_grad, _, _, _ = loop_shift_rule(model, config, theta, s, np.pi / 2)
-    for want_value, want in ((whole_value, whole_grad), (s * s * ea + s * eb + ec, want_grad)):
-        assert abs(value - want_value) <= BATCH_TOL
-        assert np.allclose(grad, want, rtol=0, atol=BATCH_TOL)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (4, 2)])
@@ -301,8 +269,8 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def explicit_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The objective's points, and the bundle's singles and pairs, one by one."""
+def explicit_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objective's points, and the bundle's theta, singles and pairs, one by one."""
     n_p = len(theta)
     eye = np.eye(n_p)
     shift = np.pi / 2
@@ -316,7 +284,7 @@ def explicit_points(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     singles = np.array([theta] + [shifted(i) for i in range(n_p)])
     pairs = np.array([shifted(i, j) for i, j in zip(*np.triu_indices(n_p, k=1))])
-    return objective, singles, pairs.reshape(-1, n_p)
+    return objective, np.vstack([singles, pairs.reshape(-1, n_p)])
 
 
 def recorded_apply(monkeypatch) -> list:
@@ -339,17 +307,17 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch):
     cost_gradient(model, config, theta, 0.4)
     cost_and_gradient(model, config, theta, 0.4)
     hessian_bundle(model, config, theta, 0.4)
-    objective, singles, pairs = explicit_points(theta)
-    assert len(seen) == 4
+    objective, bundle = explicit_points(theta)
+    assert len(seen) == 3
     # cost_gradient reads the objective's points
-    for got, want in zip(seen, (objective, objective, singles, pairs)):
+    for got, want in zip(seen, (objective, objective, bundle)):
         assert bitwise_equal(got, want)
     with pytest.raises(ValueError, match="read-only"):
         cost_module._objective_offsets(config.n_params)[0, 0] = 1.0
 
 
-# the objective's points, and the bundle's singles and pairs, as the cost layer builds them
-BLOCKS = (cost_module._objective_points, cost_module._singles, cost_module._pairs)
+# the objective's points and the bundle's, as the cost layer builds them
+BLOCKS = (cost_module._objective_points, cost_module._derivative_points)
 
 
 def without_start_cache(patch) -> None:
@@ -361,7 +329,6 @@ def without_start_cache(patch) -> None:
 def test_start_states_are_what_apply_ansatz_returns(n, d):
     config = AnsatzConfig(n=n, d=d)
     zero = np.zeros(config.n_params)
-    assert all(len(block(zero)) * config.dim <= cost_module._MAX_BATCH_AMPLITUDES for block in BLOCKS)
     clear_start_states()
     cached = [cost_module._start_states(config, block) for block in BLOCKS]
     for states, points in zip(cached, explicit_points(zero)):
@@ -369,7 +336,7 @@ def test_start_states_are_what_apply_ansatz_returns(n, d):
         assert not states.flags.writeable
     # filled once: later reads return the same arrays
     assert cost_module._start_states(config, BLOCKS[0]) is cached[0]
-    assert cost_module._start_states(config, BLOCKS[2]) is cached[2]
+    assert cost_module._start_states(config, BLOCKS[1]) is cached[1]
 
 
 def start_results(model, config, s):
@@ -399,10 +366,9 @@ def test_start_path_gives_the_simulated_results(monkeypatch, n, d):
             assert all(bitwise_equal(a, b) for a, b in zip(got, simulated))
 
 
-def test_negative_zero_and_a_shape_over_the_budget_are_simulated(monkeypatch):
+def test_negative_zero_is_simulated(monkeypatch):
     model, config, _ = normalized_case(120, 3)
-    n_p = config.n_params
-    zero = np.zeros(n_p)
+    zero = np.zeros(config.n_params)
     start_results(model, config, 0.5)  # fills the cache for this shape
     seen = recorded_apply(monkeypatch)
     start_results(model, config, 0.5)
@@ -412,48 +378,25 @@ def test_negative_zero_and_a_shape_over_the_budget_are_simulated(monkeypatch):
     signed[4] = -0.0
     cost_and_gradient(model, config, signed, 0.5)
     hessian_bundle(model, config, signed, 0.5)
-    objective, singles, pairs = explicit_points(signed)
-    assert len(seen) == 3
-    for got, want in zip(seen, (objective, singles, pairs)):
+    assert len(seen) == 2
+    for got, want in zip(seen, explicit_points(signed)):
         assert bitwise_equal(got, want)
-    # each block is cached when it fits one batch: with room for the
-    # objective's 2 n_p + 1 = 19 states and the 10 singles, the 36 pairs are
-    # simulated at every reading, as 19 and 17
-    monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", (2 * n_p + 1) * config.dim)
-    with monkeypatch.context() as patch:
-        without_start_cache(patch)
-        simulated = start_results(model, config, 0.5)
-    clear_start_states()
-    filled = start_results(model, config, 0.5)
-    seen.clear()
-    warm = start_results(model, config, 0.5)
-    assert [len(points) for points in seen] == [19, 17]
-    assert bitwise_equal(np.concatenate(seen), explicit_points(zero)[2])
-    for got in (filled, warm):
-        assert all(bitwise_equal(a, b) for a, b in zip(got, simulated))
 
 
-def composed_objective(model, config, theta, s, chunk):
-    """(C_s, its gradient) composed step by step: the explicit points, apply_ansatz
-    on chunks of at most `chunk` of them, _terms_of_states, _shift_rule and _in_s."""
+def composed_objective(model, config, theta, s):
+    """(C_s, its gradient) composed step by step: the explicit points,
+    apply_ansatz, _terms_of_states, _shift_rule and _in_s."""
     points = explicit_points(theta)[0]
-    terms = np.concatenate([
-        cost_module._terms_of_states(model, apply_ansatz(config, points[k:k + chunk]))
-        for k in range(0, len(points), chunk)
-    ])
+    terms = cost_module._terms_of_states(model, apply_ansatz(config, points))
     gradient = cost_module._in_s(cost_module._shift_rule(terms[1:]), s)
     return float(cost_module._in_s(terms[0], s)), gradient
 
 
-@pytest.mark.parametrize("chunk", [None, 5])
-def test_bound_objective_is_the_composition_bitwise(monkeypatch, chunk):
+def test_bound_objective_is_the_composition_bitwise(monkeypatch):
     # a random theta is simulated, +0.0 is read from the start cache once it
-    # is filled, and a -0.0 entry is simulated; under a cap of 5 states the
-    # 19 points come as 5, 5, 5 and 4, theta = +0.0 included
+    # is filled, and a -0.0 entry is simulated
     model, config, theta = normalized_case(130, 3)
     n_p, s = config.n_params, 0.55
-    if chunk is not None:
-        monkeypatch.setattr(cost_module, "_MAX_BATCH_AMPLITUDES", chunk * config.dim)
     zero, signed = np.zeros(n_p), np.zeros(n_p)
     signed[3] = -0.0
     clear_start_states()
@@ -462,14 +405,75 @@ def test_bound_objective_is_the_composition_bitwise(monkeypatch, chunk):
     for point, calls in ((theta, 1), (zero, 1), (zero, 0), (signed, 1), (theta + 0.25, 1)):
         seen.clear()
         value, grad = objective(point)
-        batches = [5, 5, 5, 4] if chunk else [2 * n_p + 1] * calls
-        assert [len(points) for points in seen] == batches
-        want = composed_objective(model, config, point, s, chunk or 2 * n_p + 1)
+        assert [len(points) for points in seen] == [2 * n_p + 1] * calls
+        want = composed_objective(model, config, point, s)
         # cost_and_gradient binds at the point itself and reads it once
         for got in ((value, grad), cost_and_gradient(model, config, point, s)):
             assert type(got[0]) is float
             assert bitwise_equal(np.float64(got[0]), np.float64(want[0]))
             assert bitwise_equal(got[1], want[1])
+
+
+def two_block_bundle(model, config, theta, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_s, K_a, K_b) from psi with the chi_i and the chi_ij simulated and
+    projected as two blocks, each reduced to its forms."""
+    n_p = config.n_params
+    points = explicit_points(theta)[1]
+    first = cost_module._projected(model, apply_ansatz(config, points[:n_p + 1]))
+    pairs = cost_module._projected(model, apply_ansatz(config, points[n_p + 1:]))
+    gram = cost_module._forms(first, first)
+    hess3 = 0.5 * gram[:, 1:, 1:]
+    diag = np.arange(n_p)
+    hess3[:, diag, diag] -= 0.5 * gram[:, :1, 0]
+    iu, ju = np.triu_indices(n_p, k=1)
+    hess3[:, iu, ju] += 0.5 * cost_module._forms(pairs, first[:, :1])[..., 0]
+    hess3[:, ju, iu] = hess3[:, iu, ju]
+    k_a, k_b, h_c = hess3
+    return s * s * k_a + s * k_b + h_c, k_a, k_b
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (5, 2), (8, 2), (1, 1), (2, 0)])
+def test_one_block_bundle_is_the_two_block_composition(n, d):
+    # bitwise from n_p = 3 on; at n_p = 2 the pairs are one row, which BLAS
+    # may multiply by another path, so the two agree to round-off there
+    model, _, _ = normalized_case(140 + n, n)
+    config = AnsatzConfig(n=n, d=d)
+    theta = np.random.default_rng(150 + n + d).uniform(-np.pi, np.pi, config.n_params)
+    bundle = hessian_bundle(model, config, theta, 0.37)
+    want = two_block_bundle(model, config, theta, 0.37)
+    for got, expected in zip((bundle.h_s, bundle.k_a, bundle.k_b), want):
+        if config.n_params >= 3:
+            assert bitwise_equal(got, expected)
+        else:
+            assert np.allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_a_bundle_simulates_one_block(monkeypatch):
+    # one call away from theta = 0; none at +0.0 once the start cache is warm
+    model, config, theta = normalized_case(160, 3)
+    seen = recorded_apply(monkeypatch)
+    hessian_bundle(model, config, theta, 0.4)
+    assert [len(points) for points in seen] == [1 + 9 + 36]
+    zero = np.zeros(config.n_params)
+    clear_start_states()
+    hessian_bundle(model, config, zero, 0.4)  # fills the cache
+    seen.clear()
+    hessian_bundle(model, config, zero, 0.4)
+    assert seen == []
+
+
+def test_start_cache_holds_the_blocks_of_several_shapes():
+    # hessian runs alternating two shapes simulate each shape's two start
+    # blocks, the objective's and the bundle's, once
+    configs = [
+        avqls.config_from_dict({"solver": {"n": n, "d": 2, "T": 50, "schedule": "hessian"}})
+        for n in (4, 5)
+    ]
+    clear_start_states()
+    for k in range(8):
+        avqls.runner.run_single(configs[k % 2])
+    info = cost_module._start_states.cache_info()
+    assert (info.misses, info.hits) == (4, 12)
 
 
 def test_binding_checks_its_inputs_when_made(monkeypatch):

@@ -20,6 +20,10 @@ from `perfbench/workloads.py`:
 - acceptance criterion 09's `dynamic` and `fixed` runs (n=6, d=1, T=10,
   constant conductivity, point source, master seed), which round-off can
   decide;
+- one `hessian` run at n=8, d=2, T=10 (noisy_constant conductivity with
+  sigma 0.2, point source, seed 0): a Hessian step, then a jump to s = 1,
+  whose second bundle is a block of 301 states (77,056 amplitudes) taken
+  away from theta = 0;
 - `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
   per trace and one per CSV;
 - `avqls schedule` at kappa 1, 3, 10, 1000 and 1e6, `--steps` 1, 4 and 50
@@ -57,6 +61,11 @@ MASTER_SEEDS = range(6)
 CONFIG_SEEDS = (0, 1, 2)
 C09_PROBLEM = {"conductivity": "constant", "source": "point"}
 C09_SOLVER = {"n": 6, "d": 1, "T": 10}
+LARGE_BUNDLE = {
+    "problem": {"conductivity": "noisy_constant", "sigma": 0.2, "source": "point"},
+    "solver": {"n": 8, "d": 2, "T": 10, "schedule": "hessian"},
+    "seed": 0,
+}
 SCHEDULE_KAPPAS = ("1", "3", "10", "1000", "1e6")
 SCHEDULE_STEPS = ("1", "4", "50")
 
@@ -181,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
             config = avqls.config_from_dict(raw)
             for line in solve_lines(config, (config.seed,), f"criterion-09:{mode}", drop):
                 print(line, flush=True)
+        config = avqls.config_from_dict(LARGE_BUNDLE)
+        for line in solve_lines(config, (config.seed,), "hessian-n8d2", drop):
+            print(line, flush=True)
         for path in args.configs:
             config = avqls.load_config(path)
             for line in solve_lines(config, CONFIG_SEEDS, Path(path).name, drop):

@@ -4,6 +4,21 @@ The solver follows a homotopy from the identity to the target matrix,
 reoptimizing a layered Ry/CNOT ansatz at each stop from the previous
 optimum, with step sizes chosen either from a condition-number schedule or
 from exact Hessian extrapolation of the cost.
+
+Importing avqls sets OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 in the
+importing program's environment, unless they are already set, for the
+reasons the comment at the setting gives. (The widest matrices it names
+are those of embedded n=8 systems, such as noisy_constant with sigma 1 at
+seed 0.) So BLAS runs one thread per process, and every child process
+started afterwards inherits the setting, whether or not it uses avqls;
+`sweep --jobs N` is how to use more cores. A program that imports numpy
+or scipy before avqls keeps their default threading.
+
+Importing avqls loads numpy, numpy.random and L-BFGS-B's extension module
+scipy.optimize._lbfgsb, and no other part of scipy; a solve loads nothing
+more. A sweep loads multiprocessing when it forks its first worker, which
+inherits it, and `avqls verify` loads its battery, avqls.verify, when it
+runs.
 """
 
 import os

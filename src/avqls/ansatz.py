@@ -5,6 +5,18 @@ states are plain float64 vectors of length 2**n. Qubit 0 is the most
 significant bit of the basis index, matching the Kronecker-product
 convention used for the problem matrices. A batch of parameter vectors is
 simulated in one pass: each gate updates every state of the batch at once.
+
+The kernel holds the batch as a (2**n, B) array, batch axis innermost. The
+initial Ry column acts on |0...0>, so it is the product state of its
+(cos, sin) pairs. Every later Ry is three numpy calls on the whole batch,
+and each CNOT ring is one precomputed gather of basis indices (np.take).
+The layers write with out= into a workspace of two state buffers and one
+product buffer, whose per-gate views are built once per circuit shape,
+batch size and thread. The process keeps the 8 latest workspaces of up to
+2**15 amplitudes per buffer; a larger batch builds its own. Each result is
+copied out, so no later call overwrites it. The states are bit-identical
+to a gate-by-gate loop, except for the sign of a zero amplitude, which the
+product can set differently when an initial angle is exactly +-0.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ The file is a single JSON object with nested sections. Unknown keys are
 rejected and every validation error names the offending field path. Each
 field is declared once, on its dataclass, with its default and its check;
 building a section runs every check, whether it is parsed or made in Python.
+Parsing, the unknown-key check and the config echoed into trace.json all
+follow from that one line.
 """
 
 from __future__ import annotations

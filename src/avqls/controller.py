@@ -7,6 +7,27 @@ extrapolated Hessian stays positive semidefinite keeps the warm start
 inside a locally convex region. `dynamic` mode follows the
 condition-number schedule without Hessian probes and `fixed` mode walks a
 uniform grid.
+
+The extrapolated Hessian is the matrix polynomial
+ds^2 K_a + ds (2 s K_a + K_b) + H_s, so its first PSD crossing is the
+smallest real root of a quadratic eigenvalue problem, found by one
+eigensolve of its companion matrix in 1/ds (_first_psd_crossing). At the
+next stop it is the exact Hessian of that stop's cost at the warm start,
+for no circuits, and minimize_cost whitens the solve with it when it
+passes two tests; after a hessian_step it is singular by construction, so
+it fails the first. A whitened solve is charged as a plain one: the change
+of coordinates runs no circuits, the reading at the warm start that
+decides it is the solve's own first evaluation, and grad_norm is still
+read from the gradient in theta.
+
+Every solve runs L-BFGS-B's compiled routine setulb (Byrd, Lu, Nocedal and
+Zhu 1995; Zhu et al. 1997, Algorithm 778), the private one of the C port
+scipy 1.15 introduced. _lbfgsb is the loop of
+scipy.optimize.minimize(method="L-BFGS-B"), with its settings (memory 10,
+at most 20 line-search steps, ftol 1e-14, 500 iterations) and its memo:
+one reading at the start, and a new one only at a point other than the
+last one read. So every iterate is scipy's, bit for bit, without the cost
+of its wrapper; tests/test_controller.py checks that.
 """
 
 from __future__ import annotations

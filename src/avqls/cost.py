@@ -16,6 +16,21 @@ without further circuit evaluations. Gradients with respect to the circuit
 parameters use the two-point shift rule with the shift fixed at pi/2, exact
 for Ry generators. Hessians are exact bilinear forms of the derivative
 states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
+
+Each stop binds its L-BFGS objective once (bind_objective). An evaluation
+simulates the 2 n_p + 1 points theta and theta +- pi/2 e_i as one batch,
+and reads the cost and its gradient from their expectations; cost_gradient
+reads the same points. A Hessian bundle simulates psi(theta) and its
+derivative states as one block of 1 + n_p + n_p (n_p - 1) / 2 states (121
+at n=5, d=2), in one call, and reads the Hessians of all three operators
+from their bilinear forms.
+
+At theta = +0.0 the circuit prepares e1, and each of those states is a
+signed basis vector. A circuit shape thus has two blocks of start states,
+the objective's and the bundle's. The process simulates each once and
+keeps them (_start_states), which changes no count and no trace: what a
+run charges is the device's circuit count (controller.solve_adiabatic),
+not the states simulated here.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 The physical model is one-dimensional heat conduction on (0, L) with
 Dirichlet boundaries, a space-dependent conductivity profile and a source
-term, all read from a `ProblemConfig`. Discretizing on N = 2**n interior
-sites gives a tridiagonal system A x = b. Preparation turns an arbitrary
-invertible system into the working form used by the variational solver:
-right-hand side exactly e1, matrix normalized to unit spectral norm, and,
-when the spectrum is not strictly positive, an ancilla embedding that makes
-the homotopy pencil nonsingular for every s.
+term, all read from a `ProblemConfig`. Central differences on N = 2**n
+interior sites give a tridiagonal system A x = b. Preparation turns an
+arbitrary invertible system into the working form used by the variational
+solver: right-hand side exactly e1, by a Householder reflection, so the
+all-zero parameter vector is the exact optimum at s = 0; matrix normalized
+to unit spectral norm; and, when the spectrum is not strictly positive, an
+ancilla embedding onto one more qubit that makes the homotopy pencil
+nonsingular for every s.
 """
 
 from __future__ import annotations

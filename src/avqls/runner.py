@@ -3,6 +3,17 @@
 Trace JSON files contain only deterministic fields, so a rerun with the
 same config and master seed is byte-identical; wall-clock timings go to
 the CSV summaries instead.
+
+A sweep with jobs > 1 runs its cells in min(jobs, cells) workers forked
+with os.fork (_run_forked), and its outputs are byte-identical to jobs 1,
+which runs every cell in process. A cell whose worker dies is retried once
+in another worker; when that one dies too, the cell fails as "worker died
+twice running this cell (exit status 1)" or "(signal 9)". A worker that
+cannot be forked is one worker fewer, and only when none is running do the
+cells left fail, as "no worker could be forked (BlockingIOError: [Errno
+11] Resource temporarily unavailable)". A result that does not pickle
+fails its cell with the pickling error. Every cell that finished, first
+time or on the retry, keeps its trace and its sweep_details.csv row.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ statevector engine.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 from avqls import AnsatzConfig  # before numpy: one BLAS thread, as in the CLI
 import avqls.cost
@@ -218,3 +220,12 @@ def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 def clear_start_states() -> None:
     """Forget the cached theta = 0 states, so the next run of a shape simulates them."""
     avqls.cost._start_states.cache_clear()
+
+
+def load_tool(name: str):
+    """A script of tools/, imported by path: the tools are not a package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -595,23 +595,32 @@ def test_cli_sweep_writes_one_trace_per_cell_for_close_l(tmp_path, capsys):
 
 
 def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
-    raw = {
-        "problem": {"conductivity": "noisy_constant"},
-        "solver": {"n": 3, "d": 1, "T": 4, "schedule": "hessian"},
-        "sweep": {"seeds": [0, 1]},
-    }
-    cfg_path = write_config(tmp_path, raw)
-    out = tmp_path / "out"  # recorded in the traces, so both runs use it
-    outputs = []
-    for jobs in ("1", "2"):
-        shutil.rmtree(out, ignore_errors=True)
-        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
-        assert "2/2 cells ok" in capsys.readouterr().out
-        outputs.append(sweep_outputs(out))
-    (traces_1, rows_1), (traces_2, rows_2) = outputs
-    assert len(traces_1) == 2 and len(rows_1) == 2
-    assert traces_2 == traces_1
-    assert rows_2 == rows_1
+    solver = {"n": 3, "d": 1, "T": 4, "schedule": "hessian"}
+    sweeps = [  # each config, and the trace whose system is embedded, if any
+        ({"problem": {"conductivity": "noisy_constant"}, "sweep": {"seeds": [0, 1]}}, None),
+        # seed 3's spectrum has both signs, so it runs embedded on 4 wires
+        (
+            {"problem": {"conductivity": "noisy_constant", "sigma": 1.0},
+             "sweep": {"seeds": [2, 3]}},
+            "trace_n3_d1_T4_l0_s3.json",
+        ),
+    ]
+    out = tmp_path / "out"  # recorded in the traces, so every run uses it
+    for raw, embedded in sweeps:
+        cfg_path = write_config(tmp_path, {**raw, "solver": solver})
+        outputs = []
+        for jobs in ("1", "2"):
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+            assert "2/2 cells ok" in capsys.readouterr().out
+            outputs.append(sweep_outputs(out))
+        (traces_1, rows_1), (traces_2, rows_2) = outputs
+        assert len(traces_1) == 2 and len(rows_1) == 2
+        assert traces_2 == traces_1
+        assert rows_2 == rows_1
+        if embedded:
+            system = json.loads(traces_1[embedded])["system"]
+            assert system["embedded"] and system["n_qubits"] == 4
 
 
 def output_files(out) -> dict:

@@ -1,6 +1,4 @@
 import functools
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from avqls import (
 )
 from avqls.cost import HessianBundle, build_cost_model, cost_gradient, hessian_extrapolate
 
-from conftest import clear_start_states
+from conftest import clear_start_states, load_tool
 
 
 def make_bundle(h_s, k_a, k_b, s):
@@ -715,15 +713,6 @@ def _final_state(system, config, theta):
     from avqls import apply_ansatz
 
     return apply_ansatz(config, theta)
-
-
-def load_tool(name: str):
-    """A script of tools/, imported by path: the tools are not a package."""
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_gate_margins_scales_every_objective_evaluation():

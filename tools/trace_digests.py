@@ -6,6 +6,12 @@ Run from the root of a checkout:
     python3 tools/trace_digests.py --root ../parent > before.txt
     diff before.txt after.txt
 
+`tests/trace_digests.txt` is this tool's output for the committed tree,
+and `tests/test_trace_digests.py` recomputes it in process. A change that
+moves a byte regenerates it in the same commit:
+
+    python3 tools/trace_digests.py > tests/trace_digests.txt
+
 Two checkouts print the same lines exactly when their results are
 byte-identical. The first line, a `#` comment, names the Python, numpy
 and scipy versions, the BLAS each was built with and the machine: digests
@@ -160,6 +166,31 @@ def schedule_lines():
         yield f"{sha(out.getvalue())}  schedule kappa={kappa} steps={steps}"
 
 
+def digest_lines(drop: set[str], configs=()):
+    """Every line after the header, with avqls and perfbench/ importable."""
+    import avqls
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, seeds in (("hessian-warmstart", HESSIAN_SEEDS), ("dynamic-wide", DYNAMIC_SEEDS)):
+            for wseed in seeds:
+                work = workloads.make_workload(name, wseed, False, workdir)
+                inputs = [work.input_seed(k) for k in range(work.inputs)]
+                yield from solve_lines(work.config, inputs, f"{name}:{wseed}", drop)
+        for mode in ("dynamic", "fixed"):
+            raw = {"problem": C09_PROBLEM, "solver": {**C09_SOLVER, "schedule": mode}}
+            config = avqls.config_from_dict(raw)
+            yield from solve_lines(config, (config.seed,), f"criterion-09:{mode}", drop)
+        config = avqls.config_from_dict(LARGE_BUNDLE)
+        yield from solve_lines(config, (config.seed,), "hessian-n8d2", drop)
+        for path in configs:
+            config = avqls.load_config(path)
+            yield from solve_lines(config, CONFIG_SEEDS, Path(path).name, drop)
+        yield from sweep_lines(workdir, drop)
+    yield from schedule_lines()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*", metavar="CONFIG", help="extra run config")
@@ -172,34 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import avqls  # sets BLAS to one thread before numpy loads
-    import workloads
+    import avqls  # noqa: F401  sets BLAS to one thread before numpy loads
 
     print(versions_line(), flush=True)
-    drop = set(args.drop)
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        for name, seeds in (("hessian-warmstart", HESSIAN_SEEDS), ("dynamic-wide", DYNAMIC_SEEDS)):
-            for wseed in seeds:
-                work = workloads.make_workload(name, wseed, False, workdir)
-                inputs = [work.input_seed(k) for k in range(work.inputs)]
-                for line in solve_lines(work.config, inputs, f"{name}:{wseed}", drop):
-                    print(line, flush=True)
-        for mode in ("dynamic", "fixed"):
-            raw = {"problem": C09_PROBLEM, "solver": {**C09_SOLVER, "schedule": mode}}
-            config = avqls.config_from_dict(raw)
-            for line in solve_lines(config, (config.seed,), f"criterion-09:{mode}", drop):
-                print(line, flush=True)
-        config = avqls.config_from_dict(LARGE_BUNDLE)
-        for line in solve_lines(config, (config.seed,), "hessian-n8d2", drop):
-            print(line, flush=True)
-        for path in args.configs:
-            config = avqls.load_config(path)
-            for line in solve_lines(config, CONFIG_SEEDS, Path(path).name, drop):
-                print(line, flush=True)
-        for line in sweep_lines(workdir, drop):
-            print(line, flush=True)
-    for line in schedule_lines():
+    for line in digest_lines(set(args.drop), args.configs):
         print(line, flush=True)
     return 0
 

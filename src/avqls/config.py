@@ -30,44 +30,9 @@ __all__ = [
 _SIGMA_DEFAULTS = {"noisy_constant": 0.2, "noisy_linear": 0.05}
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_float(
-    value, path: str, minimum: float | None = None, strict_min: float | None = None
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if strict_min is not None and value <= strict_min:
-        raise ConfigError(f"{path}: must be > {strict_min}, got {value}")
-    return value
-
-
 def _as_text(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string")
-    return value
-
-
-def _as_choice(value, path: str, choices: tuple) -> str:
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
-    return value
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
     return value
 
 
@@ -90,15 +55,39 @@ def _object(cls):
 
 
 def _int(minimum):
-    return lambda value, path: _as_int(value, path, minimum=minimum)
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        return value
+
+    return check
 
 
 def _float(minimum=None, strict_min=None):
-    return lambda value, path: _as_float(value, path, minimum=minimum, strict_min=strict_min)
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        value = float(value) + 0.0  # -0.0 reads as 0.0, which it equals
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        if strict_min is not None and value <= strict_min:
+            raise ConfigError(f"{path}: must be > {strict_min}, got {value}")
+        return value
+
+    return check
 
 
 def _choice(*choices):
-    return lambda value, path: _as_choice(value, path, choices)
+    def check(value, path):
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
+        return value
+
+    return check
 
 
 def _optional(check):
@@ -107,8 +96,10 @@ def _optional(check):
 
 def _list_of(check, distinct=False):
     def parse(value, path):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
         items = []
-        for i, v in enumerate(_as_list(value, path)):
+        for i, v in enumerate(value):
             item = check(v, f"{path}[{i}]")
             if distinct and item in items:
                 raise ConfigError(f"{path}[{i}]: repeats an earlier entry, got {item}")

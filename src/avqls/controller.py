@@ -351,18 +351,10 @@ def solve_adiabatic(
 
     A step charges the circuits a device must run: the bundle's pair
     circuits, and 1 + 2 n_p for each L-BFGS-B evaluation but the first, at
-    the warm start, theta = 0 or the previous optimum. At theta = 0 the
-    bundle is free, since every derivative state is a signed basis vector,
-    so its numbers are entries of H(s) (verify.start_rule_defect); the
-    emulator simulates a shape's two blocks of start states, the
-    objective's and the bundle's, once per process, changing no count or
-    trace.
-    Otherwise theta_k is the previous optimum, whose evaluation measured
-    C(theta_k) and C(theta_k +- pi/2 e_i); so the bundle's centre and its
-    n_p single shifts are known, C(theta + pi e_i) being
-    C(theta + pi/2 e_i) + C(theta - pi/2 e_i) - C(theta)
-    (verify.hessian_rule_defect). The terms <a>, <b>, <c> behind each
-    reading do not depend on s, so a reading at one s serves every other.
+    the warm start, theta = 0 or the previous optimum. avqls.verify derives
+    and checks why the rest is free: start_rule_defect at theta = 0, and
+    hessian_rule_defect away from it. A reading at one s serves every other
+    s, since the expansion terms behind it do not depend on s (avqls.cost).
     """
     mode, T = solver.schedule, solver.T
     if system.n_qubits != ansatz.n:

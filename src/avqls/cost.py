@@ -17,13 +17,13 @@ parameters use the two-point shift rule with the shift fixed at pi/2, exact
 for Ry generators. Hessians are exact bilinear forms of the derivative
 states psi(theta + pi e_i) and psi(theta + pi e_i + pi e_j).
 
-Each stop binds its L-BFGS objective once (bind_objective). An evaluation
-simulates the 2 n_p + 1 points theta and theta +- pi/2 e_i as one batch,
-and reads the cost and its gradient from their expectations; cost_gradient
-reads the same points. A Hessian bundle simulates psi(theta) and its
-derivative states as one block of 1 + n_p + n_p (n_p - 1) / 2 states (121
-at n=5, d=2), in one call, and reads the Hessians of all three operators
-from their bilinear forms.
+Each stop binds its L-BFGS objective once (bind_objective). Every block
+of points is theta plus a cached read-only table, simulated in one call
+through one path (_block_states). The objective's block, theta and
+theta +- pi/2 e_i, gives the cost and its gradient; cost_gradient reads the
+same points. A Hessian bundle's block, the points of psi(theta) and of its
+derivative states (1 + n_p + n_p (n_p - 1) / 2, 121 at n=5, d=2), gives the
+Hessians of all three operators from their bilinear forms.
 
 At theta = +0.0 the circuit prepares e1, and each of those states is a
 signed basis vector. A circuit shape thus has two blocks of start states,
@@ -138,6 +138,21 @@ def _objective_offsets(n_p: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _bundle_offsets(n_p: int) -> np.ndarray:
+    """Offsets of a bundle's points theta, theta + pi e_i, theta + pi (e_i + e_j), read-only.
+
+    The pairs i < j follow in np.triu_indices order. An unshifted entry is
+    -0.0, so theta + table leaves it bitwise theta.
+    """
+    eye = np.eye(n_p, dtype=bool)
+    iu, ju = np.triu_indices(n_p, k=1)
+    shifted = np.vstack([np.zeros_like(eye[:1]), eye, eye[iu] | eye[ju]])
+    table = np.where(shifted, np.pi, -0.0)
+    table.flags.writeable = False
+    return table
+
+
 def _shift_rule(terms: np.ndarray) -> np.ndarray:
     """Per-parameter derivatives from the terms at theta +- pi/2 e_i.
 
@@ -163,15 +178,11 @@ def bind_objective(
     call reads one batch of 2 n_p + 1 circuits at a float theta of that shape.
     """
     check_s(s)
-    offsets = _objective_offsets(len(_check_inputs(model, config, theta)))
+    _check_inputs(model, config, theta)
     s2 = s * s
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        if theta.any():
-            states = apply_ansatz(config, theta + offsets)
-        else:  # theta = +-0.0, which the start rule reads
-            states = _block_states(config, theta, _objective_points)
-        terms = _terms_of_states(model, states)
+        terms = _terms_of_states(model, _block_states(config, theta, _objective_offsets))
         a, b, c = terms[0].tolist()
         return float(s2 * a + s * b + c), _in_s(_shift_rule(terms[1:]), s)
 
@@ -230,7 +241,7 @@ def hessian_bundle(
     chi_ij = psi(theta + pi e_i + pi e_j), each operator O gives
     H_ii = (chi_i^T O chi_i - psi^T O psi) / 2 and
     H_ij = (chi_i^T O chi_j + chi_ij^T O psi) / 2. All of them are simulated
-    as one block (_derivative_points), projected once and reduced to the
+    as one block (_bundle_offsets), projected once and reduced to the
     forms of psi with the chi_i among themselves and of the chi_ij with psi.
     The forms equal the pi/2 shift rule's second differences, without
     simulating its 2 n_p^2 + 1 points. At theta = 0 the block is simulated
@@ -240,7 +251,7 @@ def hessian_bundle(
     theta = _check_inputs(model, config, theta)
     n_p = config.n_params
     iu, ju = np.triu_indices(n_p, k=1)
-    rows = _projected(model, _block_states(config, theta, _derivative_points))
+    rows = _projected(model, _block_states(config, theta, _bundle_offsets))
     first = rows[:, :n_p + 1]
     gram = _forms(first, first)
     hess3 = 0.5 * gram[:, 1:, 1:]
@@ -253,40 +264,24 @@ def hessian_bundle(
     return HessianBundle(h_s=h_s, k_a=k_a, k_b=k_b, s=s)
 
 
-def _objective_points(theta: np.ndarray) -> np.ndarray:
-    """The objective's 2 n_p + 1 points theta + _objective_offsets."""
-    return theta + _objective_offsets(len(theta))
+def _block_states(config: AnsatzConfig, theta: np.ndarray, offsets) -> np.ndarray:
+    """States at theta + offsets(n_p), one block in one call; `offsets` builds a table.
 
-
-def _derivative_points(theta: np.ndarray) -> np.ndarray:
-    """A bundle's points theta, theta + pi e_i and theta + pi (e_i + e_j), i < j.
-
-    The pairs follow in np.triu_indices order.
-    """
-    # shifting only the chosen entries leaves every other one bitwise theta
-    eye = np.eye(len(theta), dtype=bool)
-    iu, ju = np.triu_indices(len(theta), k=1)
-    shifted = np.vstack([np.zeros_like(eye[:1]), eye, eye[iu] | eye[ju]])
-    return np.where(shifted, theta + np.pi, theta)
-
-
-def _block_states(config: AnsatzConfig, theta: np.ndarray, block) -> np.ndarray:
-    """States at the points block(theta), read from _start_states at theta = +0.0.
-
-    A -0.0 entry is simulated: sin(-0/2) = -0.0 gives other sign bits.
+    Read from _start_states at theta = +0.0. A -0.0 entry is simulated:
+    sin(-0/2) = -0.0 gives other sign bits.
     """
     if theta.any() or np.signbit(theta).any():
-        return apply_ansatz(config, block(theta))
-    return _start_states(config, block)
+        return apply_ansatz(config, theta + offsets(len(theta)))
+    return _start_states(config, offsets)
 
 
 @functools.lru_cache(maxsize=16)
-def _start_states(config: AnsatzConfig, block) -> np.ndarray:
-    """Read-only states at block(theta = +0.0): the objective's and the bundle's.
+def _start_states(config: AnsatzConfig, offsets) -> np.ndarray:
+    """Read-only states at the points +0.0 + offsets(n_p): the objective's and the bundle's.
 
     A shape has these two start blocks, so the cache holds those of 8 shapes.
     """
-    states = apply_ansatz(config, block(np.zeros(config.n_params)))
+    states = apply_ansatz(config, np.zeros(config.n_params) + offsets(config.n_params))
     states.flags.writeable = False
     return states
 

@@ -230,91 +230,85 @@ def start_rule_defect(cases) -> float:
     return _worst(defects)
 
 
-def _check_schedule_endpoints() -> tuple[bool, str]:
-    worst = schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 25)
-    return worst < 1e-10, f"max endpoint deviation {worst:.2e}"
+def _schedule_endpoints() -> float:
+    return schedule_endpoint_defect((1.0, 10.0, 100.0, 1000.0), 25)
 
 
-def _check_householder() -> tuple[bool, str]:
+def _householder() -> float:
     rng = np.random.default_rng(11)
-    worst = householder_defect([rng.normal(size=size) for size in (2, 8, 32)])
-    return worst < 1e-12, f"max defect {worst:.2e}"
+    return householder_defect([rng.normal(size=size) for size in (2, 8, 32)])
 
 
-def _check_norm_preservation() -> tuple[bool, str]:
+def _norm_preservation() -> float:
     rng = np.random.default_rng(12)
     cases = []
     for n, d in ((1, 0), (3, 2), (5, 1)):
         config = AnsatzConfig(n=n, d=d)
         cases.append((config, rng.uniform(-np.pi, np.pi, config.n_params)))
-    worst = norm_defect(cases)
-    return worst < 1e-12, f"max norm drift {worst:.2e}"
+    return norm_defect(cases)
 
 
-def _check_extrapolation() -> tuple[bool, str]:
+def _extrapolation() -> float:
     rng = np.random.default_rng(13)
     config = AnsatzConfig(n=2, d=1)
     model = build_cost_model(np.eye(4) + 0.3 * rng.normal(size=(4, 4)))
     theta = rng.uniform(-np.pi, np.pi, config.n_params)
-    worst = extrapolation_defect([(model, config, theta, 0.3, 0.45)])
-    return worst < 1e-9, f"max extrapolation defect {worst:.2e}"
+    return extrapolation_defect([(model, config, theta, 0.3, 0.45)])
 
 
-def _check_ground_state() -> tuple[bool, str]:
+def _ground_state() -> float:
     rng = np.random.default_rng(14)
     basis, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     matrix = basis @ np.diag(rng.uniform(0.3, 1.0, 8)) @ basis.T
     system = prepare(matrix, rng.normal(size=8))
-    worst = ground_state_defect([system], (0.0, 0.5, 1.0))
-    return worst < 1e-10, f"max ground-state residual {worst:.2e}"
+    return ground_state_defect([system], (0.0, 0.5, 1.0))
 
 
-def _check_gradient() -> tuple[bool, str]:
+def _gradient() -> float:
     rng = np.random.default_rng(15)
     config = AnsatzConfig(n=2, d=1)
     model = build_cost_model(np.diag([0.5, 0.7, 0.9, 1.0]))
     theta = rng.uniform(-np.pi, np.pi, config.n_params)
-    worst = gradient_defect([(model, config, theta, 0.8)])
-    return worst < 1e-7, f"max gradient defect {worst:.2e}"
+    return gradient_defect([(model, config, theta, 0.8)])
 
 
-def _check_hessian_rule() -> tuple[bool, str]:
+def _hessian_rule() -> float:
     rng = np.random.default_rng(16)
     config = AnsatzConfig(n=2, d=1)
     matrix = rng.normal(size=(4, 4))
     model = build_cost_model(matrix / np.linalg.norm(matrix, 2))
     theta = rng.uniform(-np.pi, np.pi, config.n_params)
-    worst = hessian_rule_defect([(model, config, theta, 0.7)])
-    return worst < 1e-12, f"max rule defect {worst:.2e}"
+    return hessian_rule_defect([(model, config, theta, 0.7)])
 
 
-def _check_start_rule() -> tuple[bool, str]:
+def _start_rule() -> float:
     rng = np.random.default_rng(17)
     matrix = rng.normal(size=(8, 8))
     model = build_cost_model(matrix / np.linalg.norm(matrix, 2))
     config = AnsatzConfig(n=3, d=2)
-    worst = start_rule_defect([(model, config, s) for s in (0.0, 0.6, 1.0)])
-    return worst < 1e-12, f"max start defect {worst:.2e}"
+    return start_rule_defect([(model, config, s) for s in (0.0, 0.6, 1.0)])
 
 
+# (name, defect, bound, label): a check passes when its defect is below its bound
 _CHECKS = [
-    ("schedule endpoints", _check_schedule_endpoints),
-    ("householder algebra", _check_householder),
-    ("ansatz norm preservation", _check_norm_preservation),
-    ("derivative extrapolation", _check_extrapolation),
-    ("ground-state identity", _check_ground_state),
-    ("shift-rule gradient", _check_gradient),
-    ("Hessian device rule", _check_hessian_rule),
-    ("classical start", _check_start_rule),
+    ("schedule endpoints", _schedule_endpoints, 1e-10, "max endpoint deviation"),
+    ("householder algebra", _householder, 1e-12, "max defect"),
+    ("ansatz norm preservation", _norm_preservation, 1e-12, "max norm drift"),
+    ("derivative extrapolation", _extrapolation, 1e-9, "max extrapolation defect"),
+    ("ground-state identity", _ground_state, 1e-10, "max ground-state residual"),
+    ("shift-rule gradient", _gradient, 1e-7, "max gradient defect"),
+    ("Hessian device rule", _hessian_rule, 1e-12, "max rule defect"),
+    ("classical start", _start_rule, 1e-12, "max start defect"),
 ]
 
 
 def run_battery(echo=print) -> bool:
     """Run every invariant check, print one line each, return overall pass."""
     all_ok = True
-    for name, fn in _CHECKS:
+    for name, defect, bound, label in _CHECKS:
         try:
-            ok, detail = fn()
+            worst = defect()
+            ok, detail = worst < bound, f"{label} {worst:.2e}"
         except Exception as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok

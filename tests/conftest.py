@@ -212,11 +212,6 @@ def random_system_matrix(rng: np.random.Generator, n_sites: int, kind: str) -> n
     return q @ np.diag(eigs) @ q.T
 
 
-def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=n)
-    return v / np.linalg.norm(v)
-
-
 def clear_start_states() -> None:
     """Forget the cached theta = 0 states, so the next run of a shape simulates them."""
     avqls.cost._start_states.cache_clear()

@@ -170,13 +170,13 @@ def test_cached_start_states_stay_what_apply_ansatz_returns():
     # calls of the cached blocks' batch sizes reuse their workspaces
     config = AnsatzConfig(n=3, d=2)
     zero = np.zeros(config.n_params)
-    blocks = (cost_module._objective_points, cost_module._derivative_points)
+    blocks = (cost_module._objective_offsets, cost_module._bundle_offsets)
     clear_start_states()
     cached = [cost_module._start_states(config, block) for block in blocks]
     for seed, block in enumerate(blocks):
-        apply_ansatz(config, random_batches(config, seed, len(block(zero))))
+        apply_ansatz(config, random_batches(config, seed, len(block(config.n_params))))
     for states, block in zip(cached, blocks):
-        fresh = apply_ansatz(config, block(zero))
+        fresh = apply_ansatz(config, zero + block(config.n_params))
         assert np.array_equal(states, fresh)
         assert np.array_equal(np.signbit(states), np.signbit(fresh))
 

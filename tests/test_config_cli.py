@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing.connection
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -278,6 +279,18 @@ def test_source_exponent_needs_exponential_source(tmp_path, capsys):
     assert "problem.l: requires problem.source = 'exponential'" in capsys.readouterr().err
     raw["problem"]["source"] = "exponential"
     assert config_from_dict(raw).problem.l == 5.0
+
+
+def test_negative_zero_reads_as_zero():
+    # -0.0 == 0.0, and sweep.l [0.0, -0.0] is a repeat; so the echoed config
+    # and the trace file names must not tell the two spellings apart
+    def read(zero):
+        problem = {"conductivity": "constant", "sigma": zero, "source": "exponential", "l": zero}
+        config = config_from_dict({"problem": problem, "sweep": {"l": [zero]}})
+        tags = [cell.tag() for cell in runner._sweep_cells(config)]
+        return json.dumps(config.to_payload()), tags
+
+    assert read(-0.0) == read(0.0)
 
 
 def test_payload_round_trip():
@@ -1093,11 +1106,25 @@ def test_cli_schedule_rejects_kappa_whose_bounds_overflow():
     )
 
 
+VERIFY_LINES = [
+    ("schedule endpoints", "max endpoint deviation"),
+    ("householder algebra", "max defect"),
+    ("ansatz norm preservation", "max norm drift"),
+    ("derivative extrapolation", "max extrapolation defect"),
+    ("ground-state identity", "max ground-state residual"),
+    ("shift-rule gradient", "max gradient defect"),
+    ("Hessian device rule", "max rule defect"),
+    ("classical start", "max start defect"),
+]
+
+
 def test_cli_verify_subcommand(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
-    assert all(line.startswith("[ ok ]") for line in lines)
+    assert len(lines) == len(VERIFY_LINES)
+    for line, (name, label) in zip(lines, VERIFY_LINES):
+        pattern = rf"\[ ok \] {re.escape(name)}: {re.escape(label)} \d\.\d\de[+-]\d\d"
+        assert re.fullmatch(pattern, line), line
 
 
 def test_cli_verbose_logs_one_line_per_step(tmp_path):

@@ -715,7 +715,7 @@ def _final_state(system, config, theta):
     return apply_ansatz(config, theta)
 
 
-def test_gate_margins_scales_every_objective_evaluation():
+def test_gate_margins_scales_every_objective_evaluation(monkeypatch):
     # tools/gate_margins.py perturbs the acceptance gate's criteria through
     # this hook; one that missed the objective would print the baseline as
     # a perturbed line
@@ -730,5 +730,10 @@ def test_gate_margins_scales_every_objective_evaluation():
     assert nfev > len(result.trace.steps)
     assert tally["evaluations"] == nfev
     with pytest.raises(RuntimeError, match="no objective evaluation"):
+        with gate_margins.scaled_objective(2.0):
+            pass
+    # a checkout without the binding is named, not run unperturbed
+    monkeypatch.delattr("avqls.controller.bind_objective")
+    with pytest.raises(AttributeError, match="bind_objective"):
         with gate_margins.scaled_objective(2.0):
             pass

@@ -231,7 +231,7 @@ def test_large_bundle_block_matches_loop_reference():
     model, _, _ = normalized_case(61, 8)
     config = AnsatzConfig(n=8, d=1)
     theta = np.random.default_rng(63).uniform(-np.pi, np.pi, config.n_params)
-    assert len(cost_module._derivative_points(theta)) * config.dim > 2 ** 15
+    assert len(cost_module._bundle_offsets(config.n_params)) * config.dim > 2 ** 15
     _, h_s, k_a, k_b = loop_shift_rule(model, config, theta, 0.3, np.pi / 2)
     bundle = hessian_bundle(model, config, theta, 0.3)
     for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
@@ -300,24 +300,28 @@ def recorded_apply(monkeypatch) -> list:
     return seen
 
 
+# the functions that make the objective's offsets table and the bundle's
+BLOCKS = (cost_module._objective_offsets, cost_module._bundle_offsets)
+
+
 def test_cached_offsets_give_the_explicit_points(monkeypatch):
+    # theta mixes +0.0, -0.0 and nonzero entries, so the zeros' sign bits count
     model, config, theta = normalized_case(70, 2)
     theta[0], theta[2] = -0.0, 0.0
+    objective, bundle = explicit_points(theta)
+    for offsets, want in zip(BLOCKS, (objective, bundle)):
+        table = offsets(config.n_params)
+        assert bitwise_equal(theta + table, want)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
     seen = recorded_apply(monkeypatch)
     cost_gradient(model, config, theta, 0.4)
     cost_and_gradient(model, config, theta, 0.4)
     hessian_bundle(model, config, theta, 0.4)
-    objective, bundle = explicit_points(theta)
     assert len(seen) == 3
     # cost_gradient reads the objective's points
     for got, want in zip(seen, (objective, objective, bundle)):
         assert bitwise_equal(got, want)
-    with pytest.raises(ValueError, match="read-only"):
-        cost_module._objective_offsets(config.n_params)[0, 0] = 1.0
-
-
-# the objective's points and the bundle's, as the cost layer builds them
-BLOCKS = (cost_module._objective_points, cost_module._derivative_points)
 
 
 def without_start_cache(patch) -> None:

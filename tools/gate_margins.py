@@ -64,11 +64,11 @@ def scaled_objective(factor: float):
     """Within the block, the controller's L-BFGS objective returns factor * (cost, gradient).
 
     The hook wraps the objective `avqls.controller.bind_objective` binds at
-    each stop (in a checkout from before that binding, the controller's
-    `cost_and_gradient`). It yields a dict whose "evaluations" counts the
-    scaled objective calls, and raises RuntimeError at the end of a block
-    that made none: the hook no longer reaches the objective, and a line
-    would print the baseline under the name of a perturbation.
+    each stop; a checkout without that name raises AttributeError naming it.
+    It yields a dict whose "evaluations" counts the scaled objective calls,
+    and raises RuntimeError at the end of a block that made none: the hook
+    no longer reaches the objective, and a line would print the baseline
+    under the name of a perturbation.
     """
     import avqls.controller as controller
 
@@ -82,16 +82,14 @@ def scaled_objective(factor: float):
 
         return objective
 
-    name = "bind_objective" if hasattr(controller, "bind_objective") else "cost_and_gradient"
-    original = getattr(controller, name)
-    hook = scaled(original) if name == "cost_and_gradient" else lambda *a: scaled(original(*a))
-    setattr(controller, name, hook)
+    original = controller.bind_objective
+    controller.bind_objective = lambda *args: scaled(original(*args))
     try:
         yield tally
     finally:
-        setattr(controller, name, original)
+        controller.bind_objective = original
     if not tally["evaluations"]:
-        raise RuntimeError(f"no objective evaluation went through the hook on {name}")
+        raise RuntimeError("no objective evaluation went through the hook on bind_objective")
 
 
 def mean_run(raw: dict, seeds) -> tuple[float, float]:

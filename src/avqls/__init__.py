@@ -11,8 +11,10 @@ reasons the comment at the setting gives. (The widest matrices it names
 are those of embedded n=8 systems, such as noisy_constant with sigma 1 at
 seed 0.) So BLAS runs one thread per process, and every child process
 started afterwards inherits the setting, whether or not it uses avqls;
-`sweep --jobs N` is how to use more cores. A program that imports numpy
-or scipy before avqls keeps their default threading.
+`sweep --jobs N` is how to use more cores: it runs cells in the sweeping
+process and in up to N − 1 workers forked from it, and retries a cell
+that killed its worker only in a freshly forked one. A program that
+imports numpy or scipy before avqls keeps their default threading.
 
 Importing avqls loads numpy, numpy.random and L-BFGS-B's extension module
 scipy.optimize._lbfgsb, and no other part of scipy; a solve loads nothing
@@ -25,7 +27,7 @@ import os
 
 # One BLAS thread per process. The runs here reach n=8, whose matrices are 256
 # wide, or 512 when the system is embedded; there BLAS helper threads only
-# spin, and they take CPUs from the other `sweep --jobs` workers. At n=8 a
+# spin, and they take CPUs from the other `sweep --jobs` processes. At n=8 a
 # threaded gemm also rounds differently, so a trace would depend on the host's
 # core count. The LAPACK calls go through numpy's BLAS; scipy's serves only
 # L-BFGS-B's setulb. Each BLAS reads these variables when it loads, so this

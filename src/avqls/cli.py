@@ -28,9 +28,6 @@ from .runner import (
     write_trace,
 )
 
-log = logging.getLogger(__name__)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a configuration error (exit 1), not argparse's exit 2."""
 
@@ -55,7 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("config", help="path to a JSON run configuration")
     sweep.add_argument("--out", help="output directory (overrides config)")
     sweep.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sweep.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="processes running cells: this one and N-1 forked workers; a cell "
+        "that kills its worker is retried once, in a fresh worker only",
+    )
 
     sched = sub.add_parser("schedule", help="print a step schedule")
     sched.add_argument("--kappa", type=float, required=True)
@@ -89,8 +90,8 @@ def _cmd_solve(args) -> int:
     out_dir = _out_dir(config)
     try:
         result = run_single(config)
-    except Exception as exc:
-        log.error("solver failed: %s", exc)
+    except Exception as exc:  # a ValueError too, which main would call a configuration error
+        print(f"solver error: {exc}", file=sys.stderr)
         return 2
     if "json" in config.output.formats:
         write_trace(out_dir / "trace.json", trace_payload(config, result))

@@ -4,16 +4,20 @@ Trace JSON files contain only deterministic fields, so a rerun with the
 same config and master seed is byte-identical; wall-clock timings go to
 the CSV summaries instead.
 
-A sweep with jobs > 1 runs its cells in min(jobs, cells) workers forked
-with os.fork (_run_forked), and its outputs are byte-identical to jobs 1,
-which runs every cell in process. A cell whose worker dies is retried once
-in another worker; when that one dies too, the cell fails as "worker died
-twice running this cell (exit status 1)" or "(signal 9)". A worker that
-cannot be forked is one worker fewer, and only when none is running do the
-cells left fail, as "no worker could be forked (BlockingIOError: [Errno
-11] Resource temporarily unavailable)". A result that does not pickle
-fails its cell with the pickling error. Every cell that finished, first
-time or on the retry, keeps its trace and its sweep_details.csv row.
+A sweep with --jobs N runs its cells in N processes: this one and up to
+N − 1 workers forked with os.fork (_run_forked). Its outputs are
+byte-identical to jobs 1, which forks nothing. A cell whose worker dies is
+retried once in a freshly forked worker, never in this process, so a cell
+that kills its process cannot end the sweep; when the second worker dies
+too, the cell fails as "worker died twice running this cell (exit status
+1)" or "(signal 9)". A worker that cannot be forked is one worker fewer,
+whose cells this process runs; only a cell waiting for its retry when no
+worker runs or can be forked fails, as "no worker could be forked
+(BlockingIOError: [Errno 11] Resource temporarily unavailable)". A result
+that does not pickle fails its cell with the pickling error. Every cell
+that finished, first time or on the retry, keeps its trace and its
+sweep_details.csv row. A cell that kills this process ends the sweep and
+loses the finished cells, as with jobs 1.
 """
 
 from __future__ import annotations
@@ -270,29 +274,33 @@ def _send(conn: Connection, cell: SweepCell | None) -> None:
 
 
 def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tuple]:
-    """Outcomes of `cells` run in min(jobs, cells) forked workers, one cell at a time each.
+    """Outcomes of `cells` run in min(jobs, cells) processes: this one and the workers it forks.
 
-    Each outcome is answered with the worker's next cell, or None once none
-    is left. A worker that dies loses only its in-flight cell, which is
-    retried once in another worker; a cell whose second worker dies too is
-    recorded as failed. A worker whose pipe or fork fails (OSError) is one
-    worker fewer: its cell waits for a running worker, and only the cells
-    left when none is running are recorded as failed, with that error.
-    Every worker is reaped before this returns, also on an exception, when
-    the busy ones are killed first.
+    Each of the min(jobs, cells) − 1 workers is handed the next pending cell
+    at fork, and each outcome it sends is answered with its next cell, or
+    None once none is left. This process runs the other pending cells with
+    _run_cell and polls the workers after each; it blocks on them only when
+    no cell is left for it. A dead worker's cell waits for a retry, which
+    only a worker forked for it runs, forked whenever fewer than
+    min(jobs, cells) − 1 workers are busy. The cells still waiting when no
+    worker is busy and none can be forked are recorded as failed. Every
+    worker is reaped before this returns, also on an exception, when the
+    busy ones are killed first.
     """
-    # imported here, so that only a forking sweep loads multiprocessing; its
-    # workers inherit the modules
-    from multiprocessing.connection import Pipe, wait
     from signal import SIGKILL
 
-    pending = deque(cells)
+    pending, retries = deque(cells), deque()
     busy: dict[Connection, tuple[int, SweepCell]] = {}
     retired, died_once, outcomes = [], set(), []
+    workers = min(jobs, len(cells)) - 1
     fork_error = None
 
-    def start() -> None:
-        """Fork a worker for the next pending cell, which stays pending on an OSError."""
+    def start(queue: deque) -> bool:
+        """Fork a worker for queue[0] and pop it; on an OSError the cell stays queued."""
+        # imported here, so that only a forking sweep loads multiprocessing; its
+        # workers inherit the modules
+        from multiprocessing.connection import Pipe
+
         nonlocal fork_error
         ends = ()
         try:
@@ -302,8 +310,8 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
             for end in ends:
                 end.close()
             fork_error = f"{type(exc).__name__}: {exc}"
-            return
-        cell = pending.popleft()
+            return False
+        cell = queue.popleft()
         if pid == 0:
             # the worker inherits `config`; it holds no pipe end but its own, so
             # its death reads as EOF in the parent, and it never returns
@@ -318,37 +326,47 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
         theirs.close()
         busy[ours] = pid, cell
         _send(ours, cell)
+        return True
 
     try:
-        for _ in range(min(jobs, len(cells))):
-            start()
-        while busy:
-            for conn in wait(list(busy)):
-                pid, cell = busy[conn]
-                try:
-                    outcomes.append(conn.recv())
-                except (EOFError, OSError):  # the worker died running `cell`
-                    del busy[conn]
-                    conn.close()
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                    if cell in died_once:
-                        outcomes.append((cell, None, f"worker died twice running this cell ({how})"))
-                    else:
-                        died_once.add(cell)
-                        pending.appendleft(cell)
+        for _ in range(workers):
+            start(pending)
+        while True:
+            if busy:  # a worker was forked, so multiprocessing.connection is loaded
+                from multiprocessing.connection import wait
+
+                # a poll while this process has a cell to run, else a block
+                for conn in wait(list(busy), timeout=0 if pending else None):
+                    pid, cell = busy[conn]
+                    try:
+                        outcomes.append(conn.recv())
+                    except (EOFError, OSError):  # the worker died running `cell`
+                        del busy[conn]
+                        conn.close()
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                        if cell in died_once:
+                            error = f"worker died twice running this cell ({how})"
+                            outcomes.append((cell, None, error))
+                        else:
+                            died_once.add(cell)
+                            retries.append(cell)
+                        continue
                     if pending:
-                        start()
-                    continue
-                if pending:
-                    busy[conn] = pid, pending.popleft()
-                    _send(conn, busy[conn][1])
-                else:
-                    del busy[conn]
-                    _send(conn, None)
-                    conn.close()
-                    retired.append(pid)
-        for cell in pending:  # no worker is running, and none could be forked
+                        busy[conn] = pid, pending.popleft()
+                        _send(conn, busy[conn][1])
+                    else:
+                        del busy[conn]
+                        _send(conn, None)
+                        conn.close()
+                        retired.append(pid)
+            while retries and len(busy) < workers and start(retries):
+                pass
+            if pending:
+                outcomes.append(_run_cell(config, pending.popleft()))
+            elif not busy:
+                break
+        for cell in retries:  # no worker is running, and none could be forked
             outcomes.append((cell, None, f"no worker could be forked ({fork_error})"))
     finally:
         for conn, (pid, _) in busy.items():
@@ -361,19 +379,17 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
-    """Cartesian-product sweep; failures are recorded, not fatal.
+    """Cartesian-product sweep in `jobs` processes; failures are recorded, not fatal.
 
-    With jobs > 1 the cells run in forked workers (_run_forked), which needs
-    os.fork; a worker that dies costs only the cell it was running, and
-    every cell that finished keeps its result.
+    This process runs cells itself, beside jobs − 1 forked workers
+    (_run_forked), which need os.fork when jobs > 1. A cell that kills its
+    worker is retried once in a fresh worker, never here, and every cell
+    that finished keeps its result.
     """
     cells = _sweep_cells(config)
-    if jobs <= 1:
-        outcomes = [_run_cell(config, cell) for cell in cells]
-    elif not hasattr(os, "fork"):
+    if jobs > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"jobs {jobs}: parallel sweeps need os.fork, which this platform lacks")
-    else:
-        outcomes = _run_forked(config, cells, jobs)
+    outcomes = _run_forked(config, cells, jobs)
     found = {cell: (result, error) for cell, result, error in outcomes}
     results = {}
     errors = {}

@@ -541,6 +541,22 @@ def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("avqls.cli.run_single", boom)
     assert main(["solve", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "solver error: sweep exceeded 15 steps\n"
+
+
+def test_cli_solve_prints_a_solver_value_error_as_a_solver_error(tmp_path, monkeypatch, capsys):
+    # a ValueError from the run is the solver's, not a configuration error,
+    # and its line reaches stderr although logging is already configured
+    cfg_path = write_config(tmp_path, small_heat_raw())
+    out = tmp_path / "out"
+
+    def boom(config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("avqls.cli.run_single", boom)
+    assert main(["solve", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "solver error: boom\n")
+    assert not out.exists()
 
 
 def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch):
@@ -617,20 +633,25 @@ def test_cli_sweep_jobs_two_matches_jobs_one(tmp_path, capsys):
              "sweep": {"seeds": [2, 3]}},
             "trace_n3_d1_T4_l0_s3.json",
         ),
+        # more cells than --jobs 3 has processes, so cells are handed out after the fork
+        ({"problem": {"conductivity": "noisy_constant"}, "sweep": {"seeds": [4, 5, 6, 7, 8]}},
+         None),
     ]
     out = tmp_path / "out"  # recorded in the traces, so every run uses it
     for raw, embedded in sweeps:
         cfg_path = write_config(tmp_path, {**raw, "solver": solver})
+        cells = len(raw["sweep"]["seeds"])
         outputs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             shutil.rmtree(out, ignore_errors=True)
             assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
-            assert "2/2 cells ok" in capsys.readouterr().out
+            assert f"{cells}/{cells} cells ok" in capsys.readouterr().out
             outputs.append(sweep_outputs(out))
-        (traces_1, rows_1), (traces_2, rows_2) = outputs
-        assert len(traces_1) == 2 and len(rows_1) == 2
-        assert traces_2 == traces_1
-        assert rows_2 == rows_1
+        (traces_1, rows_1), *forked = outputs
+        assert len(traces_1) == cells and len(rows_1) == cells
+        for traces, rows in forked:
+            assert traces == traces_1
+            assert rows == rows_1
         if embedded:
             system = json.loads(traces_1[embedded])["system"]
             assert system["embedded"] and system["n_qubits"] == 4
@@ -724,46 +745,52 @@ def attempts_by_seed(tmp_path) -> dict[int, set[str]]:
 
 
 def test_cli_sweep_keeps_finished_cells_when_a_worker_dies(tmp_path, monkeypatch, capsys):
-    def seed_one_dies(seed, attempt):
-        if seed == 1:
+    # seed 0 is the first cell, so the first worker gets it at fork
+    def seed_zero_dies(seed, attempt):
+        if seed == 0:
             os._exit(1)
 
-    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_one_dies)
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_zero_dies)
     out = tmp_path / "out"  # recorded in the traces, so both runs use it
     outputs = []
-    for jobs, code in (("1", 0), ("2", 3)):
+    for jobs, code in (("2", 3), ("1", 0)):
         shutil.rmtree(out, ignore_errors=True)
         assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == code
+        if jobs == "2":
+            assert "2/3 cells ok" in capsys.readouterr().out
+            attempts = attempts_by_seed(tmp_path)
         outputs.append(sweep_outputs(out))
-    assert "2/3 cells ok" in capsys.readouterr().out.splitlines()[-1]
-    (want_traces, want_rows), (traces, rows) = outputs
+    (traces, rows), (want_traces, want_rows) = outputs
     # the cells that finished are written exactly as the in-process sweep wrote them
-    assert sorted(traces) == ["trace_n2_d1_T10_l0_s0.json", "trace_n2_d1_T10_l0_s2.json"]
+    assert sorted(traces) == ["trace_n2_d1_T10_l0_s1.json", "trace_n2_d1_T10_l0_s2.json"]
     assert traces == {name: want_traces[name] for name in traces}
     assert [row["error"] for row in rows] == [
-        "", "worker died twice running this cell (exit status 1)", "",
+        "worker died twice running this cell (exit status 1)", "", "",
     ]
-    assert [rows[0], rows[2]] == [want_rows[0], want_rows[2]]
+    assert rows[1:] == want_rows[1:]
+    assert len(attempts[0]) == 2 and f"pid{os.getpid()}" not in attempts[0]
 
 
 def test_cli_sweep_records_a_cell_that_kills_two_workers(tmp_path, monkeypatch, capsys):
-    def seed_one_dies_twice(seed, attempt):
-        if seed == 1:
+    def seed_zero_dies_twice(seed, attempt):
+        if seed == 0:
             if attempt == 0:
                 os._exit(7)
             os.kill(os.getpid(), signal.SIGKILL)
 
-    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1], seed_one_dies_twice)
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1], seed_zero_dies_twice)
     out = tmp_path / "out"
     code = main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"])
     assert code == 3
     assert "1/2 cells ok" in capsys.readouterr().out
     traces, rows = sweep_outputs(out)
-    assert sorted(traces) == ["trace_n2_d1_T10_l0_s0.json"]
+    assert sorted(traces) == ["trace_n2_d1_T10_l0_s1.json"]
     # the second death is the one recorded; the cell is not tried a third time
-    assert [row["error"] for row in rows] == ["", "worker died twice running this cell (signal 9)"]
+    assert [row["error"] for row in rows] == ["worker died twice running this cell (signal 9)", ""]
     attempts = attempts_by_seed(tmp_path)
-    assert len(attempts[1]) == 2 and not attempts[1] & attempts[0]
+    # two workers, neither of them the test process, which ran seed 1
+    assert len(attempts[0]) == 2 and not attempts[0] & attempts[1]
+    assert attempts[1] == {f"pid{os.getpid()}"}
     with open(out / "sweep_summary.csv", newline="") as fh:
         assert [row["failures"] for row in csv.DictReader(fh)] == ["1"]
 
@@ -783,8 +810,12 @@ def test_cli_sweep_retries_a_cell_whose_worker_died_once(tmp_path, monkeypatch, 
         if jobs == "2":
             attempts = attempts_by_seed(tmp_path)
         outputs.append(sweep_outputs(out))
-    # seed 0 ran in two workers; no healthy cell ran again
+    # seed 0 ran in two workers, neither of them the test process, which
+    # ran at least one of the other cells; no healthy cell ran again
     assert {seed: len(pids) for seed, pids in attempts.items()} == {0: 2, 1: 1, 2: 1, 3: 1}
+    test_process = f"pid{os.getpid()}"
+    assert test_process not in attempts[0]
+    assert any(pids == {test_process} for pids in attempts.values())
     assert outputs[0] == outputs[1]
 
 
@@ -811,7 +842,7 @@ def test_cli_sweep_forks_no_more_workers_than_cells(tmp_path, monkeypatch, capsy
         assert "2/2 cells ok" in capsys.readouterr().out
         outputs.append(sweep_outputs(out))
         forked.append(len(forks))
-    assert forked == [0, 2]
+    assert forked == [0, 1]  # the test process runs the other cell
     assert outputs[1] == outputs[0]
 
 
@@ -841,8 +872,8 @@ FOUR_CELL_SWEEP = {
 
 
 def test_cli_sweep_runs_on_when_a_worker_cannot_be_forked(tmp_path, monkeypatch, capsys):
-    # the third of four forks fails: its cell waits for one of the three
-    # running workers, and every output is what --jobs 1 writes
+    # the last of three forks fails: its cell is run by the test process, or
+    # by one of the two running workers, and every output is what --jobs 1 writes
     cfg_path = write_config(tmp_path, FOUR_CELL_SWEEP)
     out = tmp_path / "out"  # recorded in the traces, so both runs use it
     outputs = []
@@ -853,7 +884,7 @@ def test_cli_sweep_runs_on_when_a_worker_cannot_be_forked(tmp_path, monkeypatch,
         assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
         assert "4/4 cells ok" in capsys.readouterr().out
         outputs.append(output_files(out))
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert len(outputs[0]) == 6  # four traces, sweep_details.csv, sweep_summary.csv
     assert outputs[1] == outputs[0]
     with pytest.raises(ChildProcessError):
@@ -861,24 +892,53 @@ def test_cli_sweep_runs_on_when_a_worker_cannot_be_forked(tmp_path, monkeypatch,
 
 
 def test_cli_sweep_records_every_cell_when_no_worker_can_be_forked(tmp_path, monkeypatch, capsys):
-    calls = failing_fork(monkeypatch, lambda k: True)
+    # every fork fails, so the test process runs every cell and writes what --jobs 1 writes
     cfg_path = write_config(tmp_path, FOUR_CELL_SWEEP)
+    out = tmp_path / "out"  # recorded in the traces, so both runs use it
+    outputs = []
+    for jobs in ("1", "4"):
+        if jobs == "4":
+            calls = failing_fork(monkeypatch, lambda k: True)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert "4/4 cells ok" in capsys.readouterr().out
+        outputs.append(output_files(out))
+    assert len(calls) == 3
+    assert len(outputs[0]) == 6  # four traces, sweep_details.csv, sweep_summary.csv
+    assert outputs[1] == outputs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_sweep_records_a_retry_that_no_worker_can_be_forked_for(tmp_path, monkeypatch, capsys):
+    # seed 0's worker dies and every later fork fails: seed 0 waits for a
+    # fresh worker, never runs in the test process, and alone fails
+    def seed_zero_dies(seed, attempt):
+        if seed == 0:
+            os._exit(1)
+
+    cfg_path = crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_zero_dies)
+    calls = failing_fork(monkeypatch, lambda k: k > 1)
     out = tmp_path / "out"
-    assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "4"]) == 3
-    assert "0/4 cells ok" in capsys.readouterr().out
-    assert len(calls) == 4
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 3
+    assert "2/3 cells ok" in capsys.readouterr().out
+    assert len(calls) >= 2
     traces, rows = sweep_outputs(out)
-    assert traces == {}
+    assert sorted(traces) == ["trace_n2_d1_T10_l0_s1.json", "trace_n2_d1_T10_l0_s2.json"]
     assert [row["error"] for row in rows] == [
-        "no worker could be forked (BlockingIOError: [Errno 11] Resource temporarily unavailable)"
-    ] * 4
+        "no worker could be forked (BlockingIOError: [Errno 11] Resource temporarily unavailable)",
+        "", "",
+    ]
+    attempts = attempts_by_seed(tmp_path)
+    assert len(attempts[0]) == 1 and f"pid{os.getpid()}" not in attempts[0]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_sweep_runs_on_when_a_worker_pipe_cannot_be_made(monkeypatch):
-    # the third of four pipes fails as if the process ran out of file
-    # descriptors: no fork is tried for it, and its cell waits for a running worker
+    # the last of three pipes fails as if the process ran out of file
+    # descriptors: no fork is tried for it, and its cell runs in the test
+    # process or in a running worker
     pipes, forks = [], []
     real_pipe, real_fork = multiprocessing.connection.Pipe, os.fork
 
@@ -896,7 +956,7 @@ def test_run_sweep_runs_on_when_a_worker_pipe_cannot_be_made(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     config = config_from_dict(FOUR_CELL_SWEEP)
     sweep = run_sweep(config, jobs=4)
-    assert (len(pipes), len(forks)) == (4, 3)
+    assert (len(pipes), len(forks)) == (3, 2)
     assert len(sweep.cells) == 4
     assert sweep.errors == {}
     assert list(sweep.results) == sweep.cells
@@ -910,24 +970,25 @@ def test_sweep_outcome_that_does_not_pickle_is_that_cells_error(monkeypatch):
     raw["sweep"] = {"seeds": [0, 1, 2]}
     real_run_single = runner.run_single
 
-    def unpicklable_for_seed_one(config, seed=None):
+    # seed 0 is the first cell, so the first worker runs it and must pickle its outcome
+    def unpicklable_for_seed_zero(config, seed=None):
         result = real_run_single(config, seed=seed)
-        return (lambda: result) if seed == 1 else result
+        return (lambda: result) if seed == 0 else result
 
-    monkeypatch.setattr(runner, "run_single", unpicklable_for_seed_one)
+    monkeypatch.setattr(runner, "run_single", unpicklable_for_seed_zero)
     sweep = run_sweep(config_from_dict(raw), jobs=2)
     cells = sweep.cells
-    assert list(sweep.results) == [cells[0], cells[2]]
-    assert list(sweep.errors) == [cells[1]]
-    assert "pickle" in sweep.errors[cells[1]]
+    assert list(sweep.results) == [cells[1], cells[2]]
+    assert list(sweep.errors) == [cells[0]]
+    assert "pickle" in sweep.errors[cells[0]]
 
 
 def test_run_sweep_leaves_no_child_process(tmp_path, monkeypatch):
-    def seed_one_dies_once(seed, attempt):
-        if seed == 1 and attempt == 0:
+    def seed_zero_dies_once(seed, attempt):
+        if seed == 0 and attempt == 0:
             os._exit(1)
 
-    config = load_config(crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_one_dies_once))
+    config = load_config(crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_zero_dies_once))
     assert not run_sweep(config, jobs=2).any_failed
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

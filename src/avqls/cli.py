@@ -1,13 +1,13 @@
 """Command-line interface: solve, sweep, schedule and verify subcommands.
 
 Exit codes: 0 success, 1 configuration error (a usage error included),
-2 solver error, 3 partial sweep failure.
+2 solver error, 3 partial sweep failure. This is the one module that writes
+to the terminal; the rest of avqls returns results and raises errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="avqls",
         description="Adiabatic variational linear-system solver (classical emulation)",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="per-step logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a single configured problem")
@@ -67,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if getattr(args, "out", None):
+    if args.out is not None:
         config = replace(config, output=replace(config.output, dir=args.out))
     return config
 
@@ -117,7 +116,9 @@ def _cmd_sweep(args) -> int:
         error = sweep.errors.get(cell, "")
         cell_cfg = cell_config(config, cell)
         rows.append(summary_row(cell_cfg, result, cell.seed, error=error))
-        if result is not None and "json" in config.output.formats:
+        if result is None:
+            print(f"sweep cell {cell.tag()} failed: {error}", file=sys.stderr)
+        elif "json" in config.output.formats:
             payload = trace_payload(cell_cfg, result, seed=cell_seed(config, cell))
             write_trace(out_dir / f"trace_{cell.tag()}.json", payload)
     if "csv" in config.output.formats:
@@ -136,10 +137,6 @@ def _cmd_schedule(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s %(message)s",
-        )
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "sweep":
@@ -149,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             from .verify import run_battery  # loaded only by the command that runs it
 
-            return 0 if run_battery() else 2
+            return 0 if run_battery(print) else 2
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,6 @@ of its wrapper; tests/test_controller.py checks that.
 
 from __future__ import annotations
 
-import logging
 import sys
 import time
 from dataclasses import dataclass
@@ -66,8 +65,6 @@ __all__ = [
     "propose_step",
     "solve_adiabatic",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _load_setulb():
@@ -408,16 +405,6 @@ def solve_adiabatic(
             note="" if res.converged else res.message,
         )
         steps.append(record)
-        log.info(
-            "step,%d,%.8f,%s,%.3e,%d,%.6e,%.3e",
-            record.index,
-            record.s,
-            record.kind.value,
-            record.delta_s,
-            record.iterations,
-            record.cost,
-            record.grad_norm,
-        )
         theta = res.theta
         s = s_next
         if len(steps) > max_steps:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import os
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -58,8 +57,6 @@ __all__ = [
     "run_sweep",
     "emit_schedule",
 ]
-
-log = logging.getLogger(__name__)
 
 TRACE_SCHEMA = "avqls-trace/2"
 
@@ -398,7 +395,6 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
         if error is None:
             results[cell] = result
         else:
-            log.warning("sweep cell %s failed: %s", cell.tag(), error)
             errors[cell] = error
     return SweepResult(cells=cells, results=results, errors=errors)
 

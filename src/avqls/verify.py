@@ -302,8 +302,8 @@ _CHECKS = [
 ]
 
 
-def run_battery(echo=print) -> bool:
-    """Run every invariant check, print one line each, return overall pass."""
+def run_battery(echo) -> bool:
+    """Run every invariant check, pass one line each to `echo`, return overall pass."""
     all_ok = True
     for name, defect, bound, label in _CHECKS:
         try:

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import itertools
 import json
+import logging
 import multiprocessing.connection
 import os
 import re
@@ -533,6 +534,25 @@ def test_cli_refuses_an_output_dir_that_cannot_be_one_before_any_run(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "config.json"]
 
 
+@pytest.mark.parametrize(
+    "command, raw", [("solve", small_heat_raw()), ("sweep", TWO_CELL_SWEEP)], ids=["solve", "sweep"]
+)
+def test_cli_refuses_an_empty_out_before_any_run(tmp_path, monkeypatch, capsys, command, raw):
+    # an empty --out overrides output.dir, whose own check refuses it
+    def never(config, seed=None):
+        raise AssertionError("run before the output directory was checked")
+
+    monkeypatch.setattr("avqls.cli.run_single", never)
+    monkeypatch.setattr(runner, "run_single", never)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, {**raw, "output": {"dir": str(tmp_path / "cfgdir")}})
+    assert main([command, str(cfg_path), "--out", ""]) == 1
+    assert capsys.readouterr() == (
+        "", "configuration error: output.dir: expected a non-empty string\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, small_heat_raw())
 
@@ -545,8 +565,7 @@ def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_solve_prints_a_solver_value_error_as_a_solver_error(tmp_path, monkeypatch, capsys):
-    # a ValueError from the run is the solver's, not a configuration error,
-    # and its line reaches stderr although logging is already configured
+    # a ValueError from the run is the solver's, not a configuration error
     cfg_path = write_config(tmp_path, small_heat_raw())
     out = tmp_path / "out"
 
@@ -559,7 +578,9 @@ def test_cli_solve_prints_a_solver_value_error_as_a_solver_error(tmp_path, monke
     assert not out.exists()
 
 
-def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch):
+def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch, capsys, caplog):
+    # the caller's logging, set to ERROR, neither hides the failed cell's line nor receives it
+    caplog.set_level(logging.ERROR)
     raw = small_heat_raw()
     raw["problem"]["conductivity"] = "noisy_constant"
     raw["sweep"] = {"seeds": [0, 1]}
@@ -576,8 +597,17 @@ def test_cli_sweep_partial_failure_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "out"
     code = main(["sweep", str(cfg_path), "--out", str(out)])
     assert code == 3
-    details = (out / "sweep_details.csv").read_text()
-    assert "injected failure" in details
+    assert capsys.readouterr() == (
+        "sweep finished: 1/2 cells ok\n",
+        "sweep cell n2_d1_T10_l0_s1 failed: RuntimeError: injected failure\n",
+    )
+    assert caplog.records == []
+    with open(out / "sweep_details.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["seed"], row["kappa"] == "", row["error"]) for row in rows] == [
+        ("0", False, ""),
+        ("1", True, "RuntimeError: injected failure"),
+    ]
     assert (out / "sweep_summary.csv").exists()
 
 
@@ -1038,22 +1068,25 @@ def test_import_sets_one_blas_thread_unless_exported():
         assert proc.stdout.strip() == expected
 
 
-def run_probe(*lines: str) -> None:
+def run_probe(*lines: str) -> str:
+    """Runs `lines` in a fresh interpreter, which must exit 0; returns its stderr."""
     proc = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], env=cli_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stderr
 
 
 def test_a_run_loads_numpy_random_with_avqls_and_no_scipy_package():
     # numpy.random comes with avqls, so a forked sweep worker does not import
     # it in its first cell; of scipy only L-BFGS-B's extension module loads.
     # multiprocessing loads only when a sweep forks its first worker, and the
-    # verify battery only for `avqls verify`.
+    # verify battery only for `avqls verify`. Nothing loads logging.
     run_probe(
         "import sys, avqls",
         "assert 'numpy.random' in sys.modules",
         "import avqls.cli",
+        "assert 'logging' not in sys.modules",
         "raw = {'solver': {'n': 3, 'd': 1, 'T': 5, 'schedule': 'hessian'}}",
         "avqls.run_single(avqls.config_from_dict(raw))",
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
@@ -1063,7 +1096,27 @@ def test_a_run_loads_numpy_random_with_avqls_and_no_scipy_package():
         "assert loaded == [] and 'avqls.verify' not in sys.modules, loaded",
         f"avqls.run_sweep(avqls.config_from_dict({TWO_CELL_SWEEP!r}), jobs=2)",
         "assert 'multiprocessing.connection' in sys.modules",
+        "assert 'logging' not in sys.modules",
     )
+
+
+def test_run_sweep_returns_a_failed_cell_and_writes_nothing_to_stderr():
+    stderr = run_probe(
+        "import avqls, avqls.runner as runner",
+        "real = runner.run_single",
+        "def flaky(config, seed=None):",
+        "    if seed == 1:",
+        "        raise RuntimeError('injected failure')",
+        "    return real(config, seed=seed)",
+        "runner.run_single = flaky",
+        "for jobs in (1, 2):",
+        f"    sweep = avqls.run_sweep(avqls.config_from_dict({TWO_CELL_SWEEP!r}), jobs=jobs)",
+        "    assert [cell.seed for cell in sweep.results] == [0], sweep.errors",
+        "    assert [(cell.seed, error) for cell, error in sweep.errors.items()] == [",
+        "        (1, 'RuntimeError: injected failure')",
+        "    ]",
+    )
+    assert stderr == ""
 
 
 @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "avqls-first"])
@@ -1126,8 +1179,9 @@ def test_cli_schedule_subcommand(capsys):
         (["solve", "CFG", "--dump-system"], "unrecognized arguments: --dump-system"),
         (["schedule", "--kappa", "3", "--format", "json"], "unrecognized arguments: --format json"),
         (["schedule", "--kappa", "3", "--out", "f"], "unrecognized arguments: --out f"),
+        (["-v", "solve", "CFG"], "unrecognized arguments: -v"),
     ],
-    ids=["bad-kappa", "no-config", "dump-system", "format", "schedule-out"],
+    ids=["bad-kappa", "no-config", "dump-system", "format", "schedule-out", "verbose"],
 )
 def test_cli_usage_error_is_a_config_error(tmp_path, argv, message):
     cfg_path = write_config(tmp_path, small_heat_raw())
@@ -1186,27 +1240,6 @@ def test_cli_verify_subcommand(capsys):
     for line, (name, label) in zip(lines, VERIFY_LINES):
         pattern = rf"\[ ok \] {re.escape(name)}: {re.escape(label)} \d\.\d\de[+-]\d\d"
         assert re.fullmatch(pattern, line), line
-
-
-def test_cli_verbose_logs_one_line_per_step(tmp_path):
-    # in a subprocess: pytest's log handlers make logging.basicConfig a no-op here
-    cfg_path = write_config(tmp_path, small_heat_raw())
-    stderr = {}
-    for flags in (["-v"], []):
-        out = tmp_path / f"out{len(flags)}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "avqls.cli", *flags, "solve", str(cfg_path), "--out", str(out)],
-            env=cli_env(),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        stderr[bool(flags)] = proc.stderr.splitlines()
-    steps = json.loads((tmp_path / "out1" / "trace.json").read_text())["steps"]
-    assert len(steps) > 1
-    assert all(line.startswith("INFO avqls.controller step,") for line in stderr[True])
-    assert [line.split(",")[1] for line in stderr[True]] == [str(s["index"]) for s in steps]
-    assert stderr[False] == []
 
 
 def test_console_entry_point():

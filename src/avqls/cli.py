@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
         write_aggregate(out_dir / "sweep_summary.csv", aggregate_rows(sweep))
     done = len(sweep.results)
     print(f"sweep finished: {done}/{len(sweep.cells)} cells ok")
-    return 3 if sweep.any_failed else 0
+    return 3 if sweep.errors else 0
 
 
 def _cmd_schedule(args) -> int:

@@ -52,7 +52,6 @@ __all__ = [
     "cost",
     "bind_objective",
     "cost_gradient",
-    "cost_and_gradient",
     "hessian_bundle",
     "hessian_extrapolate",
 ]
@@ -62,7 +61,6 @@ class CostModel:
     """D = M - I of the prepared matrix M, which fixes the s-expansion."""
 
     d_op: np.ndarray
-    dim: int
 
 
 def build_cost_model(source) -> CostModel:
@@ -75,14 +73,13 @@ def build_cost_model(source) -> CostModel:
     matrix = np.asarray(getattr(source, "matrix", source), dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    dim = matrix.shape[0]
-    return CostModel(d_op=matrix - np.eye(dim), dim=dim)
+    return CostModel(d_op=matrix - np.eye(len(matrix)))
 
 
 def assemble_hamiltonian(model: CostModel, s: float) -> np.ndarray:
     """Dense H(s) = A(s)^T P A(s) with A(s) = I + s D."""
     check_s(s)
-    pencil = np.eye(model.dim) + s * model.d_op
+    pencil = np.eye(len(model.d_op)) + s * model.d_op
     projected = pencil.copy()
     projected[0] = 0.0
     return pencil.T @ projected
@@ -189,19 +186,12 @@ def bind_objective(
     return objective
 
 
-def cost_and_gradient(
-    model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
-) -> tuple[float, np.ndarray]:
-    """(C_s(theta), its pi/2 shift-rule gradient): bind_objective's objective, read once."""
-    theta = np.asarray(theta, dtype=float)
-    return bind_objective(model, config, theta, s)(theta)
-
-
 def cost_gradient(
     model: CostModel, config: AnsatzConfig, theta: np.ndarray, s: float
 ) -> np.ndarray:
     """Exact gradient of C_s: the L-BFGS objective's gradient, from its 2 n_p + 1 points."""
-    return cost_and_gradient(model, config, theta, s)[1]
+    theta = np.asarray(theta, dtype=float)
+    return bind_objective(model, config, theta, s)(theta)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,8 +292,8 @@ def _check_inputs(model: CostModel, config: AnsatzConfig, theta: np.ndarray) -> 
         raise ValueError(
             f"expected {config.n_params} parameters, got shape {theta.shape}"
         )
-    if model.dim != config.dim:
+    if len(model.d_op) != config.dim:
         raise ValueError(
-            f"model dimension {model.dim} does not match ansatz dimension {config.dim}"
+            f"model dimension {len(model.d_op)} does not match ansatz dimension {config.dim}"
         )
     return theta

@@ -211,10 +211,6 @@ class SweepResult:
     results: dict
     errors: dict
 
-    @property
-    def any_failed(self) -> bool:
-        return bool(self.errors)
-
 
 def _sweep_cells(config: RunConfig) -> list[SweepCell]:
     sweep = config.sweep
@@ -378,10 +374,7 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Cartesian-product sweep in `jobs` processes; failures are recorded, not fatal.
 
-    This process runs cells itself, beside jobs − 1 forked workers
-    (_run_forked), which need os.fork when jobs > 1. A cell that kills its
-    worker is retried once in a fresh worker, never here, and every cell
-    that finished keeps its result.
+    The module docstring states how the processes are forked and a cell retried.
     """
     cells = _sweep_cells(config)
     if jobs > 1 and not hasattr(os, "fork"):

@@ -7,9 +7,9 @@ import numpy as np
 from .ansatz import AnsatzConfig, apply_ansatz
 from .cost import (
     assemble_hamiltonian,
+    bind_objective,
     build_cost_model,
     cost,
-    cost_and_gradient,
     cost_gradient,
     hessian_bundle,
     hessian_extrapolate,
@@ -207,7 +207,7 @@ def start_rule_defect(cases) -> float:
     chi_ij = psi(pi e_i + pi e_j) = sigma_ij e_{b_ij}. So C = H_00,
     dC_i = H_{0,b_i}, H_ii = (H_{b_i,b_i} - H_00) / 2 and
     H_ij = (H_{b_i,b_j} + sigma_ij H_{b_ij,0}) / 2 are entries of
-    assemble_hamiltonian, compared here with cost_and_gradient and
+    assemble_hamiltonian, compared here with the bound objective and
     hessian_bundle. This is why a run charges no circuits for them.
     """
     defects = []
@@ -221,7 +221,7 @@ def start_rule_defect(cases) -> float:
             sign, index_ij = _flipped_start(config, {i, j})
             rule[i, j] = rule[j, i] = rule[i, j] + sign * ham[index_ij, 0] / 2.0
         zero = np.zeros(n_p)
-        value, grad = cost_and_gradient(model, config, zero, s)
+        value, grad = bind_objective(model, config, zero, s)(zero)
         defects += [
             abs(value - ham[0, 0]),
             np.abs(grad - ham[0, index]).max(),

@@ -120,7 +120,7 @@ def product_loop_state(config: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
 def loop_operators(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (a_op, b_op, c_op) built from D."""
     d_op = model.d_op
-    proj = np.eye(model.dim)
+    proj = np.eye(len(d_op))
     proj[0, 0] = 0.0
     return d_op.T @ proj @ d_op, d_op.T @ proj + proj @ d_op, proj
 

@@ -367,7 +367,7 @@ def test_sweep_cell_matches_single_run():
         "sweep": {"seeds": [3]},
     }
     sweep = run_sweep(config_from_dict(raw))
-    assert not sweep.any_failed
+    assert sweep.errors == {}
     cell_result = sweep.results[sweep.cells[0]]
 
     single_raw = {k: v for k, v in raw.items() if k != "sweep"}
@@ -1019,7 +1019,7 @@ def test_run_sweep_leaves_no_child_process(tmp_path, monkeypatch):
             os._exit(1)
 
     config = load_config(crash_sweep(tmp_path, monkeypatch, [0, 1, 2], seed_zero_dies_once))
-    assert not run_sweep(config, jobs=2).any_failed
+    assert run_sweep(config, jobs=2).errors == {}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

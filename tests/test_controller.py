@@ -320,7 +320,7 @@ def n3_model():
 
 
 def cost_at_n3_d2(x):
-    return cost_module.cost_and_gradient(n3_model(), N3_D2, x, 0.75)
+    return cost_module.bind_objective(n3_model(), N3_D2, x, 0.75)(x)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +393,34 @@ def test_minimize_cost_ignores_a_hessian_that_is_not_positive_definite():
     for floor in (controller_module._EPS_PSD, 0.0, -1.0):
         hessian = np.diag([floor, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert_same_result(minimize_cost(fun, np.zeros(6), solver, hessian), plain)
+
+
+def test_the_psd_slack_is_1e_8():
+    # The slack is written out here, so a change to _EPS_PSD fails a test
+    # that states it. Just above the slack, minimize_cost whitens: the cost
+    # is its own quadratic model with no slope along e1, so the model test
+    # passes and the Newton step ends the solve at its second evaluation.
+    # Just inside it, the solve is the plain one. propose_step falls back to
+    # the schedule only when lambda_min(H_s) is below minus the slack.
+    target = np.array([0.0, 1.0, -2.0, 3.0, -1.0, 2.0])
+    z = np.zeros((2, 2))
+    for lam, whitens, kind in (
+        (2e-8, True, StepKind.FALLBACK_SCHEDULE),
+        (5e-9, False, StepKind.JUMP_TO_ONE),
+    ):
+        weights = np.array([lam, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+        def fun(x):
+            r = x - target
+            return 100.0 + 0.5 * float(weights @ r**2), weights * r
+
+        plain = minimize_cost(fun, np.zeros(6))
+        res = minimize_cost(fun, np.zeros(6), SolverConfig(), np.diag(weights))
+        if whitens:
+            assert (res.converged, res.nfev) == (True, 2) and plain.nfev > 2
+        else:
+            assert_same_result(res, plain)
+        assert propose_step(make_bundle(np.diag([-lam, 1.0]), z, z, s=0.3), 0.05).kind is kind
 
 
 def test_minimize_cost_takes_the_newton_step_first():

@@ -19,7 +19,6 @@ from avqls.cost import (
     bind_objective,
     build_cost_model,
     cost,
-    cost_and_gradient,
     cost_gradient,
     hessian_bundle,
     hessian_extrapolate,
@@ -216,7 +215,7 @@ def test_batched_derivatives_match_loop_reference(n):
     s = 0.6
     grad, h_s, k_a, k_b = loop_shift_rule(model, config, theta, s, 0.7)
     assert np.allclose(cost_gradient(model, config, theta, s), grad, rtol=0, atol=BATCH_TOL)
-    value, fused_grad = cost_and_gradient(model, config, theta, s)
+    value, fused_grad = bind_objective(model, config, theta, s)(theta)
     ea, eb, ec = loop_terms(model, config, theta)
     assert abs(value - (s * s * ea + s * eb + ec)) <= BATCH_TOL
     assert np.allclose(fused_grad, grad, rtol=0, atol=BATCH_TOL)
@@ -316,7 +315,7 @@ def test_cached_offsets_give_the_explicit_points(monkeypatch):
             table[0, 0] = 1.0
     seen = recorded_apply(monkeypatch)
     cost_gradient(model, config, theta, 0.4)
-    cost_and_gradient(model, config, theta, 0.4)
+    bind_objective(model, config, theta, 0.4)(theta)
     hessian_bundle(model, config, theta, 0.4)
     assert len(seen) == 3
     # cost_gradient reads the objective's points
@@ -345,7 +344,7 @@ def test_start_states_are_what_apply_ansatz_returns(n, d):
 
 def start_results(model, config, s):
     zero = np.zeros(config.n_params)
-    value, grad = cost_and_gradient(model, config, zero, s)
+    value, grad = bind_objective(model, config, zero, s)(zero)
     bundle = hessian_bundle(model, config, zero, s)
     return [np.float64(value), grad, bundle.h_s, bundle.k_a, bundle.k_b]
 
@@ -380,7 +379,7 @@ def test_negative_zero_is_simulated(monkeypatch):
     # -0.0 is not the cached start: cos(-0/2) = 1 but sin(-0/2) = -0.0
     signed = zero.copy()
     signed[4] = -0.0
-    cost_and_gradient(model, config, signed, 0.5)
+    bind_objective(model, config, signed, 0.5)(signed)
     hessian_bundle(model, config, signed, 0.5)
     assert len(seen) == 2
     for got, want in zip(seen, explicit_points(signed)):
@@ -411,8 +410,8 @@ def test_bound_objective_is_the_composition_bitwise(monkeypatch):
         value, grad = objective(point)
         assert [len(points) for points in seen] == [2 * n_p + 1] * calls
         want = composed_objective(model, config, point, s)
-        # cost_and_gradient binds at the point itself and reads it once
-        for got in ((value, grad), cost_and_gradient(model, config, point, s)):
+        # an objective bound at the point itself, read once
+        for got in ((value, grad), bind_objective(model, config, point, s)(point)):
             assert type(got[0]) is float
             assert bitwise_equal(np.float64(got[0]), np.float64(want[0]))
             assert bitwise_equal(got[1], want[1])
@@ -491,9 +490,8 @@ def test_binding_checks_its_inputs_when_made(monkeypatch):
         bind_objective(model, config, np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="model dimension 8 does not match ansatz dimension 4"):
         bind_objective(build_cost_model(np.eye(8)), config, theta, 0.5)
-    # and cost_and_gradient, the binding read once, raises the same
     with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(2, 4\)"):
-        cost_and_gradient(model, config, np.zeros((2, 4)), 0.5)
+        bind_objective(model, config, np.zeros((2, 4)), 0.5)
     assert seen == []
 
 

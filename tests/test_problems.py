@@ -103,6 +103,14 @@ def test_conductivity_stays_positive():
     assert np.all(lam > 0.01 * 1.0 - 1e-15)
 
 
+def test_conductivity_floor_is_one_percent_of_the_mean():
+    # With sigma 1 over 1024 sites a draw lands in (0.1%, 1%] of the mean,
+    # 1.0, and is redrawn; one at 2.4% is kept.
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=1.0)
+    lam = sample_conductivity(prof, 1024, seed=0)
+    assert 0.01 < lam.min() < 0.1
+
+
 def test_profile_validation():
     with pytest.raises(ConfigError, match=r"^problem\.sigma: must be > 0\.0"):
         ProblemConfig(conductivity="noisy_constant", sigma=0.0)

@@ -14,6 +14,7 @@ from avqls import (
     uniform_sequence,
     v_bounds,
 )
+from avqls.schedule import check_s
 
 
 def analytic_s(v: float, kappa: float) -> float:
@@ -82,6 +83,17 @@ def test_s_of_v_rejects_out_of_range():
         s_of_v(v_min - 1.0, 2.0)
 
 
+def test_s_of_v_clamps_within_1e_8_of_the_unit_interval():
+    # The endpoint slack is written out here. At kappa = 1e6 a v inside the
+    # bounds' own slack maps 1.45e-8 below 0, which is refused; half as far
+    # out it maps about 7e-9 below 0, which is clamped to 0.
+    v_min, v_max = v_bounds(1e6)
+    slack = 1e-9 * (v_max - v_min)
+    with pytest.raises(InvalidScheduleError, match=r"deviates from \[0, 1\] beyond 1e-08"):
+        s_of_v(v_min - slack, 1e6)
+    assert s_of_v(v_min - slack / 2, 1e6) == 0.0
+
+
 def test_default_sequence_basics():
     grid = default_sequence(1.0, 2)
     assert np.allclose(grid, [0.0, 0.5, 1.0], atol=1e-14)
@@ -137,6 +149,18 @@ def test_next_increment_walks_the_grid():
 def test_next_increment_at_the_top():
     # nothing left to step over: the increment collapses to zero
     assert next_increment(uniform_sequence(4), 1.0) == 0.0
+
+
+def test_s_is_in_range_and_a_grid_point_reached_within_1e_12():
+    # the round-off slack on s, written out: 5e-13 is inside it, 5e-12 outside
+    for s in (-5e-13, 1.0 + 5e-13):
+        check_s(s)
+    for s in (-5e-12, 1.0 + 5e-12):
+        with pytest.raises(ValueError, match="must lie in"):
+            check_s(s)
+    grid = uniform_sequence(2)
+    assert next_increment(grid, 0.5 - 5e-13) == 1.0 - (0.5 - 5e-13)
+    assert next_increment(grid, 0.5 - 5e-12) == 0.5 - (0.5 - 5e-12)
 
 
 def test_payload_round_trip():

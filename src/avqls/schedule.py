@@ -2,6 +2,9 @@
 
 The grid is uniform in an auxiliary variable v and mapped through a closed
 form s(v) that concentrates steps near s = 1 for ill-conditioned systems.
+v is taken only in [v_min, v_max], and s(v), which misses [0, 1] there by
+round-off only, is clamped into it. A grid's ends are set to exactly 0
+and 1, and a grid that is not strictly increasing is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
 # Round-off slack on the adiabatic parameter: an s within S_TOL of [0, 1]
 # is in range, and a grid point (or 1) within S_TOL past s has been reached.
 S_TOL = 1e-12
-_ENDPOINT_TOL = 1e-8
 # sigma_min <= _SINGULAR_RATIO * sigma_max is singular to working precision,
 # so a schedule accepts kappa < 1 / _SINGULAR_RATIO and no larger.
 _SINGULAR_RATIO = 1e-14
@@ -68,18 +70,13 @@ def v_bounds(kappa: float) -> tuple[float, float]:
 def s_of_v(v: float, kappa: float) -> float:
     """Map the auxiliary variable to the adiabatic parameter s in [0, 1]."""
     v_min, v_max = v_bounds(kappa)
-    slack = 1e-9 * max(1.0, v_max - v_min)
-    if v < v_min - slack or v > v_max + slack:
+    if not v_min <= v <= v_max:
         raise InvalidScheduleError(
             f"v={v} outside schedule bounds [{v_min}, {v_max}] for kappa={kappa}"
         )
     k2 = kappa * kappa
     r = math.sqrt((1.0 + k2) / (2.0 * k2))
     value = (math.exp(v * r) + 2.0 * k2 - k2 * math.exp(-v * r)) / (2.0 * (1.0 + k2))
-    if value < -_ENDPOINT_TOL or value > 1.0 + _ENDPOINT_TOL:
-        raise InvalidScheduleError(
-            f"s(v={v}) = {value} deviates from [0, 1] beyond {_ENDPOINT_TOL}"
-        )
     return min(max(value, 0.0), 1.0)
 
 
@@ -88,10 +85,6 @@ def default_sequence(kappa: float, T: int) -> np.ndarray:
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
     grid = np.array([s_of_v(v, kappa) for v in np.linspace(*v_bounds(kappa), T + 1)])
-    if abs(grid[0]) > _ENDPOINT_TOL or abs(grid[-1] - 1.0) > _ENDPOINT_TOL:
-        raise InvalidScheduleError(
-            f"schedule endpoints ({grid[0]}, {grid[-1]}) deviate from (0, 1)"
-        )
     grid[0] = 0.0
     grid[-1] = 1.0
     if np.any(np.diff(grid) <= 0.0):

@@ -43,17 +43,12 @@ def _worst(defects) -> float:
 
 
 def schedule_endpoint_defect(kappas, steps: int) -> float:
-    """Worst |s(v_min)| and |s(v_max) - 1| over kappas.
-
-    Infinite when a default grid of `steps` stops at some kappa is not
-    strictly increasing.
-    """
+    """Worst |s(v_min)| and |s(v_max) - 1| over kappas."""
     defects = []
     for kappa in kappas:
         v_min, v_max = v_bounds(kappa)
         defects += [abs(s_of_v(v_min, kappa)), abs(s_of_v(v_max, kappa) - 1.0)]
-        if not np.all(np.diff(default_sequence(kappa, steps)) > 0.0):
-            return np.inf
+        default_sequence(kappa, steps)  # raises unless the grid strictly increases
     return _worst(defects)
 
 

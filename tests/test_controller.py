@@ -542,6 +542,22 @@ def test_solve_adiabatic_dynamic_walks_schedule():
     assert s_vals[0] > 0.2
 
 
+def test_solve_adiabatic_refuses_a_schedule_that_does_not_advance(monkeypatch):
+    # with a zero increment s never moves: the 8th solve exceeds T + 5 = 7 steps and raises
+    system = prepare(np.diag([2.0, 1.0, 0.5, 0.25]), np.array([1.0, 1.0, 0.0, 0.0]))
+    solves = []
+
+    def recording_minimize(*args):
+        solves.append(args)
+        return minimize_cost(*args)
+
+    monkeypatch.setattr(controller_module, "next_increment", lambda grid, s: 0.0)
+    monkeypatch.setattr(controller_module, "minimize_cost", recording_minimize)
+    with pytest.raises(RuntimeError, match=r"^sweep exceeded 7 steps; schedule is not advancing$"):
+        solve_adiabatic(system, AnsatzConfig(n=2, d=2), SolverConfig(T=2, schedule="fixed"))
+    assert len(solves) == 8
+
+
 def test_solve_adiabatic_solves_small_heat_problem():
     a, b, system = heat_2q()
     config = AnsatzConfig(n=2, d=1)

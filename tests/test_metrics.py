@@ -27,6 +27,13 @@ def test_infidelity_requires_unit_vectors():
         infidelity(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
+def test_infidelity_takes_vectors_within_1e_8_of_unit_norm():
+    e1 = np.array([1.0, 0.0])
+    assert infidelity(np.array([1.0 + 5e-9, 0.0]), e1) == 0.0
+    with pytest.raises(ValueError, match="unit-normalized"):
+        infidelity(np.array([1.0 + 5e-8, 0.0]), e1)
+
+
 def test_accuracy_exact_solution_is_one():
     rng = np.random.default_rng(3)
     a = np.diag([3.0, 2.0, 1.0, 0.5]) + 0.1 * rng.normal(size=(4, 4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import avqls.problems as problems_module
 import avqls.verify as verify
 from avqls import (
     AnsatzConfig,
@@ -111,6 +112,23 @@ def test_conductivity_floor_is_one_percent_of_the_mean():
     assert 0.01 < lam.min() < 0.1
 
 
+def test_conductivity_is_redrawn_at_most_100_times(monkeypatch):
+    # a generator whose every draw lands below the floor: the first draw,
+    # 100 redraws, then the error
+    draws = []
+
+    class BelowFloor:
+        def normal(self, loc, scale, size):
+            draws.append(size)
+            return np.full(size, -10.0)
+
+    monkeypatch.setattr(problems_module, "default_rng", lambda seed: BelowFloor())
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=1.0)
+    with pytest.raises(RuntimeError, match=r"after 100 redraws$"):
+        sample_conductivity(prof, 4)
+    assert len(draws) == 1 + 100
+
+
 def test_profile_validation():
     with pytest.raises(ConfigError, match=r"^problem\.sigma: must be > 0\.0"):
         ProblemConfig(conductivity="noisy_constant", sigma=0.0)
@@ -141,6 +159,12 @@ def test_source_validation():
 def test_householder_identity_for_e1():
     assert np.array_equal(householder(np.array([1.0, 0.0, 0.0, 0.0])), np.eye(4))
     assert np.array_equal(householder(np.array([2.5, 0.0])), np.eye(2))
+
+
+def test_householder_is_the_identity_within_1e_24_of_e1():
+    # |b/|b| - e1|^2 is 2.5e-25 for the first, under the cut, and 4e-24 for the second
+    assert np.array_equal(householder(np.array([1.0, 5e-13])), np.eye(2))
+    assert not np.array_equal(householder(np.array([1.0, 2e-12])), np.eye(2))
 
 
 def test_householder_two_dim_example():
@@ -228,6 +252,35 @@ def test_embedding_matches_block_construction():
         packaged = s2.T @ assemble_hamiltonian(model, s) @ s2
         # same Hamiltonian up to the basis change and the uniform rescale
         assert np.allclose(packaged, direct, atol=1e-10)
+
+
+def test_prepare_calls_a_matrix_singular_at_1e_14_of_its_largest_eigenvalue():
+    # refused by prepare's own eigenvalue test, before condition_number's
+    # (whose message names sigma_min / sigma_max)
+    b = np.array([1.0, 1.0])
+    assert prepare(np.diag([1.0, 5e-14]), b).kappa == pytest.approx(2e13, rel=0.01)
+    with pytest.raises(SingularMatrixError, match=r"^matrix is singular to working precision$"):
+        prepare(np.diag([1.0, 5e-15]), b)
+
+
+def test_prepare_embeds_an_eigenvalue_within_1e_12_of_the_imaginary_axis():
+    # the half-plane test counts an eigenvalue as positive from 1e-12 of the largest
+    b = np.array([1.0, 1.0])
+    assert prepare(np.diag([1.0, 5e-13]), b).embedded is True
+    assert prepare(np.diag([1.0, 5e-12]), b).embedded is False
+
+
+def test_recover_solution_needs_a_solution_block_of_norm_1e_12():
+    # an embedded state whose |+> ancilla block has norm `weight`
+    system = prepare(np.diag([1.0, -1.0]), np.array([1.0, 0.0]))
+    assert system.embedded
+    minus = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+    plus = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
+    state = system.householder_emb @ (minus + 5e-13 * plus)
+    with pytest.raises(ValueError, match="no weight in the solution block"):
+        recover_solution(system, state)
+    state = system.householder_emb @ (minus + 5e-12 * plus)
+    assert abs(np.linalg.norm(recover_solution(system, state)) - 1.0) < 1e-12
 
 
 def test_recover_solution_embedded_round_trip():

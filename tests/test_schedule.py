@@ -76,22 +76,29 @@ def test_s_of_v_matches_closed_form():
 
 
 def test_s_of_v_rejects_out_of_range():
-    v_min, v_max = v_bounds(2.0)
-    with pytest.raises(InvalidScheduleError):
-        s_of_v(v_max + 1.0, 2.0)
-    with pytest.raises(InvalidScheduleError):
-        s_of_v(v_min - 1.0, 2.0)
+    # exactly [v_min, v_max]: one ulp past either bound, or NaN, is refused
+    for kappa in (1.0, 2.0, 1e6):
+        v_min, v_max = v_bounds(kappa)
+        outside = (
+            v_max + 1.0,
+            v_min - 1.0,
+            math.nextafter(v_min, -math.inf),
+            math.nextafter(v_max, math.inf),
+            math.nan,
+        )
+        for v in outside:
+            with pytest.raises(InvalidScheduleError, match="outside schedule bounds"):
+                s_of_v(v, kappa)
 
 
-def test_s_of_v_clamps_within_1e_8_of_the_unit_interval():
-    # The endpoint slack is written out here. At kappa = 1e6 a v inside the
-    # bounds' own slack maps 1.45e-8 below 0, which is refused; half as far
-    # out it maps about 7e-9 below 0, which is clamped to 0.
-    v_min, v_max = v_bounds(1e6)
-    slack = 1e-9 * (v_max - v_min)
-    with pytest.raises(InvalidScheduleError, match=r"deviates from \[0, 1\] beyond 1e-08"):
-        s_of_v(v_min - slack, 1e6)
-    assert s_of_v(v_min - slack / 2, 1e6) == 0.0
+def test_s_of_v_meets_0_and_1_at_its_bounds_within_4_3e_16():
+    # the closed form misses the unit interval at the bounds by round-off
+    # alone, so the clamp in s_of_v never hides a real deviation
+    for kappa in np.logspace(0.0, 14.0, 4000, endpoint=False):
+        v_min, v_max = v_bounds(kappa)
+        for v, end in ((v_min, 0.0), (v_max, 1.0)):
+            assert abs(analytic_s(v, kappa) - end) <= 4.3e-16
+            assert abs(s_of_v(v, kappa) - end) <= 4.3e-16
 
 
 def test_default_sequence_basics():

@@ -30,6 +30,12 @@ from `perfbench/workloads.py`:
   sigma 0.2, point source, seed 0): a Hessian step, then a jump to s = 1,
   whose second bundle is a block of 301 states (77,056 amplitudes) taken
   away from theta = 0;
+- one `hessian` run at n=3, d=3, T=10 (noisy_linear conductivity, point
+  source, seed 0), whose steps are minimum steps and one schedule
+  fallback;
+- one `hessian` run at n=4, d=1, T=50 (noisy_constant conductivity with
+  sigma 1, point source, seed 3), whose indefinite system is embedded on
+  5 qubits and recovered through the ancilla;
 - `avqls sweep --jobs 2` on `SWEEP_POOL` with master seeds 0-5, one line
   per trace and one per CSV;
 - `avqls schedule` at kappa 1, 3, 10, 1000 and 1e6, `--steps` 1, 4 and 50
@@ -67,10 +73,22 @@ MASTER_SEEDS = range(6)
 CONFIG_SEEDS = (0, 1, 2)
 C09_PROBLEM = {"conductivity": "constant", "source": "point"}
 C09_SOLVER = {"n": 6, "d": 1, "T": 10}
-LARGE_BUNDLE = {
-    "problem": {"conductivity": "noisy_constant", "sigma": 0.2, "source": "point"},
-    "solver": {"n": 8, "d": 2, "T": 10, "schedule": "hessian"},
-    "seed": 0,
+NAMED_CASES = {
+    "hessian-n8d2": {
+        "problem": {"conductivity": "noisy_constant", "sigma": 0.2, "source": "point"},
+        "solver": {"n": 8, "d": 2, "T": 10, "schedule": "hessian"},
+        "seed": 0,
+    },
+    "linear-n3d3": {
+        "problem": {"conductivity": "noisy_linear", "source": "point"},
+        "solver": {"n": 3, "d": 3, "T": 10, "schedule": "hessian"},
+        "seed": 0,
+    },
+    "embedded-n4d1": {
+        "problem": {"conductivity": "noisy_constant", "sigma": 1.0, "source": "point"},
+        "solver": {"n": 4, "d": 1, "T": 50, "schedule": "hessian"},
+        "seed": 3,
+    },
 }
 SCHEDULE_KAPPAS = ("1", "3", "10", "1000", "1e6")
 SCHEDULE_STEPS = ("1", "4", "50")
@@ -182,8 +200,9 @@ def digest_lines(drop: set[str], configs=()):
             raw = {"problem": C09_PROBLEM, "solver": {**C09_SOLVER, "schedule": mode}}
             config = avqls.config_from_dict(raw)
             yield from solve_lines(config, (config.seed,), f"criterion-09:{mode}", drop)
-        config = avqls.config_from_dict(LARGE_BUNDLE)
-        yield from solve_lines(config, (config.seed,), "hessian-n8d2", drop)
+        for label, raw in NAMED_CASES.items():
+            config = avqls.config_from_dict(raw)
+            yield from solve_lines(config, (config.seed,), label, drop)
         for path in configs:
             config = avqls.load_config(path)
             yield from solve_lines(config, CONFIG_SEEDS, Path(path).name, drop)

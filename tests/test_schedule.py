@@ -91,6 +91,24 @@ def test_s_of_v_rejects_out_of_range():
                 s_of_v(v, kappa)
 
 
+def test_s_of_v_clamps_within_1e_8_of_the_unit_interval():
+    # s_of_v clamps the closed form into [0, 1]; over [v_min, v_max] the
+    # clamp moves it by far less than 1e-8. At kappa = 1e6 a v half of
+    # 1e-9 * (v_max - v_min) below v_min would map about 7e-9 below 0, and
+    # is refused rather than clamped.
+    for kappa in (1.0, 2.0, 1e3, 1e6):
+        v_min, v_max = v_bounds(kappa)
+        for v in np.linspace(v_min, v_max, 201):
+            s = s_of_v(v, kappa)
+            assert 0.0 <= s <= 1.0
+            assert abs(s - analytic_s(v, kappa)) < 1e-8
+    v_min, v_max = v_bounds(1e6)
+    v = v_min - 0.5e-9 * (v_max - v_min)
+    assert -1e-8 < analytic_s(v, 1e6) < 0.0
+    with pytest.raises(InvalidScheduleError, match="outside schedule bounds"):
+        s_of_v(v, 1e6)
+
+
 def test_s_of_v_meets_0_and_1_at_its_bounds_within_4_3e_16():
     # the closed form misses the unit interval at the bounds by round-off
     # alone, so the clamp in s_of_v never hides a real deviation

@@ -153,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

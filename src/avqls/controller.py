@@ -354,10 +354,6 @@ def solve_adiabatic(
     s, since the expansion terms behind it do not depend on s (avqls.cost).
     """
     mode, T = solver.schedule, solver.T
-    if system.n_qubits != ansatz.n:
-        raise ValueError(
-            f"ansatz acts on {ansatz.n} qubits but the system needs {system.n_qubits}"
-        )
     model = build_cost_model(system)
     grid = uniform_sequence(T) if mode == "fixed" else default_sequence(system.kappa, T)
     n_p = ansatz.n_params

@@ -65,14 +65,15 @@ def sample_conductivity(problem: ProblemConfig, n_sites: int, seed: int = 0) -> 
     rng = default_rng(seed)
     lam = base + rng.normal(0.0, sigma, n_sites)
     floor = _FLOOR_FRACTION * float(base.mean())
-    for _ in range(_RESAMPLE_BUDGET):
-        mask = lam <= floor
-        if not mask.any():
-            return lam
+    redraws = 0
+    while (mask := lam <= floor).any():
+        if redraws == _RESAMPLE_BUDGET:
+            raise RuntimeError(
+                f"could not keep conductivity above {floor} after {_RESAMPLE_BUDGET} redraws"
+            )
         lam[mask] = base[mask] + rng.normal(0.0, sigma, int(mask.sum()))
-    raise RuntimeError(
-        f"could not keep conductivity above {floor} after {_RESAMPLE_BUDGET} redraws"
-    )
+        redraws += 1
+    return lam
 
 
 def discretize_heat(
@@ -149,14 +150,12 @@ class PreparedSystem:
     """Working form of a linear system for the variational solver.
 
     `matrix` has unit spectral norm and the working right-hand side is
-    exactly e1. For embedded systems the matrix acts on n_qubits + 1 wires
-    (one ancilla) and its spectrum is purely imaginary, which keeps the
-    pencil (1-s) I + s M nonsingular on the whole sweep.
+    exactly e1. An embedded system (`householder_emb` set) gains an ancilla
+    wire and a purely imaginary spectrum, which keeps the pencil (1-s) I + s M
+    nonsingular on the whole sweep. `n_qubits` and `embedded` are derived.
     """
 
     matrix: np.ndarray
-    n_qubits: int
-    embedded: bool
     kappa: float
     sign_flipped: bool
     matrix_scale: float
@@ -168,6 +167,14 @@ class PreparedSystem:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
+
+    @property
+    def embedded(self) -> bool:
+        return self.householder_emb is not None
 
 
 def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
@@ -191,8 +198,6 @@ def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
     n_qubits = int(round(np.log2(n_sites)))
     if 2 ** n_qubits != n_sites:
         raise ValueError(f"dimension {n_sites} is not a power of two")
-    if np.linalg.norm(b) == 0.0:
-        raise ValueError("right-hand side must be nonzero")
 
     eigs = np.linalg.eigvals(a)
     mags = np.abs(eigs)
@@ -215,8 +220,6 @@ def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
     if np.all(eigs.real > tol):
         working = rotated
         s2 = None
-        embedded = False
-        wires = n_qubits
     else:
         # (1-s) sz(x)I + s sx(x)M equals (sz(x)I) [(1-s) I + s W] with
         # W = [[0, M], [-M, 0]]; the orthogonal prefactor drops out of the
@@ -229,16 +232,12 @@ def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
         e1[0] = 1.0
         s2 = householder(np.kron(minus, e1))
         working = s2 @ w @ s2.T
-        embedded = True
-        wires = n_qubits + 1
 
     scale = float(np.linalg.norm(working, 2))
     working = working / scale
     kappa = condition_number(working)
     return PreparedSystem(
         matrix=working,
-        n_qubits=wires,
-        embedded=embedded,
         kappa=kappa,
         sign_flipped=sign_flipped,
         matrix_scale=scale,

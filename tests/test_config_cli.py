@@ -20,6 +20,7 @@ import pytest
 import avqls
 import avqls.cost as cost_module
 import avqls.runner as runner
+import avqls.verify as verify
 from avqls import (
     ConfigError,
     RunConfig,
@@ -1240,6 +1241,19 @@ def test_cli_verify_subcommand(capsys):
     for line, (name, label) in zip(lines, VERIFY_LINES):
         pattern = rf"\[ ok \] {re.escape(name)}: {re.escape(label)} \d\.\d\de[+-]\d\d"
         assert re.fullmatch(pattern, line), line
+
+
+def test_run_battery_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def raising():
+        raise RuntimeError("no defect")
+
+    checks = [("first", raising, 1.0, "defect"), ("second", lambda: 0.5, 1.0, "defect")]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    lines = []
+    assert verify.run_battery(lines.append) is False
+    assert lines == ["[FAIL] first: RuntimeError: no defect", "[ ok ] second: defect 5.00e-01"]
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_console_entry_point():

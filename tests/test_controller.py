@@ -511,7 +511,7 @@ def test_solve_adiabatic_mode_validation():
     system = identity_system()
     with pytest.raises(ValueError, match=r"^solver\.schedule: expected one of"):
         solve_adiabatic(system, AnsatzConfig(n=1, d=1), SolverConfig(schedule="euler"))
-    with pytest.raises(ValueError, match="qubits"):
+    with pytest.raises(ValueError, match="model dimension 2 does not match ansatz dimension 4"):
         solve_adiabatic(system, AnsatzConfig(n=2, d=1))
 
 

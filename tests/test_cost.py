@@ -15,6 +15,7 @@ from avqls import (
     prepare,
 )
 from avqls.cost import (
+    HessianBundle,
     assemble_hamiltonian,
     bind_objective,
     build_cost_model,
@@ -247,6 +248,15 @@ def test_bundle_equals_the_device_rule_it_is_charged_for(monkeypatch, n, d):
     assert verify.hessian_rule_defect(cases) < 1e-12
     monkeypatch.setattr(verify, "cost", lambda *a, **k: np.nan)
     assert verify.hessian_rule_defect(cases) == np.inf
+
+
+def test_rule_defect_is_infinite_when_the_bundle_charges_one_circuit_more(monkeypatch):
+    # the battery's case: the rule runs exactly circuit_evals circuits, so a
+    # bundle that charges one more is a count mismatch
+    assert verify._hessian_rule() < 1e-12
+    charged = HessianBundle.circuit_evals.fget
+    monkeypatch.setattr(HessianBundle, "circuit_evals", property(lambda b: charged(b) + 1))
+    assert verify._hessian_rule() == np.inf
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 2)])

@@ -69,6 +69,13 @@ def test_classical_solve_rejects_singular():
             classical_solve(a, np.array([1.0, 0.0]))
 
 
+def test_classical_solve_refuses_a_non_square_matrix_and_a_mismatched_rhs():
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        classical_solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match=r"^rhs shape \(3,\) does not match matrix \(2, 2\)$"):
+        classical_solve(np.eye(2), np.ones(3))
+
+
 def test_classical_solve_is_the_lu_solution():
     rng = np.random.default_rng(5)
     cases = [heat_system(ProblemConfig(conductivity=kind), n, seed)

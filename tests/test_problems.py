@@ -129,6 +129,23 @@ def test_conductivity_is_redrawn_at_most_100_times(monkeypatch):
     assert len(draws) == 1 + 100
 
 
+def test_conductivity_accepts_the_100th_redraw(monkeypatch):
+    # draws 1-100 land below the floor and the 101st (the 100th redraw) on
+    # the mean: that redraw is tested too, so the profile is returned
+    draws = []
+
+    class LastRedrawOnMean:
+        def normal(self, loc, scale, size):
+            draws.append(size)
+            return np.full(size, 0.0 if len(draws) == 1 + 100 else -10.0)
+
+    monkeypatch.setattr(problems_module, "default_rng", lambda seed: LastRedrawOnMean())
+    prof = ProblemConfig(conductivity="noisy_constant", sigma=1.0)
+    lam = sample_conductivity(prof, 4)
+    assert np.array_equal(lam, np.ones(4))
+    assert len(draws) == 1 + 100
+
+
 def test_profile_validation():
     with pytest.raises(ConfigError, match=r"^problem\.sigma: must be > 0\.0"):
         ProblemConfig(conductivity="noisy_constant", sigma=0.0)

@@ -14,6 +14,7 @@ from avqls import (
     uniform_sequence,
     v_bounds,
 )
+from avqls.cli import main
 from avqls.schedule import check_s
 
 
@@ -160,6 +161,22 @@ def test_schedule_validation():
     # kappa at or past the singular limit is refused before any bound is computed
     with pytest.raises(InvalidScheduleError, match=r"must be in \[1, 1e\+14\)"):
         default_sequence(1.3e154, 3)
+
+
+def test_default_sequence_refuses_a_grid_with_a_repeated_point():
+    # at kappa 1e13 over 10000 steps, grid points 9981 and 9982 round to the
+    # same double just below 1
+    grid = [s_of_v(v, 1e13) for v in np.linspace(*v_bounds(1e13), 10001)]
+    assert grid[9980] < grid[9981] == grid[9982] < 1.0
+    with pytest.raises(InvalidScheduleError, match="^schedule grid is not strictly increasing$"):
+        default_sequence(1e13, 10000)
+
+
+def test_cli_schedule_refuses_a_grid_with_a_repeated_point(capsys):
+    assert main(["schedule", "--kappa", "1e13", "--steps", "10000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "configuration error: schedule grid is not strictly increasing\n"
 
 
 def test_next_increment_walks_the_grid():

@@ -6,7 +6,7 @@ class SingularMatrixError(ValueError):
 
 
 class InvalidScheduleError(ValueError):
-    """A schedule grid violated its bounds or monotonicity guarantees."""
+    """A schedule grid violated its bounds."""
 
 
 class ConfigError(ValueError):

@@ -137,7 +137,6 @@ def householder(b: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("right-hand side must be nonzero")
     v = b / norm
-    v = v.copy()
     v[0] -= 1.0
     vn2 = float(v @ v)
     if vn2 < 1e-24:
@@ -195,8 +194,7 @@ def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
     n_sites = a.shape[0]
     if b.shape != (n_sites,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    n_qubits = int(round(np.log2(n_sites)))
-    if 2 ** n_qubits != n_sites:
+    if n_sites.bit_count() != 1:
         raise ValueError(f"dimension {n_sites} is not a power of two")
 
     eigs = np.linalg.eigvals(a)

@@ -4,7 +4,7 @@ The grid is uniform in an auxiliary variable v and mapped through a closed
 form s(v) that concentrates steps near s = 1 for ill-conditioned systems.
 v is taken only in [v_min, v_max], and s(v), which misses [0, 1] there by
 round-off only, is clamped into it. A grid's ends are set to exactly 0
-and 1, and a grid that is not strictly increasing is refused.
+and 1; a run steps to the first grid point more than S_TOL past s.
 """
 
 from __future__ import annotations
@@ -81,14 +81,12 @@ def s_of_v(v: float, kappa: float) -> float:
 
 
 def default_sequence(kappa: float, T: int) -> np.ndarray:
-    """Strictly increasing grid s_0 = 0 < ... < s_T = 1, the s(v) of T+1 evenly spaced v."""
+    """Non-decreasing grid s_0 = 0 <= ... <= s_T = 1, the s(v) of T+1 evenly spaced v."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
     grid = np.array([s_of_v(v, kappa) for v in np.linspace(*v_bounds(kappa), T + 1)])
     grid[0] = 0.0
     grid[-1] = 1.0
-    if np.any(np.diff(grid) <= 0.0):
-        raise InvalidScheduleError("schedule grid is not strictly increasing")
     return grid
 
 

@@ -43,12 +43,13 @@ def _worst(defects) -> float:
 
 
 def schedule_endpoint_defect(kappas, steps: int) -> float:
-    """Worst |s(v_min)| and |s(v_max) - 1| over kappas."""
+    """Worst |s(v_min)| and |s(v_max) - 1| over kappas; inf if a grid repeats a point."""
     defects = []
     for kappa in kappas:
         v_min, v_max = v_bounds(kappa)
         defects += [abs(s_of_v(v_min, kappa)), abs(s_of_v(v_max, kappa) - 1.0)]
-        default_sequence(kappa, steps)  # raises unless the grid strictly increases
+        if np.any(np.diff(default_sequence(kappa, steps)) <= 0.0):
+            return np.inf
     return _worst(defects)
 
 

@@ -96,25 +96,6 @@ def test_shipped_configs_load(path):
             assert cell_config(config, cell).solver.n == cell.n
 
 
-def test_value_validation_messages():
-    with pytest.raises(ConfigError, match=r"solver\.n: expected an integer"):
-        config_from_dict({"solver": {"n": "4"}})
-    with pytest.raises(ConfigError, match=r"solver\.n: expected an integer"):
-        config_from_dict({"solver": {"n": True}})
-    with pytest.raises(ConfigError, match=r"solver\.T: must be >= 1"):
-        config_from_dict({"solver": {"T": 0}})
-    with pytest.raises(ConfigError, match=r"solver\.schedule: expected one of"):
-        config_from_dict({"solver": {"schedule": "euler"}})
-    with pytest.raises(ConfigError, match=r"problem\.sigma"):
-        config_from_dict({"problem": {"conductivity": "constant", "sigma": 0.5}})
-    with pytest.raises(ConfigError, match=r"sweep\.l"):
-        config_from_dict({"problem": {"source": "point"}, "sweep": {"l": [0, 2]}})
-    with pytest.raises(ConfigError, match=r"sweep\.seeds\[1\]"):
-        config_from_dict(
-            {"problem": {"source": "point"}, "sweep": {"seeds": [0, -1]}}
-        )
-
-
 _CONDUCTIVITIES = "('constant', 'noisy_constant', 'linear', 'noisy_linear')"
 
 
@@ -183,6 +164,11 @@ FIELD_ERRORS = [
     ({"solver": {"gtol": float("nan")}}, "solver.gtol: expected a finite number, got nan"),
     ({"sweep": {"l": [0.0, float("inf")]}}, "sweep.l[1]: expected a finite number, got inf"),
     ({"problem": {"l": 5.0}}, "problem.l: requires problem.source = 'exponential'"),
+    ({"solver": {"n": True}}, "solver.n: expected an integer, got True"),
+    ({"problem": {"conductivity": "constant", "sigma": 0.5}},
+     "problem.sigma: only meaningful for noisy conductivity kinds"),
+    ({"problem": {"source": "point"}, "sweep": {"l": [0, 2]}},
+     "sweep.l: requires problem.source = 'exponential'"),
 ]
 
 

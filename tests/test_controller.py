@@ -542,6 +542,16 @@ def test_solve_adiabatic_dynamic_walks_schedule():
     assert s_vals[0] > 0.2
 
 
+def test_hessian_solve_steps_over_a_repeated_grid_point_to_s_1():
+    # kappa about 1e13 at T = 10000: the dynamic grid behind the minimum and
+    # fallback steps holds one repeated point just below 1
+    system = prepare(np.diag([1.0, 1e-13]), np.array([1.0, 1.0]))
+    assert 1e13 < system.kappa < 1.001e13
+    solver = SolverConfig(T=10000, schedule="hessian")
+    trace = solve_adiabatic(system, AnsatzConfig(n=2, d=0), solver)
+    assert trace.steps[-1].s == 1.0
+
+
 def test_solve_adiabatic_refuses_a_schedule_that_does_not_advance(monkeypatch):
     # with a zero increment s never moves: the 8th solve exceeds T + 5 = 7 steps and raises
     system = prepare(np.diag([2.0, 1.0, 0.5, 0.25]), np.array([1.0, 1.0, 0.0, 0.0]))

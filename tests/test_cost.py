@@ -22,10 +22,9 @@ from avqls.cost import (
     cost,
     cost_gradient,
     hessian_bundle,
-    hessian_extrapolate,
 )
 
-from conftest import clear_start_states, fd_hessian, loop_shift_rule, loop_terms
+from conftest import clear_start_states, loop_shift_rule, loop_terms
 
 # Batched results against the per-point loop reference; fixed in advance,
 # about 1e4 ulps of the O(1) costs of a spectrally normalized matrix.
@@ -120,67 +119,20 @@ def test_gradient_defect_fails_on_nan_gradient(monkeypatch):
     assert verify.gradient_defect(cases, rtol=1e-5) == np.inf
 
 
-def test_hessian_matches_finite_differences():
-    rng = np.random.default_rng(23)
-    mat = rng.normal(size=(4, 4))
-    mat = mat / np.linalg.norm(mat, 2)
-    model = build_cost_model(mat)
-    config = AnsatzConfig(n=2, d=1)
-    for _ in range(3):
-        theta = rng.uniform(-np.pi, np.pi, config.n_params)
-        s = rng.uniform(0.0, 1.0)
-        hess = hessian_bundle(model, config, theta, s).h_s
-        ref = fd_hessian(lambda th: cost(model, config, th, s), theta)
-        assert np.allclose(hess, ref, atol=1e-4)
-        assert np.allclose(hess, hess.T, atol=1e-14)
-
-
-def test_shift_angle_invariance():
-    a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
-    system = prepare(a, b)
-    model = build_cost_model(system)
-    config = AnsatzConfig(n=2, d=1)
-    rng = np.random.default_rng(29)
-    theta = rng.uniform(-np.pi, np.pi, config.n_params)
-    s = 0.6
-    # the shift rule is exact at every beta with sin(beta) != 0
-    grad = cost_gradient(model, config, theta, s)
-    hess = hessian_bundle(model, config, theta, s).h_s
-    for beta in (np.pi / 3, 1.0):
-        ref_grad, ref_hess, _, _ = loop_shift_rule(model, config, theta, s, beta)
-        assert np.allclose(grad, ref_grad, atol=1e-9)
-        assert np.allclose(hess, ref_hess, atol=1e-9)
-
-
-def test_cost_extrapolation_is_exact():
-    rng = np.random.default_rng(31)
-    mat = rng.normal(size=(8, 8))
-    mat = mat / np.linalg.norm(mat, 2)
-    model = build_cost_model(mat)
-    config = AnsatzConfig(n=3, d=1)
-    for _ in range(10):
-        theta = rng.uniform(-np.pi, np.pi, config.n_params)
-        s = rng.uniform(0.0, 0.6)
-        delta = rng.uniform(0.0, 1.0 - s)
-        psi = apply_ansatz(config, theta)
-        dense = psi @ assemble_hamiltonian(model, s + delta) @ psi
-        assert abs(cost(model, config, theta, s + delta) - dense) < 1e-12
-
-
-def test_hessian_extrapolation_is_exact():
-    rng = np.random.default_rng(37)
-    mat = rng.normal(size=(4, 4))
-    mat = mat / np.linalg.norm(mat, 2)
-    model = build_cost_model(mat)
-    config = AnsatzConfig(n=2, d=1)
-    for _ in range(5):
-        theta = rng.uniform(-np.pi, np.pi, config.n_params)
-        s = rng.uniform(0.0, 0.5)
-        delta = rng.uniform(0.0, 1.0 - s)
-        bundle = hessian_bundle(model, config, theta, s)
-        predicted = hessian_extrapolate(bundle, delta)
-        direct = hessian_bundle(model, config, theta, s + delta).h_s
-        assert np.abs(predicted - direct).max() < 1e-10
+def test_cost_and_hessian_extrapolation_are_exact():
+    # the cost against the dense Hamiltonian at s + delta, and the Hessian
+    # extrapolated from s against one measured there
+    cases = []
+    for seed, n, s_max, count in ((31, 3, 0.6, 10), (37, 2, 0.5, 5)):
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(2 ** n, 2 ** n))
+        model = build_cost_model(mat / np.linalg.norm(mat, 2))
+        config = AnsatzConfig(n=n, d=1)
+        for _ in range(count):
+            theta = rng.uniform(-np.pi, np.pi, config.n_params)
+            s = rng.uniform(0.0, s_max)
+            cases.append((model, config, theta, s, rng.uniform(0.0, 1.0 - s)))
+    assert verify.extrapolation_defect(cases) < 1e-12
 
 
 def test_bundle_consistency():
@@ -223,6 +175,7 @@ def test_batched_derivatives_match_loop_reference(n):
     bundle = hessian_bundle(model, config, theta, s)
     for got, want in ((bundle.h_s, h_s), (bundle.k_a, k_a), (bundle.k_b, k_b)):
         assert np.allclose(got, want, rtol=0, atol=BATCH_TOL)
+        assert np.array_equal(got, got.T)
 
 
 def test_large_bundle_block_matches_loop_reference():

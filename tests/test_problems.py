@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,13 @@ def test_prepare_validation():
         prepare(np.eye(3), np.ones(3))
     with pytest.raises(ValueError, match="nonzero"):
         prepare(np.eye(2), np.zeros(2))
+
+
+def test_prepare_refuses_a_0x0_system_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^dimension 0 is not a power of two$"):
+            prepare(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_recover_solution_plain_round_trip():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import avqls.verify as verify
 from avqls import (
     InvalidScheduleError,
     SingularMatrixError,
@@ -15,7 +16,7 @@ from avqls import (
     v_bounds,
 )
 from avqls.cli import main
-from avqls.schedule import check_s
+from avqls.schedule import S_TOL, check_s
 
 
 def analytic_s(v: float, kappa: float) -> float:
@@ -58,13 +59,7 @@ def test_v_bounds_unit_kappa():
     expected = np.log(1.0 + np.sqrt(2.0))
     assert abs(v_max - expected) < 1e-14
     assert abs(v_min + expected) < 1e-14
-
-
-def test_s_of_v_endpoints_and_midpoint():
-    for kappa in (1.0, 3.0, 10.0, 1e3, 1e6):
-        v_min, v_max = v_bounds(kappa)
-        assert abs(s_of_v(v_min, kappa) - 0.0) < 1e-10
-        assert abs(s_of_v(v_max, kappa) - 1.0) < 1e-10
+    # and v = 0, the midpoint of the range, maps to s = 1/2
     assert abs(s_of_v(0.0, 1.0) - 0.5) < 1e-14
 
 
@@ -163,20 +158,42 @@ def test_schedule_validation():
         default_sequence(1.3e154, 3)
 
 
-def test_default_sequence_refuses_a_grid_with_a_repeated_point():
-    # at kappa 1e13 over 10000 steps, grid points 9981 and 9982 round to the
-    # same double just below 1
-    grid = [s_of_v(v, 1e13) for v in np.linspace(*v_bounds(1e13), 10001)]
-    assert grid[9980] < grid[9981] == grid[9982] < 1.0
-    with pytest.raises(InvalidScheduleError, match="^schedule grid is not strictly increasing$"):
-        default_sequence(1e13, 10000)
+def test_default_sequence_keeps_a_grid_with_a_repeated_point():
+    # at kappa 1e13 over 10000 steps s(v) saturates just below 1, and grid
+    # points 9981 and 9982 round to the same double
+    grid = default_sequence(1e13, 10000)
+    assert grid.size == 10001
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    steps = np.diff(grid)
+    assert np.all(steps >= 0.0)
+    assert np.flatnonzero(steps == 0.0).tolist() == [9981]
 
 
-def test_cli_schedule_refuses_a_grid_with_a_repeated_point(capsys):
-    assert main(["schedule", "--kappa", "1e13", "--steps", "10000"]) == 1
+def test_cli_schedule_prints_a_grid_with_a_repeated_point(capsys):
+    assert main(["schedule", "--kappa", "1e13", "--steps", "10000"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "configuration error: schedule grid is not strictly increasing\n"
+    assert err == ""
+    assert len(out.splitlines()) == 10002
+
+
+def test_next_increment_walks_a_saturated_grid_to_1_in_fewer_than_T_steps():
+    # the walk steps over the repeated point and every increment within S_TOL
+    grid = default_sequence(1e13, 10000)
+    s, increments = 0.0, []
+    while s < 1.0:
+        increments.append(next_increment(grid, s))
+        s += increments[-1]
+    assert s == 1.0
+    assert min(increments[:-1]) > S_TOL
+    assert len(increments) < 10000
+
+
+def test_schedule_endpoint_defect_is_infinite_on_a_repeated_point(monkeypatch):
+    # the defect itself tests strict increase, so the saturated grid fails it too
+    assert verify.schedule_endpoint_defect((1.0,), 3) == 0.0
+    assert verify.schedule_endpoint_defect((1e13,), 10000) == np.inf
+    monkeypatch.setattr(verify, "default_sequence", lambda kappa, T: np.array([0.0, 0.5, 0.5, 1.0]))
+    assert verify.schedule_endpoint_defect((1.0,), 3) == np.inf
 
 
 def test_next_increment_walks_the_grid():

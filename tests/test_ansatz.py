@@ -36,11 +36,23 @@ def test_matches_dense_oracle_small_circuits(n, d):
         assert np.allclose(fast, dense, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_batch_rows_equal_loop_engine(n):
+    # n=1 has no CNOT ring and n=2 a ring of one CNOT
+    config = AnsatzConfig(n=n, d=2)
+    rng = np.random.default_rng(100 + n)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (7, config.n_params))
+    batch = apply_ansatz(config, thetas)
+    assert batch.shape == (7, config.dim)
+    for theta, row in zip(thetas, batch):
+        reference = loop_ansatz_state(config, theta)
+        assert np.array_equal(row, reference)
+        assert np.array_equal(apply_ansatz(config, theta), reference)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batch_rows_equal_loop_engine_bitwise(n):
-    # n=1 has no CNOT ring and n=2 a ring of one CNOT; exact +-0 angles give
-    # zero amplitudes and +-pi angles near-zero cosines. A row is also the
-    # state of its theta simulated alone
+    # exact +-0 angles give zero amplitudes and +-pi angles near-zero cosines
     rng = np.random.default_rng(300 + n)
     for d in range(4):
         config = AnsatzConfig(n=n, d=d)
@@ -53,11 +65,8 @@ def test_batch_rows_equal_loop_engine_bitwise(n):
         thetas[6, ::2], thetas[6, 1::2] = 0.0, -np.pi
         thetas[7, ::3], thetas[7, 1::3] = -0.0, 0.0
         batch = apply_ansatz(config, thetas)
-        assert batch.shape == (8, config.dim)
         for theta, row in zip(thetas, batch):
-            reference = loop_ansatz_state(config, theta)
-            assert np.array_equal(row, reference)
-            assert np.array_equal(apply_ansatz(config, theta), reference)
+            assert np.array_equal(row, loop_ansatz_state(config, theta))
             signs = np.signbit(product_loop_state(config, theta))
             assert np.array_equal(np.signbit(row), signs)
 

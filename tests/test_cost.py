@@ -22,6 +22,7 @@ from avqls.cost import (
     cost,
     cost_gradient,
     hessian_bundle,
+    hessian_extrapolate,
 )
 
 from conftest import clear_start_states, loop_shift_rule, loop_terms
@@ -119,20 +120,35 @@ def test_gradient_defect_fails_on_nan_gradient(monkeypatch):
     assert verify.gradient_defect(cases, rtol=1e-5) == np.inf
 
 
-def test_cost_and_hessian_extrapolation_are_exact():
-    # the cost against the dense Hamiltonian at s + delta, and the Hessian
-    # extrapolated from s against one measured there
-    cases = []
-    for seed, n, s_max, count in ((31, 3, 0.6, 10), (37, 2, 0.5, 5)):
-        rng = np.random.default_rng(seed)
-        mat = rng.normal(size=(2 ** n, 2 ** n))
-        model = build_cost_model(mat / np.linalg.norm(mat, 2))
-        config = AnsatzConfig(n=n, d=1)
-        for _ in range(count):
-            theta = rng.uniform(-np.pi, np.pi, config.n_params)
-            s = rng.uniform(0.0, s_max)
-            cases.append((model, config, theta, s, rng.uniform(0.0, 1.0 - s)))
-    assert verify.extrapolation_defect(cases) < 1e-12
+def test_cost_extrapolation_is_exact():
+    rng = np.random.default_rng(31)
+    mat = rng.normal(size=(8, 8))
+    mat = mat / np.linalg.norm(mat, 2)
+    model = build_cost_model(mat)
+    config = AnsatzConfig(n=3, d=1)
+    for _ in range(10):
+        theta = rng.uniform(-np.pi, np.pi, config.n_params)
+        s = rng.uniform(0.0, 0.6)
+        delta = rng.uniform(0.0, 1.0 - s)
+        psi = apply_ansatz(config, theta)
+        dense = psi @ assemble_hamiltonian(model, s + delta) @ psi
+        assert abs(cost(model, config, theta, s + delta) - dense) < 1e-12
+
+
+def test_hessian_extrapolation_is_exact():
+    rng = np.random.default_rng(37)
+    mat = rng.normal(size=(4, 4))
+    mat = mat / np.linalg.norm(mat, 2)
+    model = build_cost_model(mat)
+    config = AnsatzConfig(n=2, d=1)
+    for _ in range(5):
+        theta = rng.uniform(-np.pi, np.pi, config.n_params)
+        s = rng.uniform(0.0, 0.5)
+        delta = rng.uniform(0.0, 1.0 - s)
+        bundle = hessian_bundle(model, config, theta, s)
+        predicted = hessian_extrapolate(bundle, delta)
+        direct = hessian_bundle(model, config, theta, s + delta).h_s
+        assert np.abs(predicted - direct).max() < 1e-10
 
 
 def test_bundle_consistency():

@@ -59,7 +59,13 @@ def test_v_bounds_unit_kappa():
     expected = np.log(1.0 + np.sqrt(2.0))
     assert abs(v_max - expected) < 1e-14
     assert abs(v_min + expected) < 1e-14
-    # and v = 0, the midpoint of the range, maps to s = 1/2
+
+
+def test_s_of_v_endpoints_and_midpoint():
+    for kappa in (1.0, 3.0, 10.0, 1e3, 1e6):
+        v_min, v_max = v_bounds(kappa)
+        assert abs(s_of_v(v_min, kappa) - 0.0) < 1e-10
+        assert abs(s_of_v(v_max, kappa) - 1.0) < 1e-10
     assert abs(s_of_v(0.0, 1.0) - 0.5) < 1e-14
 
 

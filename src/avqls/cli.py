@@ -105,8 +105,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     config = _apply_overrides(load_config(args.config), args)
     out_dir = _out_dir(config)
     sweep = run_sweep(config, jobs=args.jobs)

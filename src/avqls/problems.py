@@ -196,6 +196,8 @@ def prepare(a: np.ndarray, b: np.ndarray) -> PreparedSystem:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
     if n_sites.bit_count() != 1:
         raise ValueError(f"dimension {n_sites} is not a power of two")
+    if n_sites == 1:
+        raise ValueError("dimension 1 gives 0 qubits; the ansatz needs at least one qubit")
 
     eigs = np.linalg.eigvals(a)
     mags = np.abs(eigs)

@@ -249,16 +249,6 @@ def _run_cell(config: RunConfig, cell: SweepCell) -> tuple:
         return cell, None, f"{type(exc).__name__}: {exc}"
 
 
-def _serve(config: RunConfig, conn: Connection) -> None:
-    """A worker's loop: run each cell received and send its outcome, until None."""
-    while (cell := conn.recv()) is not None:
-        outcome = _run_cell(config, cell)
-        try:
-            conn.send(outcome)
-        except Exception as exc:  # the outcome did not pickle, so nothing was sent
-            conn.send((cell, None, f"{type(exc).__name__}: {exc}"))
-
-
 def _send(conn: Connection, cell: SweepCell | None) -> None:
     try:
         conn.send(cell)
@@ -266,25 +256,30 @@ def _send(conn: Connection, cell: SweepCell | None) -> None:
         pass
 
 
-def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tuple]:
-    """Outcomes of `cells` run in min(jobs, cells) processes: this one and the workers it forks.
+def _reap(conn: Connection, pid: int) -> str:
+    """Close a worker's pipe, wait for the worker to end and say how it ended."""
+    conn.close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return f"exit status {code}" if code >= 0 else f"signal {-code}"
+
+
+def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> dict:
+    """Each cell's (result, error), run in min(jobs, cells) processes: this one and its workers.
 
     Each of the min(jobs, cells) − 1 workers is handed the next pending cell
     at fork, and each outcome it sends is answered with its next cell, or
-    None once none is left. This process runs the other pending cells with
-    _run_cell and polls the workers after each; it blocks on them only when
-    no cell is left for it. A dead worker's cell waits for a retry, which
-    only a worker forked for it runs, forked whenever fewer than
-    min(jobs, cells) − 1 workers are busy. The cells still waiting when no
-    worker is busy and none can be forked are recorded as failed. Every
-    worker is reaped before this returns, also on an exception, when the
-    busy ones are killed first.
+    None once none is left, when it is reaped. This process runs the other
+    pending cells with _run_cell and polls the workers after each; it blocks
+    on them only when no cell is left for it. A dead worker's cell is retried
+    whenever fewer than min(jobs, cells) − 1 workers are busy. Every worker
+    is reaped before this returns, also on an exception, when the busy ones
+    are killed first.
     """
     from signal import SIGKILL
 
     pending, retries = deque(cells), deque()
     busy: dict[Connection, tuple[int, SweepCell]] = {}
-    retired, died_once, outcomes = [], set(), []
+    outcomes: dict[SweepCell, tuple] = {}  # (result, error): an outcome without its cell
     workers = min(jobs, len(cells)) - 1
     fork_error = None
 
@@ -312,7 +307,12 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
             try:
                 for conn in (ours, *busy):
                     conn.close()
-                _serve(config, theirs)
+                while (cell := theirs.recv()) is not None:
+                    outcome = _run_cell(config, cell)
+                    try:
+                        theirs.send(outcome)
+                    except Exception as exc:  # the outcome did not pickle, so nothing was sent
+                        theirs.send((cell, None, f"{type(exc).__name__}: {exc}"))
                 status = 0
             finally:
                 os._exit(status)
@@ -332,17 +332,14 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
                 for conn in wait(list(busy), timeout=0 if pending else None):
                     pid, cell = busy[conn]
                     try:
-                        outcomes.append(conn.recv())
+                        outcomes[cell] = conn.recv()[1:]
                     except (EOFError, OSError):  # the worker died running `cell`
                         del busy[conn]
-                        conn.close()
-                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                        if cell in died_once:
-                            error = f"worker died twice running this cell ({how})"
-                            outcomes.append((cell, None, error))
-                        else:
-                            died_once.add(cell)
+                        how = _reap(conn, pid)
+                        if cell in outcomes:  # the worker of its retry died too
+                            outcomes[cell] = None, f"worker died twice running this cell ({how})"
+                        else:  # held until the retry's outcome replaces it
+                            outcomes[cell] = None, f"worker died running this cell ({how})"
                             retries.append(cell)
                         continue
                     if pending:
@@ -351,44 +348,37 @@ def _run_forked(config: RunConfig, cells: list[SweepCell], jobs: int) -> list[tu
                     else:
                         del busy[conn]
                         _send(conn, None)
-                        conn.close()
-                        retired.append(pid)
+                        _reap(conn, pid)
             while retries and len(busy) < workers and start(retries):
                 pass
             if pending:
-                outcomes.append(_run_cell(config, pending.popleft()))
+                cell = pending.popleft()
+                outcomes[cell] = _run_cell(config, cell)[1:]
             elif not busy:
                 break
         for cell in retries:  # no worker is running, and none could be forked
-            outcomes.append((cell, None, f"no worker could be forked ({fork_error})"))
+            outcomes[cell] = None, f"no worker could be forked ({fork_error})"
     finally:
         for conn, (pid, _) in busy.items():
-            conn.close()
             os.kill(pid, SIGKILL)
-            retired.append(pid)
-        for pid in retired:
-            os.waitpid(pid, 0)
+            _reap(conn, pid)
     return outcomes
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> SweepResult:
     """Cartesian-product sweep in `jobs` processes; failures are recorded, not fatal.
 
-    The module docstring states how the processes are forked and a cell retried.
+    `jobs` < 1, or > 1 without os.fork, is refused before any cell runs. The
+    module docstring states how the processes are forked and a cell retried.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
     cells = _sweep_cells(config)
     if jobs > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"jobs {jobs}: parallel sweeps need os.fork, which this platform lacks")
     outcomes = _run_forked(config, cells, jobs)
-    found = {cell: (result, error) for cell, result, error in outcomes}
-    results = {}
-    errors = {}
-    for cell in cells:
-        result, error = found[cell]
-        if error is None:
-            results[cell] = result
-        else:
-            errors[cell] = error
+    errors = {cell: error for cell in cells if (error := outcomes[cell][1]) is not None}
+    results = {cell: outcomes[cell][0] for cell in cells if cell not in errors}
     return SweepResult(cells=cells, results=results, errors=errors)
 
 

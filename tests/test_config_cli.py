@@ -1033,6 +1033,16 @@ def test_cli_sweep_jobs_needs_fork(tmp_path, monkeypatch, capsys):
     assert "2/2 cells ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_refuses_jobs_below_1_before_any_cell_runs(monkeypatch, jobs):
+    calls = []
+    monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
+    monkeypatch.setattr(runner, "run_single", lambda *args, **kwargs: calls.append("run_single"))
+    with pytest.raises(ConfigError, match=rf"^--jobs: must be >= 1, got {jobs}$"):
+        run_sweep(config_from_dict(TWO_CELL_SWEEP), jobs=jobs)
+    assert calls == []
+
+
 def cli_env(**extra) -> dict:
     """Environment for a subprocess CLI run without a BLAS thread setting."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

@@ -25,6 +25,8 @@ def test_infidelity_known_angle():
 def test_infidelity_requires_unit_vectors():
     with pytest.raises(ValueError, match="unit"):
         infidelity(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^x_var must be a vector, got shape \(2, 2\)$"):
+        infidelity(np.eye(2), np.array([1.0, 0.0]))
 
 
 def test_infidelity_takes_vectors_within_1e_8_of_unit_norm():
@@ -48,6 +50,21 @@ def test_accuracy_orthogonal_image_is_zero():
     a = np.eye(2)
     b = np.array([1.0, 0.0])
     assert accuracy(a, b, np.array([0.0, 1.0])) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "a, b, x_var, message",
+    [
+        (np.ones((2, 3)), np.ones(2), np.ones(2), r"matrix must be square, got shape \(2, 3\)"),
+        (np.eye(2), np.ones(3), np.ones(2), "vector shapes do not match the matrix"),
+        (np.eye(2), np.zeros(2), np.ones(2), "right-hand side must be nonzero"),
+        (np.eye(2), np.ones(2), np.zeros(2), "A @ x_var is numerically zero"),
+    ],
+    ids=["non-square", "mismatched-rhs", "zero-rhs", "zero-image"],
+)
+def test_accuracy_refuses_inputs_it_cannot_score(a, b, x_var, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        accuracy(a, b, x_var)
 
 
 def test_classical_solve_normalizes():

@@ -202,6 +202,27 @@ def test_householder_rejects_zero():
         householder(np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_conductivity(ProblemConfig(), 0), "site count must be >= 1, got 0"),
+        (lambda: discretize_heat(ProblemConfig(), 0), "qubit count must be >= 1, got 0"),
+        (lambda: build_source(ProblemConfig(), 0), "qubit count must be >= 1, got 0"),
+        (lambda: householder(np.eye(2)), r"right-hand side must be a vector, got shape \(2, 2\)"),
+        (
+            lambda: recover_solution(prepare(np.eye(2), np.ones(2)), np.ones(3)),
+            r"state shape \(3,\) does not match system dimension 2",
+        ),
+    ],
+    ids=[
+        "sample_conductivity", "discretize_heat", "build_source", "householder", "recover_solution",
+    ],
+)
+def test_problem_functions_refuse_an_input_of_the_wrong_size(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_prepare_heat_system():
     a, b = heat_system(ProblemConfig(conductivity="constant", source="point"), 2)
     system = prepare(a, b)
@@ -343,6 +364,15 @@ def test_prepare_validation():
         prepare(np.eye(3), np.ones(3))
     with pytest.raises(ValueError, match="nonzero"):
         prepare(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        prepare(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match=r"^rhs shape \(3,\) does not match matrix \(2, 2\)$"):
+        prepare(np.eye(2), np.ones(3))
+    # a power of two, but no qubit for the ansatz to act on
+    with pytest.raises(
+        ValueError, match="^dimension 1 gives 0 qubits; the ansatz needs at least one qubit$"
+    ):
+        prepare(np.array([[2.0]]), np.array([3.0]))
 
 
 def test_prepare_refuses_a_0x0_system_without_a_warning():

@@ -34,3 +34,34 @@ def test_trace_digests_match_the_committed_file(monkeypatch):
         + f"\nif the change means to move them, regenerate with `{REGENERATE}`"
         " and name the moved lines in CHANGES.md"
     )
+
+
+def test_drop_removes_a_trace_field_everywhere_it_is_listed_and_only_there():
+    tool = load_tool("trace_digests")
+
+    def payload(with_extra: bool) -> dict:
+        extra = {"extra": 1.5} if with_extra else {}
+        return {
+            "schema": "avqls-trace/2",
+            "config": {"seed": 0, "solver": {"n": 2, **extra}, "problem": {"l": 0.0, **extra}},
+            "run": {"t": 2, "extra": 3},  # not a listed place, so it keeps the field
+            "steps": [{"index": 0, **extra}, {"index": 1, **extra}],
+            "report": {"infidelity": 1e-9, **extra},
+            **extra,
+        }
+
+    dropped = tool.trace_digest(payload(True), {"extra"})
+    assert dropped == tool.trace_digest(payload(False), set())
+    assert dropped != tool.trace_digest(payload(True), set())
+
+
+def test_drop_removes_a_csv_column_and_its_aggregates():
+    tool = load_tool("trace_digests")
+    text = (
+        "n,extra,extra_mean,extra_min,extra_max,extra_p50,accuracy\n"
+        "2,1.0,1.0,1.0,1.0,1.0,0.99\n"
+        "3,2.0,2.0,2.0,2.0,2.0,0.98\n"
+    )
+    kept = "n,extra_p50,accuracy\n2,1.0,0.99\n3,2.0,0.98\n"
+    assert tool.csv_digest(text, {"extra"}) == tool.csv_digest(kept, set())
+    assert tool.csv_digest(text, {"extra"}) != tool.csv_digest(text, set())
